@@ -44,6 +44,7 @@ from .errors import (
     IterationCap,
     NotIrrational,
     PrecisionExhausted,
+    SelfCheckFailure,
     SizeLimit,
     SpecFileError,
     TowerMismatch,

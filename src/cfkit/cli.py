@@ -203,7 +203,7 @@ def cmd_tietze(args) -> int:
     bounded = evaluate_tietze(spec, args.eps)
     report = {
         "command": "tietze",
-        "input": {**_echo(args, spec_file), "eps": str(args.eps)},
+        "input": {**_echo(args, spec_file), "eps": format_exact(args.eps)},
         "result": {
             "valid": True,
             "checked_up_to": validation.checked_up_to,

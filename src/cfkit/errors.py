@@ -48,6 +48,10 @@ class CertificateFailure(CFKitError):
         super().__init__(f"certificate violated at (k={k}, n={n}): {detail}")
 
 
+class SelfCheckFailure(CFKitError):
+    """An internal consistency check failed; this is a bug, not bad input."""
+
+
 class IterationCap(CFKitError):
     """The evaluation loop hit its safety ceiling before certifying."""
 

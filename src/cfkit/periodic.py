@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpec,
     NotIrrational,
     PrecisionExhausted,
+    SelfCheckFailure,
     TowerMismatch,
     ZeroStart,
 )
@@ -141,9 +142,15 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     )
     if matrix.is_exact():
         b0 = pcf.b(0)
-        assert matrix.m12 == full.num - b0 * prev.num
-        assert matrix.m22 == full.den - b0 * prev.den
-        assert matrix.det == (-1) ** p * coefficient_product(pcf, p)
+        checks = (
+            ("m12 = A(p) - b(0) A(p-1)", matrix.m12 == full.num - b0 * prev.num),
+            ("m22 = B(p) - b(0) B(p-1)", matrix.m22 == full.den - b0 * prev.den),
+            ("det = (-1)^p a(1)...a(p)",
+             matrix.det == (-1) ** p * coefficient_product(pcf, p)),
+        )
+        for identity, holds in checks:
+            if not holds:
+                raise SelfCheckFailure(f"period matrix violates {identity}")
     return matrix
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import SpecFileError
@@ -28,12 +29,9 @@ from .scalars import (
 
 def _surd_parts(x: QuadExt) -> tuple[int, int, int, int]:
     """Normalize a + b*sqrt(d) to integers (p, q, D, r): value = (p + q√D)/r."""
-    dn, dd = x.d.numerator, x.d.denominator
-    # sqrt(dn/dd) = sqrt(dn*dd)/dd
-    m = abs(dn) * dd
-    s, f = squarefree_split(m)
-    d_int = f if dn > 0 else -f
-    b = x.b * Fraction(s, dd)
+    s, f = squarefree_split(abs(x.d))
+    d_int = f if x.d > 0 else -f
+    b = x.b * s
     r = math.lcm(x.a.denominator, b.denominator)
     p = x.a.numerator * (r // x.a.denominator)
     q = b.numerator * (r // b.denominator)
@@ -41,29 +39,49 @@ def _surd_parts(x: QuadExt) -> tuple[int, int, int, int]:
     return p // g, q // g, d_int, r // g
 
 
+# Decimal converts ints in both directions without the interpreter's limit on
+# int/str conversions (4300 digits by default since Python 3.11), which
+# convergents of a few thousand terms already pass.
+
+
+def _int_text(n: int) -> str:
+    return str(Decimal(n))
+
+
+def _text_int(text: str) -> int:
+    """int of a string of decimal digits with an optional sign."""
+    return int(Decimal(text))
+
+
+def _text_rational(text: str) -> Fraction:
+    """Fraction of "p" or "p/q", both integers in decimal digits."""
+    num, _, den = text.partition("/")
+    return Fraction(_text_int(num), _text_int(den) if den else 1)
+
+
 def format_exact(x) -> str:
     """Canonical string for an exact scalar (int, Fraction, or QuadExt)."""
     if isinstance(x, int):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_text(x.numerator)
+        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
     if isinstance(x, QuadExt):
         p, q, d, r = _surd_parts(x)
-        radical = f"√{d}"
+        radical = f"√{_int_text(d)}"
         if abs(q) != 1:
-            radical = f"{abs(q)}{radical}"
+            radical = f"{_int_text(abs(q))}{radical}"
         if p == 0:
             core = radical if q > 0 else f"-{radical}"
         else:
             op = "+" if q > 0 else "-"
-            core = f"{p} {op} {radical}"
+            core = f"{_int_text(p)} {op} {radical}"
         if r == 1:
             return core
         if " " in core:
-            return f"({core})/{r}"
-        return f"{core}/{r}"
+            return f"({core})/{_int_text(r)}"
+        return f"{core}/{_int_text(r)}"
     raise TypeError(f"no exact form for {type(x).__name__}")
 
 
@@ -79,7 +97,7 @@ def parse_exact(text: str):
     if "√" not in s:
         if not _RATIONAL_RE.match(s):
             raise SpecFileError(f"not an exact number literal: {text!r}")
-        return Fraction(s)
+        return _text_rational(s)
     compact = s.replace(" ", "")
     r = 1
     if compact.startswith("("):
@@ -88,33 +106,33 @@ def parse_exact(text: str):
             raise SpecFileError(f"unbalanced parentheses in {text!r}")
         core, rest = compact[1:close], compact[close + 1 :]
         if rest:
-            if not rest.startswith("/") or not rest[1:].isdigit():
+            if not rest.startswith("/") or not rest[1:].isdecimal():
                 raise SpecFileError(f"bad denominator in {text!r}")
-            r = int(rest[1:])
+            r = _text_int(rest[1:])
     else:
         root = compact.rindex("√")
         slash = compact.find("/", root)
         if slash >= 0:
             core, denom = compact[:slash], compact[slash + 1 :]
-            if not denom.isdigit():
+            if not denom.isdecimal():
                 raise SpecFileError(f"bad denominator in {text!r}")
-            r = int(denom)
+            r = _text_int(denom)
         else:
             core = compact
     match = _SURD_CORE_RE.match(core)
     if not match or r == 0:
         raise SpecFileError(f"not an exact number literal: {text!r}")
-    p = Fraction(match["p"]) if match["p"] else Fraction(0)
+    p = _text_rational(match["p"]) if match["p"] else Fraction(0)
     q_text = match["q"]
     if q_text in ("", "+"):
         q = Fraction(1)
     elif q_text == "-":
         q = Fraction(-1)
     else:
-        q = Fraction(q_text)
+        q = _text_rational(q_text)
     if match["op"] == "-":
         q = -q
-    d = int(match["d"])
+    d = _text_int(match["d"])
     return quadext(p / r, q / r, d)
 
 

@@ -4,6 +4,10 @@ A computation normally stays inside one tower.  Promotion only goes up:
 ints and Fractions embed into QuadExt (same radicand) and into ComplexFloat;
 QuadExt embeds into ComplexFloat by evaluating its square root numerically
 at the target precision.
+
+A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
+built and never factored: arithmetic trusts it, equality compares values,
+and only the printed form reduces d to its squarefree part.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ _TRIAL_DIVISION_BOUND = 100_000
 def squarefree_split(m: int) -> tuple[int, int]:
     """Return (s, f) with m = s*s*f and f squarefree (best effort), m > 0.
 
-    Factors by trial division, so a square of a prime beyond the bound can
+    Only the printed form of a surd needs this (see render).  Factors by
+    trial division, so a square of a prime beyond the bound can
     survive inside f; the decomposition is still exact and deterministic.
     """
     s, f = 1, 1
@@ -74,14 +79,30 @@ def squarefree_split(m: int) -> tuple[int, int]:
     return s, f * m
 
 
+def radicand_ratio(d_from: int, d_to: int) -> Fraction | None:
+    """Rational r with sqrt(d_from) = r*sqrt(d_to), or None when there is none.
+
+    Two radicands span the same field exactly when their product is a
+    square (so they share a sign); then sqrt(d_from) = sqrt(d_from*d_to)/|d_to|
+    * sqrt(d_to).
+    """
+    product = d_from * d_to
+    if product <= 0:
+        return None
+    root = math.isqrt(product)
+    if root * root != product:
+        return None
+    return Fraction(root, abs(d_to))
+
+
 def quadext(a, b, d) -> "Scalar":
     """Build a + b*sqrt(d), collapsing to a plain Fraction whenever possible.
 
-    The radicand is normalized to a squarefree integer, so equal values get
-    equal representations regardless of how their radicand was written
-    (sqrt(12) becomes 2*sqrt(3), sqrt(9/2) becomes (3/2)*sqrt(2)).  The
-    collapse keeps the QuadExt invariant (irrational radical part) without
-    making callers case on whether a discriminant was square.
+    A radicand is checked here, when a value enters the tower, and never in
+    arithmetic: a zero b or a square d gives a Fraction, and a rational
+    radicand becomes an integer one through sqrt(n/m) = sqrt(n*m)/m.  Nothing is factored, so sqrt(12) stays
+    sqrt(12); equality and hashing work from the value, and only the printed
+    form (render.format_exact) pulls square factors out.
     """
     a = _as_fraction(a)
     b = _as_fraction(b)
@@ -90,28 +111,55 @@ def quadext(a, b, d) -> "Scalar":
         return a
     if is_square_rational(d):
         return a + b * sqrt_rational(d)
-    num, den = d.numerator, d.denominator
-    s, f = squarefree_split(abs(num) * den)
-    return QuadExt(a, b * Fraction(s, den), Fraction(f if num > 0 else -f))
+    return _quadext_trusted(a, b / d.denominator, d.numerator * d.denominator)
+
+
+_ZERO = Fraction(0)
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _quadext_trusted(a: Fraction, b: Fraction, d: int) -> "Scalar":
+    """a + b*sqrt(d) for a radicand already known to be a non-square integer.
+
+    Arithmetic inside one radicand cannot make sqrt(d) rational, so the only
+    collapse left is b == 0.
+    """
+    if not b:
+        return a
+    value = _new_object(QuadExt)
+    _set_field(value, "a", a)
+    _set_field(value, "b", b)
+    _set_field(value, "d", d)
+    return value
 
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Exact number a + b*sqrt(d) with rational a, b, d and irrational sqrt(d).
+    """Exact number a + b*sqrt(d) with rational a, b != 0 and integer d.
 
-    d is fixed per computation context: mixing two different radicands is an
-    error, not an implicit promotion.  d < 0 represents the complex value
-    a + b*i*sqrt(|d|); such values are exact but not order-comparable.
+    The invariant, sqrt(d) irrational and d a plain integer, is checked once
+    when a value enters the tower (here or in `quadext`) and trusted by the
+    arithmetic after that.  The radicand is kept as written, not reduced:
+    sqrt(12) and 2*sqrt(3) are two representations of one value, compare and
+    hash equal, and mix freely in arithmetic, which rescales the other
+    operand onto this operand's radicand.  Radicands of different fields
+    (sqrt(2) and sqrt(3)) do not mix: that raises TowerMismatch.  d < 0
+    represents the complex value a + b*i*sqrt(|d|); such values are exact but
+    not order-comparable.
     """
 
     a: Fraction
     b: Fraction
-    d: Fraction
+    d: int
 
     def __post_init__(self):
         object.__setattr__(self, "a", _as_fraction(self.a))
         object.__setattr__(self, "b", _as_fraction(self.b))
-        object.__setattr__(self, "d", _as_fraction(self.d))
+        d = _as_fraction(self.d)
+        if d.denominator != 1:
+            raise ValueError(f"radicand {d} is not an integer; use quadext()")
+        object.__setattr__(self, "d", d.numerator)
         if self.b == 0:
             raise ValueError("rational value must be a Fraction, not QuadExt")
         if is_square_rational(self.d):
@@ -122,13 +170,16 @@ class QuadExt:
     def _lift(self, other):
         """Return other as (a, b) parts over this radicand, or None."""
         if isinstance(other, QuadExt):
-            if other.d != self.d:
+            if other.d == self.d:
+                return other.a, other.b
+            ratio = radicand_ratio(other.d, self.d)
+            if ratio is None:
                 raise TowerMismatch(
                     f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
                 )
-            return other.a, other.b
+            return other.a, other.b * ratio
         if isinstance(other, (int, Fraction)):
-            return _as_fraction(other), Fraction(0)
+            return _as_fraction(other), _ZERO
         return None
 
     @property
@@ -136,7 +187,7 @@ class QuadExt:
         return self.d > 0
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _quadext_trusted(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
@@ -171,33 +222,35 @@ class QuadExt:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return quadext(self.a + oa, self.b + ob, self.d)
+        return _quadext_trusted(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quadext_trusted(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         parts = self._lift(other)
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return quadext(self.a - oa, self.b - ob, self.d)
+        return _quadext_trusted(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         parts = self._lift(other)
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return quadext(oa - self.a, ob - self.b, self.d)
+        return _quadext_trusted(oa - self.a, ob - self.b, self.d)
 
     def __mul__(self, other):
         parts = self._lift(other)
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return quadext(
+        if not ob:
+            return _quadext_trusted(self.a * oa, self.b * oa, self.d)
+        return _quadext_trusted(
             self.a * oa + self.b * ob * self.d,
             self.a * ob + self.b * oa,
             self.d,
@@ -208,7 +261,7 @@ class QuadExt:
     def _inverse(self):
         n = self.norm()
         # n = 0 would force sqrt(d) rational, excluded by the invariant
-        return quadext(self.a / n, -self.b / n, self.d)
+        return _quadext_trusted(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         parts = self._lift(other)
@@ -218,15 +271,15 @@ class QuadExt:
         if oa == 0 and ob == 0:
             raise ZeroDivisionError("division by zero")
         if ob == 0:
-            return quadext(self.a / oa, self.b / oa, self.d)
-        return self * QuadExt(oa, ob, self.d)._inverse()
+            return _quadext_trusted(self.a / oa, self.b / oa, self.d)
+        return self * _quadext_trusted(oa, ob, self.d)._inverse()
 
     def __rtruediv__(self, other):
         parts = self._lift(other)
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        return quadext(oa, ob, self.d) * self._inverse() if ob else oa * self._inverse()
+        return _quadext_trusted(oa, ob, self.d) * self._inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -238,15 +291,21 @@ class QuadExt:
 
     # -- comparisons ----------------------------------------------------------
 
+    def _value_key(self) -> tuple:
+        """(a, b^2 d, sign of b): the same for every form of one value."""
+        return self.a, self.b * self.b * self.d, self.b > 0
+
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            if self.d == other.d:
+                return self.a == other.a and self.b == other.b
+            return self._value_key() == other._value_key()
         if isinstance(other, (int, Fraction)):
             return False  # b != 0 and sqrt(d) irrational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        return hash(self._value_key())
 
     def _cmp(self, other) -> int:
         diff = self - other
@@ -395,7 +454,8 @@ class ComplexFloat:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it may equal
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     @property
     def is_zero(self) -> bool:
@@ -429,8 +489,7 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     if isinstance(x, QuadExt):
         a = ctx.fdiv(x.a.numerator, x.a.denominator)
         b = ctx.fdiv(x.b.numerator, x.b.denominator)
-        d = ctx.fdiv(x.d.numerator, x.d.denominator)
-        root = ctx.sqrt(abs(d))
+        root = ctx.sqrt(ctx.mpf(abs(x.d)))
         if x.d > 0:
             return ComplexFloat(a + b * root, 0, prec)
         return ComplexFloat(a, b * root, prec)

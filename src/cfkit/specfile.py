@@ -29,6 +29,7 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     as_complexfloat,
+    radicand_ratio,
 )
 
 _ALLOWED_KEYS = {"mode", "a", "b", "period", "generator", "tower", "precision_bits"}
@@ -185,11 +186,13 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
         raise SpecFileError("period is only meaningful in periodic mode")
 
     if tower == "quadext":
-        radicands = {x.d for x in (*a, *b) if isinstance(x, QuadExt)}
-        if len(radicands) > 1:
-            raise SpecFileError(
-                f"quadext literals must share one radicand, got {sorted(map(str, radicands))}"
-            )
+        radicands = [x.d for x in (*a, *b) if isinstance(x, QuadExt)]
+        for d in radicands[1:]:
+            if radicand_ratio(d, radicands[0]) is None:
+                raise SpecFileError(
+                    "quadext literals must share one radicand up to a square "
+                    f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
+                )
     return SpecFile(
         mode=mode, a=a, b=b, period=period, generator=None,
         tower=tower, precision_bits=prec,

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from cfkit import parse_exact
 from cfkit.cli import main
 
 
@@ -66,6 +68,17 @@ class TestEval:
         assert code == 3
         assert "index 2" in captured.err
 
+    def test_value_past_the_int_string_limit(self, capsys, tmp_path):
+        # F(21002) has 4389 digits, past the 4300-digit int/str default limit
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "golden"}})
+        code, report = run_json(capsys, ["eval", spec, "-n", "21000"])
+        assert code == 0
+        fib = [0, 1]
+        while len(fib) < 21003:
+            fib.append(fib[-1] + fib[-2])
+        assert parse_exact(report["exact_values"]["value"]) == Fraction(fib[21002], fib[21001])
+        assert parse_exact(report["exact_values"]["A"]) == fib[21002]
+
     def test_human_output(self, capsys, golden_spec):
         code = main(["eval", golden_spec, "-n", "4"])
         out = capsys.readouterr().out
@@ -113,6 +126,13 @@ class TestTietze:
         assert report["float_values"]["value"].startswith("1.41421")
         num, den = map(int, report["exact_values"]["error_bound"].split("/"))
         assert num / den < 1e-6
+
+    def test_eps_past_the_int_string_limit(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "sqrt2"}})
+        code, report = run_json(capsys, ["tietze", spec, "--eps", "1e-4400"])
+        assert code == 0
+        assert parse_exact(report["input"]["eps"]) == Fraction(1, 10**4400)
+        assert parse_exact(report["exact_values"]["error_bound"]) <= Fraction(1, 10**4400)
 
     def test_footnote_closed_form(self, capsys, footnote_spec):
         code, report = run_json(capsys, ["tietze", footnote_spec, "--eps", "1/10"])

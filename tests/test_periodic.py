@@ -1,7 +1,10 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cfkit.periodic
 from cfkit import (
     ComplexFloat,
     PeriodMatrix,
@@ -15,7 +18,14 @@ from cfkit import (
     quadext,
     reverse_period,
 )
-from cfkit.errors import DegenerateMatrix, PrecisionExhausted, TowerMismatch, ZeroStart
+from cfkit.cfcore import ConvergentPair
+from cfkit.errors import (
+    DegenerateMatrix,
+    PrecisionExhausted,
+    SelfCheckFailure,
+    TowerMismatch,
+    ZeroStart,
+)
 from cfkit.periodic import (
     CONVERGENT,
     DIVERGENT_EQUAL_MODULUS,
@@ -74,6 +84,39 @@ class TestPeriodMatrix:
             b0 = pcf.b(0)
             assert m.m12 == table[p + 1].num - b0 * table[p].num
             assert m.m22 == table[p + 1].den - b0 * table[p].den
+
+    def test_corrupted_table_fails_the_self_check(self, monkeypatch):
+        def corrupted_table(spec, n_max):
+            table = convergent_table(spec, n_max)
+            full = table[-1]
+            table[-1] = ConvergentPair(full.n, full.num + 1, full.den)
+            return table
+
+        monkeypatch.setattr(cfkit.periodic, "convergent_table", corrupted_table)
+        with pytest.raises(SelfCheckFailure, match="m12"):
+            build_period_matrix(thiele_cf())
+
+    def test_self_check_survives_optimized_mode(self):
+        script = (
+            "import cfkit.periodic as periodic\n"
+            "from cfkit import PeriodicCF\n"
+            "from cfkit.cfcore import ConvergentPair, convergent_table\n"
+            "from cfkit.errors import SelfCheckFailure\n"
+            "def corrupted(spec, n):\n"
+            "    table = convergent_table(spec, n)\n"
+            "    table[-1] = ConvergentPair(table[-1].n, table[-1].num, table[-1].den + 1)\n"
+            "    return table\n"
+            "periodic.convergent_table = corrupted\n"
+            "try:\n"
+            "    periodic.build_period_matrix(PeriodicCF(a_block=(1,), b_block=(1,)))\n"
+            "except SelfCheckFailure:\n"
+            "    print('refused')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "refused"
 
     def test_determinant_formula_randomized(self, rng):
         for _ in range(200):

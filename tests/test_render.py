@@ -95,6 +95,14 @@ class TestParse:
             # and the canonical form is a fixed point of parse/format
             assert format_exact(parsed) == text
 
+    def test_round_trip_past_the_int_string_limit(self):
+        # 4401-digit integers: str() and int() refuse them since Python 3.11
+        big = 10**4400 + 1
+        for value in (F(big, 3), quadext(F(1, 10**4400), big, 2 * 10**4401)):
+            text = format_exact(value)
+            assert len(text) > 4400
+            assert parse_exact(text) == value
+
     def test_round_trip_rationals(self, rng):
         for _ in range(100):
             value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))

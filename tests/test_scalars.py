@@ -64,6 +64,11 @@ class TestQuadExtArithmetic:
         with pytest.raises(TowerMismatch):
             quadext(0, 1, 2) + quadext(0, 1, 3)
 
+    def test_compatible_radicands_mix(self):
+        assert quadext(0, 1, 12) + quadext(0, 1, 3) == quadext(0, 3, 3)
+        assert quadext(0, 1, -12) * quadext(0, 1, -3) == F(-6)
+        assert quadext(0, 1, F(1, 2)) * quadext(0, 1, 2) == F(1)
+
     def test_power(self):
         phi = quadext(F(1, 2), F(1, 2), 5)
         assert phi**2 == phi + 1
@@ -72,6 +77,35 @@ class TestQuadExtArithmetic:
     def test_equality_with_rationals_is_false(self):
         assert quadext(1, 1, 2) != F(1)
         assert not (quadext(1, 1, 2) == 1)
+
+
+class TestRadicandIdentity:
+    """Equal values are equal whatever form their radicand was written in."""
+
+    def test_square_factor_beyond_trial_division(self):
+        p, q = 100003, 100019  # primes above the trial-division bound
+        x = quadext(0, 1, p * p * 3 * q)
+        y = quadext(0, p, 3 * q)
+        assert x == y
+        assert hash(x) == hash(y)
+        assert x - y == 0
+        assert len({x, y}) == 1
+
+    def test_small_square_factor(self):
+        x, y = quadext(0, 1, 12), quadext(0, 2, 3)
+        assert x == y and hash(x) == hash(y)
+
+    def test_radicand_is_an_integer_fixed_at_construction(self):
+        assert quadext(0, 1, 12).d == 12
+        value = quadext(1, 1, F(9, 2))  # sqrt(9/2) = sqrt(18)/2
+        assert (value.a, value.b, value.d) == (1, F(1, 2), 18)
+        assert type(value.d) is int
+        assert (value * value).d == 18
+
+    def test_different_fields_differ(self):
+        assert quadext(0, 1, 2) != quadext(0, 1, 3)
+        assert quadext(0, 1, 3) != quadext(0, -1, 3)
+        assert quadext(0, 1, 3) != quadext(0, 1, -3)
 
 
 class TestQuadExtComparisons:
@@ -158,6 +192,12 @@ class TestComplexFloat:
         w = z + F(1, 2)
         assert isinstance(w, ComplexFloat)
         assert w.im == 1
+
+    def test_real_value_hashes_like_the_rational_it_equals(self):
+        assert ComplexFloat(1, 0) == 1
+        assert len({ComplexFloat(1, 0), 1}) == 1
+        assert len({as_complexfloat(F(1, 2)), F(1, 2)}) == 1
+        assert len({ComplexFloat(1, 1), 1}) == 2
 
     def test_precision_propagates_upward(self):
         lo = ComplexFloat(1, 0, 64)

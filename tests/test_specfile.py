@@ -43,6 +43,12 @@ class TestLiterals:
         with pytest.raises(SpecFileError):
             parse_spec_dict({"mode": "finite", "a": ["√2"], "b": [1, "√3"]})
 
+    def test_radicands_of_one_field_accepted(self):
+        spec = parse_spec_dict({"mode": "finite", "a": ["√12"], "b": [1, "√3"]})
+        assert spec.tower == "quadext"
+        assert spec.a[0] == quadext(0, 2, 3)
+        assert spec.a[0] + spec.b[1] == quadext(0, 3, 3)
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(SpecFileError):
             parse_spec_dict({"mode": "finite", "a": [True], "b": [1, 1]})
