@@ -13,12 +13,12 @@ from .cfcore import (
     GENERATORS,
     PeriodicCF,
     RuleCF,
-    ShiftedPair,
     coefficient_product,
     convergent_table,
     cross_determinant,
     evaluate_convergent,
     make_generator,
+    recurrence,
     shifted_table,
     successive_difference,
 )

@@ -7,14 +7,16 @@ n >= 0.  Convergent numerators and denominators follow
     A(n) = b(n) A(n-1) + a(n) A(n-2),      A(-1) = 1, A(0) = b(0),
     B(n) = b(n) B(n-1) + a(n) B(n-2),      B(-1) = 0, B(0) = 1,
 
-and every operation here is exact: values never leave the tower of the
-coefficients that produced them.
+`recurrence` is the one loop that evaluates them, streaming the pairs; only
+the tables keep them all.  Every operation here is exact: values never
+leave the tower of the coefficients that produced them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator
 from .scalars import Scalar, is_zero, scalar_div
@@ -177,12 +179,34 @@ def make_generator(name: str, params: dict | None = None) -> CFSpec:
         raise InvalidSpec(f"generator {name!r} is missing parameter {exc}") from None
 
 
-# -- convergent tables --------------------------------------------------------
+# -- the three-term recurrence ------------------------------------------------
+
+
+def recurrence(
+    b0: Scalar, terms: Iterable[tuple[Scalar, Scalar]]
+) -> Iterator[tuple[Scalar, Scalar]]:
+    """Yield (A(n), B(n)) for n = 0, 1, ... of b0 + a1/b1 + a2/b2 + ...,
+    one pair for each (a(n), b(n)) that `terms` yields after the seed pair."""
+    a_prev2, b_prev2, a_prev, b_prev = 1, 0, b0, 1
+    yield a_prev, b_prev
+    for an, bn in terms:
+        a_prev2, b_prev2, a_prev, b_prev = (
+            a_prev, b_prev, bn * a_prev + an * a_prev2, bn * b_prev + an * b_prev2
+        )
+        yield a_prev, b_prev
+
+
+def iter_pairs(spec: CFSpec, k: int, n_max: int) -> Iterator[tuple[Scalar, Scalar]]:
+    """(A(k,n), B(k,n)) of the tail b(k) + a(k+1)/b(k+1) + ... for n = 0 .. n_max;
+    k = 0 gives the convergent pairs (A(n), B(n))."""
+    spec.require(k + n_max)
+    indices = range(k + 1, k + n_max + 1)
+    return recurrence(spec.b(k), zip(map(spec.a, indices), map(spec.b, indices)))
 
 
 @dataclass(frozen=True)
 class ConvergentPair:
-    """Numerator/denominator pair (A(n), B(n)) at index n >= -1."""
+    """Pair (A(n), B(n)) at index n >= -1, or (A(k,n), B(k,n)) in a shifted table."""
 
     n: int
     num: Scalar
@@ -194,40 +218,26 @@ class ConvergentPair:
         return scalar_div(self.num, self.den)
 
 
-@dataclass(frozen=True)
-class ShiftedPair:
-    """Pair (A(k,n), B(k,n)) of the tail CF starting at coefficient index k."""
-
-    k: int
-    n: int
-    num: Scalar
-    den: Scalar
+def _table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:
+    pairs = enumerate(iter_pairs(spec, k, n_max)) if n_max >= 0 else ()
+    return [ConvergentPair(-1, 1, 0)] + [ConvergentPair(n, a, b) for n, (a, b) in pairs]
 
 
 def convergent_table(spec: CFSpec, n_max: int) -> list[ConvergentPair]:
     """All pairs (A(n), B(n)) for n = -1 .. n_max, computed exactly."""
     _check_index(n_max, 0, "n_max")
-    spec.require(n_max)
-    pairs = [ConvergentPair(-1, 1, 0), ConvergentPair(0, spec.b(0), 1)]
-    a_prev2, b_prev2 = 1, 0
-    a_prev, b_prev = spec.b(0), 1
-    for n in range(1, n_max + 1):
-        an, bn = spec.a(n), spec.b(n)
-        a_cur = bn * a_prev + an * a_prev2
-        b_cur = bn * b_prev + an * b_prev2
-        pairs.append(ConvergentPair(n, a_cur, b_cur))
-        a_prev2, b_prev2 = a_prev, b_prev
-        a_prev, b_prev = a_cur, b_cur
-    return pairs
+    return _table(spec, 0, n_max)
 
 
 def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
-    return convergent_table(spec, max(n, 0))[n + 1]
+    """The pair (A(n), B(n)), n >= 0, keeping only the latest pair in memory."""
+    _check_index(n, 0)
+    num, den = deque(iter_pairs(spec, 0, n), maxlen=1)[0]
+    return ConvergentPair(n, num, den)
 
 
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
     """Value A(n)/B(n) of the n-th convergent; exact in exact towers."""
-    _check_index(n, 0)
     return convergent_pair(spec, n).value()
 
 
@@ -242,44 +252,27 @@ def coefficient_product(spec: CFSpec, n: int) -> Scalar:
 def cross_determinant(spec: CFSpec, n: int) -> Scalar:
     """A(n)B(n-1) - A(n-1)B(n); equals (-1)^(n-1) a(1)...a(n) exactly."""
     _check_index(n, 1)
-    table = convergent_table(spec, n)
-    cur, prev = table[n + 1], table[n]
-    return cur.num * prev.den - prev.num * cur.den
+    (num_prev, den_prev), (num, den) = deque(iter_pairs(spec, 0, n), maxlen=2)
+    return num * den_prev - num_prev * den
 
 
 def successive_difference(spec: CFSpec, n: int) -> Scalar:
     """A(n)/B(n) - A(n-1)/B(n-1), defined only when both denominators are nonzero."""
     _check_index(n, 1)
-    table = convergent_table(spec, n)
-    cur, prev = table[n + 1], table[n]
-    if is_zero(prev.den):
+    (num_prev, den_prev), (num, den) = deque(iter_pairs(spec, 0, n), maxlen=2)
+    if is_zero(den_prev):
         raise ZeroDenominator(n - 1)
-    if is_zero(cur.den):
+    if is_zero(den):
         raise ZeroDenominator(n)
-    return scalar_div(cur.num, cur.den) - scalar_div(prev.num, prev.den)
+    return scalar_div(num, den) - scalar_div(num_prev, den_prev)
 
 
-def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ShiftedPair]:
+def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:
     """Pairs of the shifted CF b(k) + a(k+1)/b(k+1) + ... for n = -1 .. n_max."""
     _check_index(k, 0, "k")
     _check_index(n_max, -1, "n_max")
-    pairs = [ShiftedPair(k, -1, 1, 0)]
-    if n_max < 0:
-        return pairs
-    spec.require(k + n_max)
-    b_k = spec.b(k)
-    pairs.append(ShiftedPair(k, 0, b_k, 1))
-    a_prev2, b_prev2 = 1, 0
-    a_prev, b_prev = b_k, 1
-    for n in range(1, n_max + 1):
-        an, bn = spec.a(k + n), spec.b(k + n)
-        a_cur = bn * a_prev + an * a_prev2
-        b_cur = bn * b_prev + an * b_prev2
-        pairs.append(ShiftedPair(k, n, a_cur, b_cur))
-        a_prev2, b_prev2 = a_prev, b_prev
-        a_prev, b_prev = a_cur, b_cur
-    return pairs
+    return _table(spec, k, n_max)
 
 
-def shifted_pair(spec: CFSpec, k: int, n: int) -> ShiftedPair:
+def shifted_pair(spec: CFSpec, k: int, n: int) -> ConvergentPair:
     return shifted_table(spec, k, max(n, -1))[n + 1]

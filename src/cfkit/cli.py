@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cfcore import CFSpec, PeriodicCF, convergent_table
+from .cfcore import CFSpec, PeriodicCF, convergent_pair
 from .continuants import ContinuantArgs, continuant, continuant_oracle
 from .errors import CFKitError, InvalidSpec, SpecFileError, ZeroDenominator
 from .periodic import (
@@ -123,7 +123,7 @@ def _literal_list(text: str) -> list:
 
 def cmd_eval(args) -> int:
     spec_file, spec, prec = _load(args)
-    pair = convergent_table(spec, args.n)[args.n + 1]
+    pair = convergent_pair(spec, args.n)
     try:
         value = pair.value()
     except ZeroDenominator as exc:
@@ -200,7 +200,11 @@ def cmd_tietze(args) -> int:
         v = validation.first_violation
         _diag(f"not semi-regular: {v.which} at n={v.n}")
         return EXIT_NOT_SEMIREGULAR
-    bounded = evaluate_tietze(spec, args.eps)
+    try:
+        bounded = evaluate_tietze(spec, args.eps)
+    except InvalidSpec as exc:  # a violation past the validated prefix
+        _diag(str(exc))
+        return EXIT_NOT_SEMIREGULAR
     report = {
         "command": "tietze",
         "input": {**_echo(args, spec_file), "eps": format_exact(args.eps)},

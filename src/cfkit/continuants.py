@@ -9,9 +9,11 @@ routes share no code.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
-from .cfcore import CFSpec, ConvergentPair, convergent_table, shifted_pair
+from .cfcore import CFSpec, ConvergentPair, convergent_table, iter_pairs, recurrence, shifted_pair
 from .errors import InvalidSpec, SizeLimit
 from .scalars import Scalar
 
@@ -39,13 +41,9 @@ class ContinuantArgs:
 
 
 def continuant(args: ContinuantArgs) -> Scalar:
-    """Continuant value via the last-row expansion K_m = b_m K_{m-1} + a_m K_{m-2}."""
-    prev2: Scalar = 1          # empty determinant
-    prev: Scalar = args.b[0]
-    for m in range(1, len(args.b)):
-        cur = args.b[m] * prev + args.a[m - 1] * prev2
-        prev2, prev = prev, cur
-    return prev
+    """Continuant value via the last-row expansion K_m = b_m K_{m-1} + a_m K_{m-2},
+    the numerator recurrence A(n) of b0 + a1/b1 + ... + an/bn."""
+    return deque(recurrence(args.b[0], zip(args.a, args.b[1:])), maxlen=1)[0][0]
 
 
 def _det_cofactor(matrix: list[list[Scalar]]) -> Scalar:
@@ -116,18 +114,9 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
         raise ValueError(f"n must be >= 1, got {n}")
     spec.require(n)
     # reversed coefficients: b'(k) = b(n-k), a'(k) = a(n+1-k)
-    a_prev2, a_prev = 1, spec.b(n)
-    b_prev2, b_prev = 0, 1
-    for k in range(1, n + 1):
-        ak = spec.a(n + 1 - k)
-        bk = spec.b(n - k)
-        a_cur = bk * a_prev + ak * a_prev2
-        b_cur = bk * b_prev + ak * b_prev2
-        a_prev2, a_prev = a_prev, a_cur
-        b_prev2, b_prev = b_prev, b_cur
-    return ReversedConvergents(
-        num_n=a_prev, den_n=b_prev, num_prev=a_prev2, den_prev=b_prev2
-    )
+    terms = ((spec.a(n + 1 - k), spec.b(n - k)) for k in range(1, n + 1))
+    (num_prev, den_prev), (num_n, den_n) = deque(recurrence(spec.b(n), terms), maxlen=2)
+    return ReversedConvergents(num_n, den_n, num_prev, den_prev)
 
 
 def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
@@ -155,9 +144,10 @@ def generalized_cross_determinant(spec: CFSpec, n: int, k: int) -> Scalar:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    table = convergent_table(spec, n + k)
-    far, prev = table[n + k + 1], table[n]
-    return far.num * prev.den - prev.num * far.den
+    pairs = iter_pairs(spec, 0, n + k)
+    num_prev, den_prev = next(islice(pairs, n - 1, None))
+    num_far, den_far = deque(pairs, maxlen=1)[0]
+    return num_far * den_prev - num_prev * den_far
 
 
 def continuant_of_convergent(spec: CFSpec, n: int) -> tuple[Scalar, Scalar]:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import SpecFileError
 from .scalars import (
-    ComplexFloat,
     QuadExt,
     _ctx,
     as_complexfloat,
@@ -149,9 +148,3 @@ def format_float(x, prec_bits: int = 128, digits: int | None = None) -> str:
         return ctx.nstr(value.re, digits)
     return ctx.nstr(ctx.mpc(value.re, value.im), digits)
 
-
-def format_scalar(x, prec_bits: int = 128) -> str:
-    """Exact form when available, decimal otherwise."""
-    if isinstance(x, ComplexFloat):
-        return format_float(x, prec_bits)
-    return format_exact(x)

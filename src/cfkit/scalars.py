@@ -95,6 +95,14 @@ def radicand_ratio(d_from: int, d_to: int) -> Fraction | None:
     return Fraction(root, abs(d_to))
 
 
+def _radicand_text(d: int) -> str:
+    """sqrt(d) for messages; past ~3000 digits d is named by its size, because
+    str() refuses ints of more than 4300 digits (Python >= 3.11)."""
+    if d.bit_length() <= 10_000:
+        return f"sqrt({d})"
+    return f"sqrt(<{d.bit_length()}-bit integer>)"
+
+
 def quadext(a, b, d) -> "Scalar":
     """Build a + b*sqrt(d), collapsing to a plain Fraction whenever possible.
 
@@ -175,7 +183,8 @@ class QuadExt:
             ratio = radicand_ratio(other.d, self.d)
             if ratio is None:
                 raise TowerMismatch(
-                    f"mixed radicands sqrt({self.d}) and sqrt({other.d})"
+                    f"mixed radicands {_radicand_text(self.d)} and "
+                    f"{_radicand_text(other.d)}"
                 )
             return other.a, other.b * ratio
         if isinstance(other, (int, Fraction)):

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from typing import Callable, Literal
 
-from .cfcore import CFSpec, shifted_table
+from .cfcore import CFSpec, iter_pairs, recurrence
 from .errors import (
     CertificateFailure,
     EvaluationCancelled,
@@ -69,6 +71,22 @@ def _rational_coeff(value, index: int, name: str):
     return value
 
 
+def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
+    """First condition broken once a(n), b(n) are read: b(n-1) + a(n) >= 1
+    (index n - 1's sum condition, n >= 2), then a(n) = ±1, then b(n) >= 1."""
+    if n >= 2 and b_prev + a_n < 1:
+        return Violation(n - 1, "sum_below_one")
+    if a_n != 1 and a_n != -1:
+        return Violation(n, "a_not_unit")
+    if b_n < 1:
+        return Violation(n, "b_below_one")
+    return None
+
+
+def _refusal(violation: Violation) -> InvalidSpec:
+    return InvalidSpec(f"not semi-regular: {violation.which} at n = {violation.n}")
+
+
 def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     """Check the semi-regular conditions for 1 <= n <= n_max.
 
@@ -78,29 +96,27 @@ def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     spec.require(n_max + 1)
-    a_next = _rational_coeff(spec.a(1), 1, "a")
-    for n in range(1, n_max + 1):
-        a_n = a_next
+    b_prev = None
+    for n in range(1, n_max + 2):
+        a_n = _rational_coeff(spec.a(n), n, "a")
         b_n = _rational_coeff(spec.b(n), n, "b")
-        a_next = _rational_coeff(spec.a(n + 1), n + 1, "a")
-        if a_n != 1 and a_n != -1:
-            return SemiRegularReport(False, Violation(n, "a_not_unit"), n_max)
-        if b_n < 1:
-            return SemiRegularReport(False, Violation(n, "b_below_one"), n_max)
-        if b_n + a_next < 1:
-            return SemiRegularReport(False, Violation(n, "sum_below_one"), n_max)
+        violation = _violation(n, b_prev, a_n, b_n)
+        if violation is not None and violation.n <= n_max:
+            return SemiRegularReport(False, violation, n_max)
+        b_prev = b_n
     return SemiRegularReport(True, None, n_max)
 
 
-def _denominators(spec: CFSpec, n_max: int) -> list[Scalar]:
-    """B(-1) .. B(n_max) as a flat list (index shift +1)."""
-    dens: list[Scalar] = [0, 1]
-    b_prev2, b_prev = 0, 1
+def _semiregular_terms(spec: CFSpec, n_max: int):
+    """(a(n), b(n)) for n = 1 .. n_max, refusing the first that breaks a condition."""
+    b_prev = None
     for n in range(1, n_max + 1):
-        b_cur = spec.b(n) * b_prev + spec.a(n) * b_prev2
-        dens.append(b_cur)
-        b_prev2, b_prev = b_prev, b_cur
-    return dens
+        a_n, b_n = spec.a(n), spec.b(n)
+        violation = _violation(n, b_prev, a_n, b_n)
+        if violation is not None:
+            raise _refusal(violation)
+        yield a_n, b_n
+        b_prev = b_n
 
 
 def _chain_sample(n_max: int) -> list[tuple[int, int]]:
@@ -131,15 +147,15 @@ def denominator_bounds_certificate(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     report = validate_semiregular(spec, n_max)
     if not report.valid:
-        v = report.first_violation
-        raise InvalidSpec(f"not semi-regular: {v.which} at n = {v.n}")
-    dens = _denominators(spec, n_max)
+        raise _refusal(report.first_violation)
 
+    @cache
+    def tail_dens(k: int) -> list:  # B(k, n) for n = 0 .. n_max - k
+        return [den for _, den in iter_pairs(spec, k, n_max - k)]
+
+    dens = tail_dens(0)
     # suffix minima of B over indices 0..n_max for the plus-case check
-    suffix_min = list(dens[1:])
-    for i in range(len(suffix_min) - 2, -1, -1):
-        if suffix_min[i + 1] < suffix_min[i]:
-            suffix_min[i] = suffix_min[i + 1]
+    suffix_min = list(accumulate(reversed(dens), min))[::-1]
 
     records: list[BoundRecord] = []
     for k in range(1, n_max):
@@ -150,21 +166,14 @@ def denominator_bounds_certificate(
                 raise CertificateFailure(k, -1, f"B(k+n) = {worst} < {bound}")
             records.append(BoundRecord(k, "plus_case", bound))
         else:
-            if dens[k + 1] < bound:
-                raise CertificateFailure(k, 0, f"B({k}) = {dens[k + 1]} < {bound}")
+            if dens[k] < bound:
+                raise CertificateFailure(k, 0, f"B({k}) = {dens[k]} < {bound}")
             records.append(BoundRecord(k, "minus_case", bound))
 
-    shifted_cache: dict[int, list] = {}
-
-    def tail_den(k: int, n: int):
-        if k not in shifted_cache:
-            shifted_cache[k] = shifted_table(spec, k, n_max - k)
-        return shifted_cache[k][n + 1].den
-
     for k, n in _chain_sample(n_max):
-        b_kn = tail_den(k, n)
-        b_up = tail_den(k - 1, n + 1)
-        b_full = dens[k + n + 1]
+        b_kn = tail_dens(k)[n]
+        b_up = tail_dens(k - 1)[n + 1]
+        b_full = dens[k + n]
         if not (1 <= b_kn <= b_up <= b_full):
             raise CertificateFailure(
                 k, n, f"chain broken: 1 <= {b_kn} <= {b_up} <= {b_full}"
@@ -183,24 +192,23 @@ def evaluate_tietze(
     Stops at the first index n where both B(n-1) and B(n) exceed 1/epsilon
     and returns A(n)/B(n).  The reported error bound is the larger of
     1/B(n-1) and 1/B(n), which dominates the true error of the returned
-    convergent.  Assumes the spec has passed `validate_semiregular`.
+    convergent.  Each term is checked against the semi-regular conditions
+    as it is read, and the first that breaks one raises `InvalidSpec`.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    a_prev2, a_prev = 1, spec.b(0)
-    b_prev2, b_prev = 0, 1
-    for n in range(1, max_terms + 1):
+    # B * eps > 1, in integers: for rational B this also forces B > 0
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
+    pairs = recurrence(spec.b(0), _semiregular_terms(spec, max_terms))
+    _, b_prev = next(pairs)
+    for n, (a_cur, b_cur) in enumerate(pairs, 1):
         if should_cancel is not None and n % 1024 == 0 and should_cancel():
             raise EvaluationCancelled(f"cancelled after {n} terms")
-        an, bn = spec.a(n), spec.b(n)
-        a_cur = bn * a_prev + an * a_prev2
-        b_cur = bn * b_prev + an * b_prev2
-        if b_prev > 0 and b_cur > 0 and b_prev * epsilon > 1 and b_cur * epsilon > 1:
+        if b_prev * eps_num > eps_den and b_cur * eps_num > eps_den:
             bound = max(Fraction(1, 1) / b_prev, Fraction(1, 1) / b_cur)
             return BoundedValue(
                 value=scalar_div(a_cur, b_cur), n_used=n, error_bound=bound
             )
-        a_prev2, a_prev = a_prev, a_cur
-        b_prev2, b_prev = b_prev, b_cur
+        b_prev = b_cur
     raise IterationCap(max_terms)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,20 @@ class TestEval:
         assert parse_exact(report["exact_values"]["value"]) == Fraction(fib[21002], fib[21001])
         assert parse_exact(report["exact_values"]["A"]) == fib[21002]
 
+    def test_streams_in_bounded_memory(self, capsys, tmp_path):
+        # a table of 20000 Fibonacci-sized pairs takes about 39 MB
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "golden"}})
+        run_json(capsys, ["eval", spec, "-n", "10"])  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            code = main(["--json", "eval", spec, "-n", "20000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 2 * 2**20
+
     def test_human_output(self, capsys, golden_spec):
         code = main(["eval", golden_spec, "-n", "4"])
         out = capsys.readouterr().out
@@ -150,6 +165,16 @@ class TestTietze:
         assert code == 5
         assert "sum_below_one" in captured.err
         assert "n=1" in captured.err
+        assert captured.out == ""
+
+    def test_violation_past_validated_terms_exits_5(self, capsys, tmp_path):
+        # b(6) = 1/2 lies past the 3 validated terms but before the stopping index
+        b = [1] * 6 + ["1/2"] + [1] * 20
+        spec = write_spec(tmp_path, {"mode": "finite", "a": [1] * 26, "b": b})
+        code = main(["tietze", spec, "--eps", "1/1000", "--validate-terms", "3"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "b_below_one at n = 6" in captured.err
         assert captured.out == ""
 
 

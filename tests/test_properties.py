@@ -1,4 +1,5 @@
-"""Property tests of the exact towers: field laws, value identity, sign, text form."""
+"""Property tests of the exact towers (field laws, value identity, sign, text
+form) and of the recurrence core against the independent loop in brute.py."""
 
 import math
 from decimal import Decimal, localcontext
@@ -7,7 +8,22 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfkit import QuadExt, format_exact, parse_exact, quadext
+import pytest
+from brute import raw_table
+from cfkit import (
+    ContinuantArgs,
+    FiniteCF,
+    QuadExt,
+    continuant,
+    convergent_table,
+    cross_determinant,
+    evaluate_convergent,
+    format_exact,
+    parse_exact,
+    quadext,
+    shifted_table,
+)
+from cfkit.errors import ZeroDenominator
 from cfkit.scalars import sign_of
 
 # plain Fraction arithmetic: no example is slow, but a loaded host can be
@@ -86,3 +102,47 @@ def test_format_parse_round_trip(x):
     parsed = parse_exact(format_exact(x))
     assert parsed == x
     assert isinstance(parsed, QuadExt) == isinstance(x, QuadExt)
+
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def finite_specs(draw):
+    """A FiniteCF of 1..10 terms mixing rationals and values over one radicand."""
+    d = draw(radicands)
+    coefficient = st.one_of(
+        small_rationals,
+        st.builds(lambda a, b: quadext(a, b, d), small_rationals, small_rationals),
+    )
+    n = draw(st.integers(1, 10))
+    a = draw(st.lists(coefficient, min_size=n, max_size=n))
+    b = draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1))
+    return FiniteCF(a_list=a, b_list=b)
+
+
+@no_deadline
+@given(finite_specs(), st.data())
+def test_recurrence_core_agrees_with_brute_loop(spec, data):
+    n_total = spec.max_index
+    k = data.draw(st.integers(0, n_total), label="k")
+    tail = FiniteCF(a_list=spec.a_list[k:], b_list=spec.b_list[k:])
+    n_max = n_total - k
+    nums, dens = raw_table(tail, n_max)
+    rows = shifted_table(spec, k, n_max)
+    assert [(r.num, r.den) for r in rows] == [(1, 0), *zip(nums, dens)]
+    for n in range(n_max + 1):
+        args = ContinuantArgs(a=tail.a_list[:n], b=tail.b_list[: n + 1])
+        assert continuant(args) == nums[n]
+    nums, dens = raw_table(spec, n_total)
+    table = convergent_table(spec, n_total)
+    assert [(r.num, r.den) for r in table] == [(1, 0), *zip(nums, dens)]
+    for n in range(n_total + 1):
+        if dens[n] == 0:
+            with pytest.raises(ZeroDenominator):
+                evaluate_convergent(spec, n)
+        else:
+            assert evaluate_convergent(spec, n) == nums[n] / dens[n]
+        if n >= 1:
+            expected = nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
+            assert cross_determinant(spec, n) == expected

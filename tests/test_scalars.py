@@ -64,6 +64,11 @@ class TestQuadExtArithmetic:
         with pytest.raises(TowerMismatch):
             quadext(0, 1, 2) + quadext(0, 1, 3)
 
+    def test_mixed_radicand_past_the_int_string_limit(self):
+        # 4401 digits: str() of it raises ValueError on Python >= 3.11
+        with pytest.raises(TowerMismatch, match="bit integer"):
+            quadext(0, 1, 2 * 10**4400 + 1) + quadext(0, 1, 3)
+
     def test_compatible_radicands_mix(self):
         assert quadext(0, 1, 12) + quadext(0, 1, 3) == quadext(0, 3, 3)
         assert quadext(0, 1, -12) * quadext(0, 1, -3) == F(-6)

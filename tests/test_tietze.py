@@ -6,9 +6,11 @@ from cfkit import (
     ComplexFloat,
     FiniteCF,
     PeriodicCF,
+    RuleCF,
     denominator_bounds_certificate,
     evaluate_tietze,
     make_generator,
+    quadext,
     validate_semiregular,
 )
 from cfkit.errors import (
@@ -137,6 +139,43 @@ class TestEvaluate:
             evaluate_tietze(
                 footnote_cf(), Fraction(1, 10**9), should_cancel=lambda: True
             )
+
+    def test_constant_coefficients_certified_or_refused(self):
+        # b + a/(b + a/(b + ...)) for a in ±1..6, b in 1..6: the 11
+        # semi-regular ones are certified around their closed-form limit
+        # (b + sqrt(b^2 + 4a))/2; the other 61 are refused with the first
+        # violation validate_semiregular reports
+        eps = Fraction(1, 10**4)
+        certified = 0
+        for a in (*range(-6, 0), *range(1, 7)):
+            for b in range(1, 7):
+                spec = RuleCF(a_rule=lambda n, a=a: a, b_rule=lambda n, b=b: b)
+                report = validate_semiregular(spec, 5)
+                if not report.valid:
+                    v = report.first_violation
+                    with pytest.raises(InvalidSpec) as exc:
+                        evaluate_tietze(spec, eps)
+                    assert str(exc.value) == f"not semi-regular: {v.which} at n = {v.n}"
+                    continue
+                bounded = evaluate_tietze(spec, eps)
+                limit = quadext(Fraction(b, 2), Fraction(1, 2), b * b + 4 * a)
+                assert bounded.error_bound <= eps
+                assert bounded.value - bounded.error_bound <= limit
+                assert limit <= bounded.value + bounded.error_bound
+                certified += 1
+        assert certified == 11
+
+    def test_violation_past_the_first_terms(self):
+        # b(30) = 1/2 breaks b >= 1 long after a validated prefix would end
+        spec = RuleCF(a_rule=lambda n: 1, b_rule=lambda n: Fraction(1, 2) if n == 30 else 1)
+        assert validate_semiregular(spec, 10).valid
+        with pytest.raises(InvalidSpec, match="b_below_one at n = 30"):
+            evaluate_tietze(spec, Fraction(1, 10**20))
+
+    def test_finite_spec_read_only_up_to_its_last_term(self):
+        # the stopping index 5 is the spec's last: a(6) must not be read
+        spec = FiniteCF(a_list=(1,) * 5, b_list=(1,) * 6)
+        assert evaluate_tietze(spec, Fraction(1, 4)).n_used == 5
 
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
