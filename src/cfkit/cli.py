@@ -33,7 +33,7 @@ from .periodic import (
 from .render import format_exact, format_float, parse_exact
 from .scalars import DEFAULT_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
-from .tietze import evaluate_tietze, validate_semiregular
+from .tietze import NotSemiRegular, evaluate_tietze
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,8 +51,6 @@ def _diag(message: str):
 
 
 def _exact_or_none(value) -> str | None:
-    if value is None:
-        return None
     return format_exact(value) if is_exact(value) else None
 
 
@@ -62,22 +60,35 @@ def _float_or_none(value, prec: int) -> str | None:
     return format_float(value, prec)
 
 
+def _report(command: str, echo: dict, result: dict, values: dict, prec: int,
+            exact_only: dict | None = None) -> dict:
+    """The report of one subcommand: each of `values` is rendered into both
+    `exact_values` and `float_values`, each of `exact_only` into the first."""
+    exact = {name: _exact_or_none(value) for name, value in values.items()}
+    exact.update((name, _exact_or_none(value)) for name, value in (exact_only or {}).items())
+    return {
+        "command": command,
+        "input": echo,
+        "result": result,
+        "exact_values": exact,
+        "float_values": {name: _float_or_none(value, prec) for name, value in values.items()},
+        "diagnostics": [],
+    }
+
+
 def _emit(report: dict, as_json: bool):
-    for line in report.get("diagnostics", []):
+    for line in report["diagnostics"]:
         _diag(line)
     if as_json:
         print(json.dumps(report, indent=2, ensure_ascii=False))
         return
     print(f"command: {report['command']}")
     for section in ("result", "exact_values", "float_values"):
-        body = report.get(section) or {}
         sep = "≈" if section == "float_values" else "="
-        for key, value in body.items():
-            if key == "trajectory":
-                continue
-            if value is not None:
+        for key, value in report[section].items():
+            if value is not None and key != "trajectory":
                 print(f"{key} {sep} {value}")
-    trajectory = (report.get("result") or {}).get("trajectory")
+    trajectory = report["result"].get("trajectory")
     if trajectory:
         print("n\tu\tv\tratio")
         for row in trajectory:
@@ -95,8 +106,15 @@ def _echo(args, spec_file: SpecFile) -> dict:
     return {"spec_path": args.spec, "mode": spec_file.mode, "tower": spec_file.tower}
 
 
-def _require_periodic(spec: CFSpec) -> PeriodicCF | None:
-    return spec if isinstance(spec, PeriodicCF) else None
+class _NotPeriodic(Exception):
+    """The subcommand needs a periodic spec; `main` maps this to exit 6."""
+
+
+def _load_periodic(args, needs: str = "a periodic spec") -> tuple[SpecFile, PeriodicCF, int]:
+    spec_file, spec, prec = _load(args)
+    if not isinstance(spec, PeriodicCF):
+        raise _NotPeriodic(f"{args.subcommand} needs {needs}")
+    return spec_file, spec, prec
 
 
 def _bounded_index(text: str) -> int:
@@ -129,23 +147,10 @@ def cmd_eval(args) -> int:
     except ZeroDenominator as exc:
         _diag(f"ZeroDenominator: convergent undefined at index {exc.index}")
         return EXIT_ZERO_DENOMINATOR
-    report = {
-        "command": "eval",
-        "input": {**_echo(args, spec_file), "n": args.n},
-        "result": {"n": args.n},
-        "exact_values": {
-            "A": _exact_or_none(pair.num),
-            "B": _exact_or_none(pair.den),
-            "value": _exact_or_none(value),
-        },
-        "float_values": {
-            "A": _float_or_none(pair.num, prec),
-            "B": _float_or_none(pair.den, prec),
-            "value": _float_or_none(value, prec),
-        },
-        "diagnostics": [],
-    }
-    _emit(report, args.json)
+    _emit(_report(
+        "eval", {**_echo(args, spec_file), "n": args.n}, {"n": args.n},
+        {"A": pair.num, "B": pair.den, "value": value}, prec,
+    ), args.json)
     return EXIT_OK
 
 
@@ -157,132 +162,69 @@ def cmd_continuant(args) -> int:
         _diag(f"arity error: {exc}")
         return EXIT_PARSE
     value = continuant(cont_args)
-    oracle_value = None
-    agreement = None
-    if args.oracle:
-        oracle_value = continuant_oracle(cont_args)
-        agreement = oracle_value == value
-    report = {
-        "command": "continuant",
-        "input": {
+    oracle_value = continuant_oracle(cont_args) if args.oracle else None
+    agreement = oracle_value == value if args.oracle else None
+    report = _report(
+        "continuant",
+        {
             "a": [format_exact(x) for x in cont_args.a],
             "b": [format_exact(x) for x in cont_args.b],
         },
-        "result": {
+        {
             "n_terms": cont_args.n,
             "oracle_checked": bool(args.oracle),
             "agreement": agreement,
         },
-        "exact_values": {
-            "value": _exact_or_none(value),
-            "oracle_value": _exact_or_none(oracle_value),
-        },
-        "float_values": {"value": _float_or_none(value, prec)},
-        "diagnostics": [],
-    }
-    if args.oracle and not agreement:
+        {"value": value}, prec, exact_only={"oracle_value": oracle_value},
+    )
+    disagreement = args.oracle and not agreement
+    if disagreement:
         report["diagnostics"].append(
             "oracle disagreement: recurrence and determinant differ"
         )
-        _emit(report, args.json)
-        return EXIT_ORACLE_DISAGREEMENT
     _emit(report, args.json)
-    return EXIT_OK
+    return EXIT_ORACLE_DISAGREEMENT if disagreement else EXIT_OK
 
 
 def cmd_tietze(args) -> int:
     spec_file, spec, prec = _load(args)
-    limit = spec.max_index
-    n_max = min(args.validate_terms, limit - 1) if limit is not None else args.validate_terms
-    n_max = max(n_max, 1)
-    validation = validate_semiregular(spec, n_max)
-    if not validation.valid:
-        v = validation.first_violation
-        _diag(f"not semi-regular: {v.which} at n={v.n}")
-        return EXIT_NOT_SEMIREGULAR
     try:
         bounded = evaluate_tietze(spec, args.eps)
-    except InvalidSpec as exc:  # a violation past the validated prefix
+    except NotSemiRegular as exc:
         _diag(str(exc))
         return EXIT_NOT_SEMIREGULAR
-    report = {
-        "command": "tietze",
-        "input": {**_echo(args, spec_file), "eps": format_exact(args.eps)},
-        "result": {
-            "valid": True,
-            "checked_up_to": validation.checked_up_to,
-            "n_used": bounded.n_used,
-        },
-        "exact_values": {
-            "value": _exact_or_none(bounded.value),
-            "error_bound": _exact_or_none(bounded.error_bound),
-        },
-        "float_values": {
-            "value": _float_or_none(bounded.value, prec),
-            "error_bound": _float_or_none(bounded.error_bound, prec),
-        },
-        "diagnostics": [],
-    }
-    _emit(report, args.json)
+    _emit(_report(
+        "tietze",
+        {**_echo(args, spec_file), "eps": format_exact(args.eps)},
+        {"valid": True, "checked_up_to": bounded.checked_up_to, "n_used": bounded.n_used},
+        {"value": bounded.value, "error_bound": bounded.error_bound}, prec,
+    ), args.json)
     return EXIT_OK
 
 
-def _classify_report(args, spec_file, pcf: PeriodicCF, prec: int) -> dict:
+def cmd_classify(args) -> int:
+    spec_file, pcf, prec = _load_periodic(args)
     report = classify(pcf)
-    eigen = report.eigen
-    verdict = report.verdict
-    matrix = report.matrix
-    exact = {
-        "limit": _exact_or_none(verdict.limit),
-        "sublimit": _exact_or_none(verdict.sublimit),
-        "lambda1": _exact_or_none(eigen.lambda1) if eigen else None,
-        "lambda2": _exact_or_none(eigen.lambda2) if eigen else None,
-        "x1": _exact_or_none(eigen.x1) if eigen else None,
-        "x2": _exact_or_none(eigen.x2) if eigen else None,
-        "trace": _exact_or_none(matrix.trace),
-        "det": _exact_or_none(matrix.det),
-    }
-    floats = {
-        "limit": _float_or_none(verdict.limit, prec),
-        "sublimit": _float_or_none(verdict.sublimit, prec),
-        "lambda1": _float_or_none(eigen.lambda1, prec) if eigen else None,
-        "lambda2": _float_or_none(eigen.lambda2, prec) if eigen else None,
-        "x1": _float_or_none(eigen.x1, prec) if eigen else None,
-        "x2": _float_or_none(eigen.x2, prec) if eigen else None,
-    }
-    return {
-        "command": "classify",
-        "input": _echo(args, spec_file),
-        "result": {
+    eigen, verdict, matrix = report.eigen, report.verdict, report.matrix
+    values = {"limit": verdict.limit, "sublimit": verdict.sublimit}
+    values.update((name, getattr(eigen, name, None)) for name in ("lambda1", "lambda2", "x1", "x2"))
+    _emit(_report(
+        "classify",
+        _echo(args, spec_file),
+        {
             "verdict": verdict.kind,
             "condition": verdict.condition,
             "q": verdict.q,
             "period": pcf.period,
             "modulus_relation": eigen.modulus_relation if eigen else None,
         },
-        "exact_values": exact,
-        "float_values": floats,
-        "diagnostics": [],
-    }
-
-
-def cmd_classify(args) -> int:
-    spec_file, spec, prec = _load(args)
-    pcf = _require_periodic(spec)
-    if pcf is None:
-        _diag("classify needs a periodic spec")
-        return EXIT_NOT_PERIODIC
-    report = _classify_report(args, spec_file, pcf, prec)
-    _emit(report, args.json)
+        values, prec, exact_only={"trace": matrix.trace, "det": matrix.det},
+    ), args.json)
     return EXIT_OK
 
 
 def cmd_reverse(args) -> int:
-    spec_file, spec, _ = _load(args)
-    pcf = _require_periodic(spec)
-    if pcf is None:
-        _diag("reverse needs a periodic spec")
-        return EXIT_NOT_PERIODIC
+    spec_file, pcf, _ = _load_periodic(args)
     reversed_file = specfile_from_periodic(
         reverse_period(pcf), tower=spec_file.tower,
         precision_bits=spec_file.precision_bits,
@@ -292,37 +234,27 @@ def cmd_reverse(args) -> int:
 
 
 def cmd_galois(args) -> int:
-    spec_file, spec, prec = _load(args)
-    pcf = _require_periodic(spec)
-    if pcf is None:
-        _diag("galois needs a periodic spec")
-        return EXIT_NOT_PERIODIC
+    spec_file, pcf, prec = _load_periodic(args)
     record = galois_analysis(pcf)
     alpha, prime = record.alpha.verdict, record.alpha_prime.verdict
     expected = None
     if alpha.is_convergent:
         expected = pcf.b(0) - record.alpha.eigen.x2
-    report = {
-        "command": "galois",
-        "input": _echo(args, spec_file),
-        "result": {
+    _emit(_report(
+        "galois",
+        _echo(args, spec_file),
+        {
             "alpha_verdict": alpha.kind,
             "alpha_prime_verdict": prime.kind,
             "relation_holds": record.relation_holds,
         },
-        "exact_values": {
-            "alpha_limit": _exact_or_none(alpha.limit),
-            "alpha_prime_limit": _exact_or_none(prime.limit),
-            "expected_prime_limit": _exact_or_none(expected),
+        {
+            "alpha_limit": alpha.limit,
+            "alpha_prime_limit": prime.limit,
+            "expected_prime_limit": expected,
         },
-        "float_values": {
-            "alpha_limit": _float_or_none(alpha.limit, prec),
-            "alpha_prime_limit": _float_or_none(prime.limit, prec),
-            "expected_prime_limit": _float_or_none(expected, prec),
-        },
-        "diagnostics": [],
-    }
-    _emit(report, args.json)
+        prec,
+    ), args.json)
     return EXIT_OK
 
 
@@ -335,11 +267,7 @@ def cmd_power_iter(args) -> int:
         matrix = PeriodMatrix(*entries)
         echo: dict = {"matrix": args.matrix}
     elif args.spec:
-        spec_file, spec, prec = _load(args)
-        pcf = _require_periodic(spec)
-        if pcf is None:
-            _diag("power-iter needs a periodic spec or an explicit matrix")
-            return EXIT_NOT_PERIODIC
+        spec_file, pcf, prec = _load_periodic(args, "a periodic spec or an explicit matrix")
         matrix = build_period_matrix(pcf)
         echo = _echo(args, spec_file)
     else:
@@ -347,30 +275,20 @@ def cmd_power_iter(args) -> int:
     u0 = parse_exact(args.u0)
     v0 = parse_exact(args.v0)
     trajectory = power_iterate(matrix, u0, v0, args.steps)
+
+    def text(value):
+        return _exact_or_none(value) or _float_or_none(value, prec)
+
     rows = [
-        {
-            "n": step.n,
-            "u": _exact_or_none(step.u) or _float_or_none(step.u, prec),
-            "v": _exact_or_none(step.v) or _float_or_none(step.v, prec),
-            "ratio": _exact_or_none(step.ratio) or _float_or_none(step.ratio, prec),
-        }
+        {"n": step.n, "u": text(step.u), "v": text(step.v), "ratio": text(step.ratio)}
         for step in trajectory.steps
     ]
-    report = {
-        "command": "power-iter",
-        "input": {**echo, "u0": args.u0, "v0": args.v0, "steps": args.steps},
-        "result": {"case": trajectory.case, "trajectory": rows},
-        "exact_values": {
-            "mu1": _exact_or_none(trajectory.mu1),
-            "mu2": _exact_or_none(trajectory.mu2),
-        },
-        "float_values": {
-            "mu1": _float_or_none(trajectory.mu1, prec),
-            "mu2": _float_or_none(trajectory.mu2, prec),
-        },
-        "diagnostics": [],
-    }
-    _emit(report, args.json)
+    _emit(_report(
+        "power-iter",
+        {**echo, "u0": args.u0, "v0": args.v0, "steps": args.steps},
+        {"case": trajectory.case, "trajectory": rows},
+        {"mu1": trajectory.mu1, "mu2": trajectory.mu2}, prec,
+    ), args.json)
     return EXIT_OK
 
 
@@ -414,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tietze.add_argument("spec", help="path to a JSON spec file")
     p_tietze.add_argument("--eps", type=_fraction, required=True,
                           help="target accuracy (rational, e.g. 1/1000 or 1e-6)")
-    p_tietze.add_argument("--validate-terms", type=int, default=1000,
-                          help="how many leading conditions to check (default 1000)")
     p_tietze.set_defaults(func=cmd_tietze)
 
     p_classify = sub.add_parser("classify", parents=[common], help="classify a purely periodic CF")
@@ -454,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
+    except _NotPeriodic as exc:
+        _diag(str(exc))
+        return EXIT_NOT_PERIODIC
     except SpecFileError as exc:
         _diag(f"SpecFileError: {exc}")
         return EXIT_PARSE

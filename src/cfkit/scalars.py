@@ -95,12 +95,12 @@ def radicand_ratio(d_from: int, d_to: int) -> Fraction | None:
     return Fraction(root, abs(d_to))
 
 
-def _radicand_text(d: int) -> str:
-    """sqrt(d) for messages; past ~3000 digits d is named by its size, because
-    str() refuses ints of more than 4300 digits (Python >= 3.11)."""
-    if d.bit_length() <= 10_000:
-        return f"sqrt({d})"
-    return f"sqrt(<{d.bit_length()}-bit integer>)"
+def _int_text(n: int) -> str:
+    """str(n) for messages and repr; past ~3000 digits n is named by its size,
+    because str() refuses ints of more than 4300 digits (Python >= 3.11)."""
+    if n.bit_length() <= 10_000:
+        return str(n)
+    return f"<{n.bit_length()}-bit integer>"
 
 
 def quadext(a, b, d) -> "Scalar":
@@ -183,17 +183,13 @@ class QuadExt:
             ratio = radicand_ratio(other.d, self.d)
             if ratio is None:
                 raise TowerMismatch(
-                    f"mixed radicands {_radicand_text(self.d)} and "
-                    f"{_radicand_text(other.d)}"
+                    f"mixed radicands sqrt({_int_text(self.d)}) and "
+                    f"sqrt({_int_text(other.d)})"
                 )
             return other.a, other.b * ratio
         if isinstance(other, (int, Fraction)):
             return _as_fraction(other), _ZERO
         return None
-
-    @property
-    def is_real(self) -> bool:
-        return self.d > 0
 
     def conjugate(self) -> "QuadExt":
         return _quadext_trusted(self.a, -self.b, self.d)
@@ -335,7 +331,9 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __repr__(self):
-        return f"QuadExt({self.a!r} + {self.b!r}*sqrt({self.d!r}))"
+        a, b = (f"Fraction({_int_text(q.numerator)}, {_int_text(q.denominator)})"
+                for q in (self.a, self.b))
+        return f"QuadExt({a} + {b}*sqrt({_int_text(self.d)}))"
 
 
 # -- exact comparison helpers ----------------------------------------------
@@ -516,6 +514,7 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
 Scalar = Union[int, Fraction, QuadExt, ComplexFloat]
 
 EXACT_TYPES = (int, Fraction, QuadExt)
+RATIONAL_TYPES = (int, Fraction)
 
 
 def is_exact(x) -> bool:
@@ -523,7 +522,7 @@ def is_exact(x) -> bool:
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, RATIONAL_TYPES)
 
 
 def is_zero(x) -> bool:

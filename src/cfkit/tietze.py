@@ -7,18 +7,24 @@ sequence with the fully explicit window bound
 
     |A(n+k)/B(n+k) - A(n-1)/B(n-1)|  <=  1/B(n-1)      (n >= 1, k >= 0),
 
-so a value can be returned together with a certified error bound.
+so a value can be returned together with a certified error bound.  The
+bound needs the conditions on every term of the tail, so `evaluate_tietze`
+checks all of a finite CF and p + 1 terms of a periodic CF of period p; an
+unbounded rule is checked on the terms read, and beyond them its
+semi-regularity is a premise.  `_semiregular_terms` is the one loop that
+applies the conditions.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from typing import Callable, Literal
 
-from .cfcore import CFSpec, iter_pairs, recurrence
+from .cfcore import CFSpec, PeriodicCF, iter_pairs, recurrence
 from .errors import (
     CertificateFailure,
     EvaluationCancelled,
@@ -26,7 +32,7 @@ from .errors import (
     IterationCap,
     TowerMismatch,
 )
-from .scalars import Scalar, is_rational, scalar_div
+from .scalars import RATIONAL_TYPES, Scalar, is_rational, scalar_div
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
@@ -60,15 +66,24 @@ class BoundedValue:
     value: Scalar
     n_used: int
     error_bound: Fraction
+    #: last index whose coefficients were checked against the conditions
+    checked_up_to: int = 0
 
 
-def _rational_coeff(value, index: int, name: str):
-    if not is_rational(value):
-        raise TowerMismatch(
-            f"semi-regular analysis needs rational coefficients; "
-            f"{name}({index}) is {type(value).__name__}"
-        )
-    return value
+class NotSemiRegular(InvalidSpec):
+    """A coefficient breaks a semi-regular condition; `violation` names it."""
+
+    def __init__(self, violation: Violation):
+        super().__init__(f"not semi-regular: {violation.which} at n = {violation.n}")
+        self.violation = violation
+
+
+def _tower_mismatch(n: int, a_n, b_n) -> TowerMismatch:
+    name, value = ("b", b_n) if is_rational(a_n) else ("a", a_n)
+    return TowerMismatch(
+        f"semi-regular analysis needs rational coefficients; "
+        f"{name}({n}) is {type(value).__name__}"
+    )
 
 
 def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
@@ -83,8 +98,19 @@ def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
     return None
 
 
-def _refusal(violation: Violation) -> InvalidSpec:
-    return InvalidSpec(f"not semi-regular: {violation.which} at n = {violation.n}")
+def _semiregular_terms(spec: CFSpec):
+    """(a(n), b(n)) for n = 1, 2, ..., refusing the first term that is not
+    rational or that breaks a semi-regular condition."""
+    b_prev = None
+    for n in count(1):
+        a_n, b_n = spec.a(n), spec.b(n)
+        if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
+            raise _tower_mismatch(n, a_n, b_n)
+        violation = _violation(n, b_prev, a_n, b_n)
+        if violation is not None:
+            raise NotSemiRegular(violation)
+        yield a_n, b_n
+        b_prev = b_n
 
 
 def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
@@ -96,27 +122,12 @@ def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     spec.require(n_max + 1)
-    b_prev = None
-    for n in range(1, n_max + 2):
-        a_n = _rational_coeff(spec.a(n), n, "a")
-        b_n = _rational_coeff(spec.b(n), n, "b")
-        violation = _violation(n, b_prev, a_n, b_n)
-        if violation is not None and violation.n <= n_max:
-            return SemiRegularReport(False, violation, n_max)
-        b_prev = b_n
+    try:
+        deque(islice(_semiregular_terms(spec), n_max + 1), maxlen=0)
+    except NotSemiRegular as exc:
+        if exc.violation.n <= n_max:
+            return SemiRegularReport(False, exc.violation, n_max)
     return SemiRegularReport(True, None, n_max)
-
-
-def _semiregular_terms(spec: CFSpec, n_max: int):
-    """(a(n), b(n)) for n = 1 .. n_max, refusing the first that breaks a condition."""
-    b_prev = None
-    for n in range(1, n_max + 1):
-        a_n, b_n = spec.a(n), spec.b(n)
-        violation = _violation(n, b_prev, a_n, b_n)
-        if violation is not None:
-            raise _refusal(violation)
-        yield a_n, b_n
-        b_prev = b_n
 
 
 def _chain_sample(n_max: int) -> list[tuple[int, int]]:
@@ -147,7 +158,7 @@ def denominator_bounds_certificate(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     report = validate_semiregular(spec, n_max)
     if not report.valid:
-        raise _refusal(report.first_violation)
+        raise NotSemiRegular(report.first_violation)
 
     @cache
     def tail_dens(k: int) -> list:  # B(k, n) for n = 0 .. n_max - k
@@ -192,23 +203,33 @@ def evaluate_tietze(
     Stops at the first index n where both B(n-1) and B(n) exceed 1/epsilon
     and returns A(n)/B(n).  The reported error bound is the larger of
     1/B(n-1) and 1/B(n), which dominates the true error of the returned
-    convergent.  Each term is checked against the semi-regular conditions
-    as it is read, and the first that breaks one raises `InvalidSpec`.
+    convergent.
+
+    The bound needs the semi-regular conditions on the whole tail, so each
+    term is checked as it is read, and after stopping the check reads on,
+    without recurrence steps, through every coefficient the value depends
+    on: to the last index of a finite spec, and to index p + 1 of a periodic
+    spec of period p, which covers every condition.  A rule is checked only
+    on the terms read; beyond them its semi-regularity is a premise.  The
+    first broken condition raises `InvalidSpec`, a coefficient that is not
+    rational `TowerMismatch`; `checked_up_to` is the last index checked.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     # B * eps > 1, in integers: for rational B this also forces B > 0
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
-    pairs = recurrence(spec.b(0), _semiregular_terms(spec, max_terms))
+    terms = _semiregular_terms(spec)
+    pairs = recurrence(spec.b(0), islice(terms, max_terms))
     _, b_prev = next(pairs)
     for n, (a_cur, b_cur) in enumerate(pairs, 1):
         if should_cancel is not None and n % 1024 == 0 and should_cancel():
             raise EvaluationCancelled(f"cancelled after {n} terms")
         if b_prev * eps_num > eps_den and b_cur * eps_num > eps_den:
+            last = spec.period + 1 if isinstance(spec, PeriodicCF) else spec.max_index
+            checked_up_to = max(n, last or 0)
+            deque(islice(terms, checked_up_to - n), maxlen=0)
             bound = max(Fraction(1, 1) / b_prev, Fraction(1, 1) / b_cur)
-            return BoundedValue(
-                value=scalar_div(a_cur, b_cur), n_used=n, error_bound=bound
-            )
+            return BoundedValue(scalar_div(a_cur, b_cur), n, bound, checked_up_to)
         b_prev = b_cur
     raise IterationCap(max_terms)

@@ -163,19 +163,34 @@ class TestTietze:
         code = main(["tietze", spec, "--eps", "1/10"])
         captured = capsys.readouterr()
         assert code == 5
-        assert "sum_below_one" in captured.err
-        assert "n=1" in captured.err
+        assert "sum_below_one at n = 1" in captured.err
         assert captured.out == ""
 
-    def test_violation_past_validated_terms_exits_5(self, capsys, tmp_path):
-        # b(6) = 1/2 lies past the 3 validated terms but before the stopping index
+    def test_violation_before_the_stopping_index_exits_5(self, capsys, tmp_path):
         b = [1] * 6 + ["1/2"] + [1] * 20
         spec = write_spec(tmp_path, {"mode": "finite", "a": [1] * 26, "b": b})
-        code = main(["tietze", spec, "--eps", "1/1000", "--validate-terms", "3"])
+        code = main(["tietze", spec, "--eps", "1/1000"])
         captured = capsys.readouterr()
         assert code == 5
         assert "b_below_one at n = 6" in captured.err
         assert captured.out == ""
+
+    def test_violation_in_the_last_term_exits_5(self, capsys, tmp_path):
+        # the first 29 terms alone certify 34/21 +- 1/13; b(30) moves the value to -1.44e8
+        b = [1] * 30 + ["-1285572499999999999979199/2080100000000000000000000"]
+        spec = write_spec(tmp_path, {"mode": "finite", "a": [1] * 30, "b": b})
+        code = main(["tietze", spec, "--eps", "1/10"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "b_below_one at n = 30" in captured.err
+        assert captured.out == ""
+
+    def test_finite_spec_checked_to_its_last_term(self, capsys, tmp_path):
+        spec = write_spec(tmp_path, {"mode": "finite", "a": [1] * 30, "b": [1] * 31})
+        code, report = run_json(capsys, ["tietze", spec, "--eps", "1/10"])
+        assert code == 0
+        assert report["result"]["n_used"] == 7
+        assert report["result"]["checked_up_to"] == 30
 
 
 class TestClassify:
@@ -288,7 +303,49 @@ class TestPowerIter:
         assert main(["power-iter"]) == 2
 
 
+REPORT_KEYS = {
+    "eval": (["n"], ["A", "B", "value"], ["A", "B", "value"]),
+    "continuant": (
+        ["n_terms", "oracle_checked", "agreement"], ["value", "oracle_value"], ["value"]
+    ),
+    "tietze": (
+        ["valid", "checked_up_to", "n_used"], ["value", "error_bound"], ["value", "error_bound"]
+    ),
+    "classify": (
+        ["verdict", "condition", "q", "period", "modulus_relation"],
+        ["limit", "sublimit", "lambda1", "lambda2", "x1", "x2", "trace", "det"],
+        ["limit", "sublimit", "lambda1", "lambda2", "x1", "x2"],
+    ),
+    "galois": (
+        ["alpha_verdict", "alpha_prime_verdict", "relation_holds"],
+        ["alpha_limit", "alpha_prime_limit", "expected_prime_limit"],
+        ["alpha_limit", "alpha_prime_limit", "expected_prime_limit"],
+    ),
+    "power-iter": (["case", "trajectory"], ["mu1", "mu2"], ["mu1", "mu2"]),
+}
+
+
 class TestReportHygiene:
+    @pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+    def test_report_keys_in_order(self, capsys, golden_spec, command):
+        extra = {
+            "eval": [golden_spec, "-n", "4"],
+            "continuant": ["--a", "1", "--b", "2,3", "--oracle"],
+            "tietze": [golden_spec, "--eps", "1/100"],
+            "classify": [golden_spec],
+            "galois": [golden_spec],
+            "power-iter": [golden_spec, "--steps", "3"],
+        }[command]
+        code, report = run_json(capsys, [command] + extra)
+        assert code == 0
+        assert list(report) == [
+            "command", "input", "result", "exact_values", "float_values", "diagnostics"
+        ]
+        result, exact, floats = REPORT_KEYS[command]
+        assert list(report["result"]) == result
+        assert list(report["exact_values"]) == exact
+        assert list(report["float_values"]) == floats
+
     def test_json_schema_stable_across_inputs(self, capsys, golden_spec, footnote_spec, thiele_spec):
         reports = []
         for spec in (golden_spec, footnote_spec, thiele_spec):

@@ -69,6 +69,16 @@ class TestQuadExtArithmetic:
         with pytest.raises(TowerMismatch, match="bit integer"):
             quadext(0, 1, 2 * 10**4400 + 1) + quadext(0, 1, 3)
 
+    def test_repr_past_the_int_string_limit(self):
+        huge = 10**4400 + 1
+        assert repr(quadext(0, 1, 2 * huge - 1)) == (
+            "QuadExt(Fraction(0, 1) + Fraction(1, 1)*sqrt(<14618-bit integer>))"
+        )
+        assert "Fraction(<14617-bit integer>, 1)*sqrt(3)" in repr(quadext(0, huge, 3))
+        assert repr(quadext(F(1, 2), -3, 5)) == (
+            "QuadExt(Fraction(1, 2) + Fraction(-3, 1)*sqrt(5))"
+        )
+
     def test_compatible_radicands_mix(self):
         assert quadext(0, 1, 12) + quadext(0, 1, 3) == quadext(0, 3, 3)
         assert quadext(0, 1, -12) * quadext(0, 1, -3) == F(-6)

@@ -177,6 +177,53 @@ class TestEvaluate:
         spec = FiniteCF(a_list=(1,) * 5, b_list=(1,) * 6)
         assert evaluate_tietze(spec, Fraction(1, 4)).n_used == 5
 
+    def test_finite_violation_in_the_last_term(self):
+        # b(30) turns A(30)/B(30) into about -1.44e8 after 29 terms that
+        # certify 34/21 +- 1/13
+        last = -Fraction(514229, 832040) + Fraction(1, 10**20)
+        spec = FiniteCF(a_list=(1,) * 30, b_list=(1,) * 30 + (last,))
+        with pytest.raises(InvalidSpec, match="b_below_one at n = 30"):
+            evaluate_tietze(spec, Fraction(1, 10))
+
+    @pytest.mark.parametrize(
+        "a_block, b_block, message",
+        [
+            # B(11) = 0, so the CF diverges
+            ((1,) * 12, (1,) * 11 + (Fraction(-55, 89),), "b_below_one at n = 11"),
+            # b(12) + a(13) = b(0) + a(1) = 0: only index p + 1 shows it
+            ((-1,) + (1,) * 11, (1, 2) + (1,) * 10, "sum_below_one at n = 12"),
+        ],
+        ids=["b_below_one", "sum_across_the_period"],
+    )
+    def test_periodic_violation_past_the_stopping_index(self, a_block, b_block, message):
+        spec = PeriodicCF(a_block=a_block, b_block=b_block)
+        with pytest.raises(InvalidSpec, match=message):
+            evaluate_tietze(spec, Fraction(1, 10))
+
+    def test_checked_up_to_covers_every_condition(self):
+        finite = FiniteCF(a_list=(1,) * 30, b_list=(1,) * 31)
+        periodic = PeriodicCF(a_block=(1,) * 12, b_block=(1,) * 12)
+        assert evaluate_tietze(finite, Fraction(1, 10)).checked_up_to == 30
+        assert evaluate_tietze(periodic, Fraction(1, 10)).checked_up_to == 13
+        # a rule's semi-regularity past the terms read is a premise
+        bounded = evaluate_tietze(make_generator("sqrt2"), Fraction(1, 10))
+        assert bounded.checked_up_to == bounded.n_used
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                PeriodicCF(a_block=(ComplexFloat(1, 0),), b_block=(ComplexFloat(2, 0),)),
+                r"a\(1\) is ComplexFloat",
+            ),
+            (PeriodicCF(a_block=(1,), b_block=(quadext(1, 1, 2),)), r"b\(1\) is QuadExt"),
+        ],
+        ids=["complex", "quadext"],
+    )
+    def test_non_rational_tower_rejected(self, spec, message):
+        with pytest.raises(TowerMismatch, match=message):
+            evaluate_tietze(spec, Fraction(1, 10))
+
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             evaluate_tietze(footnote_cf(), Fraction(0))
