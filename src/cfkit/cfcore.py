@@ -272,7 +272,3 @@ def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:
     _check_index(k, 0, "k")
     _check_index(n_max, -1, "n_max")
     return _table(spec, k, n_max)
-
-
-def shifted_pair(spec: CFSpec, k: int, n: int) -> ConvergentPair:
-    return shifted_table(spec, k, max(n, -1))[n + 1]

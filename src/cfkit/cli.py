@@ -207,7 +207,7 @@ def cmd_classify(args) -> int:
     report = classify(pcf)
     eigen, verdict, matrix = report.eigen, report.verdict, report.matrix
     values = {"limit": verdict.limit, "sublimit": verdict.sublimit}
-    values.update((name, getattr(eigen, name, None)) for name in ("lambda1", "lambda2", "x1", "x2"))
+    values.update((name, getattr(eigen, name)) for name in ("lambda1", "lambda2", "x1", "x2"))
     _emit(_report(
         "classify",
         _echo(args, spec_file),
@@ -216,7 +216,7 @@ def cmd_classify(args) -> int:
             "condition": verdict.condition,
             "q": verdict.q,
             "period": pcf.period,
-            "modulus_relation": eigen.modulus_relation if eigen else None,
+            "modulus_relation": eigen.modulus_relation,
         },
         values, prec, exact_only={"trace": matrix.trace, "det": matrix.det},
     ), args.json)

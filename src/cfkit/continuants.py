@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
-from .cfcore import CFSpec, ConvergentPair, convergent_table, iter_pairs, recurrence, shifted_pair
+from .cfcore import CFSpec, ConvergentPair, iter_pairs, recurrence
 from .errors import InvalidSpec, SizeLimit
 from .scalars import Scalar
 
@@ -120,7 +120,7 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
 
 
 def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
-    """Pair at index n+k assembled from the tail table and the (n-1), (n-2) pairs:
+    """Pair at index n+k assembled from the tail pair and the (n-1), (n-2) pairs:
 
         A(n+k) = A(n,k) A(n-1) + a(n) B(n,k) A(n-2)
         B(n+k) = A(n,k) B(n-1) + a(n) B(n,k) B(n-2)
@@ -129,12 +129,13 @@ def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    table = convergent_table(spec, n - 1)
-    prev, prev2 = table[n], table[n - 1]
-    tail = shifted_pair(spec, n, k)
+    (num_prev2, den_prev2), (num_prev, den_prev) = deque(
+        chain([(1, 0)], iter_pairs(spec, 0, n - 1)), maxlen=2
+    )
+    tail_num, tail_den = deque(iter_pairs(spec, n, k), maxlen=1)[0]
     an = spec.a(n)
-    num = tail.num * prev.num + an * tail.den * prev2.num
-    den = tail.num * prev.den + an * tail.den * prev2.den
+    num = tail_num * num_prev + an * tail_den * num_prev2
+    den = tail_num * den_prev + an * tail_den * den_prev2
     return ConvergentPair(n + k, num, den)
 
 

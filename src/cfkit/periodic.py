@@ -12,14 +12,17 @@ Rational input is classified exactly: the discriminant's sign replaces any
 modulus comparison and the fixed-point test is decided in the quadratic
 extension field.  Complex floating input is classified with an explicit
 relative tolerance and refuses to guess inside the undecidable band.
+`classify` is the only fixed-point (Thiele) scan; the Galois and conjugate
+checks compare its results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .cfcore import PeriodicCF, coefficient_product, convergent_table
+from .cfcore import PeriodicCF, coefficient_product, convergent_table, iter_pairs
 from .errors import (
     DegenerateMatrix,
     InvalidSpec,
@@ -111,7 +114,7 @@ class Verdict:
 @dataclass(frozen=True)
 class StolzReport:
     matrix: PeriodMatrix
-    eigen: EigenSplit | None
+    eigen: EigenSplit
     verdict: Verdict
 
 
@@ -167,6 +170,18 @@ def _tolerance_mpf(tolerance: Fraction, prec: int):
     return ctx.fdiv(tolerance.numerator, tolerance.denominator)
 
 
+def _values_match(x, y, tolerance: Fraction) -> bool:
+    if isinstance(x, ComplexFloat) or isinstance(y, ComplexFloat):
+        prec = max(
+            x.prec if isinstance(x, ComplexFloat) else 0,
+            y.prec if isinstance(y, ComplexFloat) else 0,
+        )
+        xf, yf = as_complexfloat(x, prec), as_complexfloat(y, prec)
+        tol = _tolerance_mpf(tolerance, prec)
+        return (xf - yf).modulus() <= tol * (xf.modulus() + yf.modulus() + 1)
+    return x == y
+
+
 def eigen_split(
     matrix: PeriodMatrix, tolerance: Fraction | None = None
 ) -> EigenSplit:
@@ -179,6 +194,9 @@ def eigen_split(
     quadratic formula and a relative tolerance for the modulus comparison.
     """
     tolerance = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
+    tr, det = matrix.trace, matrix.det
+    if is_zero(det):
+        raise DegenerateMatrix("determinant is zero")
     for entry in (matrix.m11, matrix.m12, matrix.m21, matrix.m22):
         if isinstance(entry, QuadExt):
             raise TowerMismatch(
@@ -186,35 +204,11 @@ def eigen_split(
                 "nested radicals; use the complex tower instead"
             )
     if matrix.is_exact():
-        return _eigen_split_exact(matrix)
-    return _eigen_split_float(matrix, tolerance)
-
-
-def _eigen_split_exact(matrix: PeriodMatrix) -> EigenSplit:
-    tr = Fraction(matrix.trace)
-    det = Fraction(matrix.det)
-    if det == 0:
-        raise DegenerateMatrix("determinant is zero")
-    disc = tr * tr - 4 * det
-    if disc == 0:
-        lam: Scalar = tr / 2
-        lam1, lam2 = lam, lam
-        relation = EQUAL_REPEATED
+        lam1, lam2, relation = _eigen_split_exact(Fraction(tr), Fraction(det))
     else:
-        root = quadext(0, 1, disc)  # sqrt(disc): Fraction when disc is square
-        if disc > 0:
-            if tr > 0:
-                lam1, lam2 = (tr + root) / 2, (tr - root) / 2
-                relation = STRICTLY_DOMINANT
-            elif tr < 0:
-                lam1, lam2 = (tr - root) / 2, (tr + root) / 2
-                relation = STRICTLY_DOMINANT
-            else:
-                lam1, lam2 = root / 2, -root / 2
-                relation = EQUAL_DISTINCT
-        else:
-            lam1, lam2 = (tr + root) / 2, (tr - root) / 2
-            relation = EQUAL_DISTINCT
+        lam1, lam2, relation = _eigen_split_float(
+            tr, det, _float_entries(matrix), tolerance
+        )
     x1 = x2 = None
     if not is_zero(matrix.m21):
         x1 = scalar_div(lam1 - matrix.m22, matrix.m21)
@@ -222,12 +216,25 @@ def _eigen_split_exact(matrix: PeriodMatrix) -> EigenSplit:
     return EigenSplit(lam1, lam2, relation, x1, x2)
 
 
-def _eigen_split_float(matrix: PeriodMatrix, tolerance: Fraction) -> EigenSplit:
-    prec = _float_entries(matrix)
-    tr = as_complexfloat(matrix.trace, prec)
-    det = as_complexfloat(matrix.det, prec)
-    if det.is_zero:
-        raise DegenerateMatrix("determinant is zero")
+def _eigen_split_exact(tr: Fraction, det: Fraction) -> tuple[Scalar, Scalar, str]:
+    disc = tr * tr - 4 * det
+    root = quadext(0, 1, disc)  # sqrt(disc): Fraction when disc is square
+    if disc > 0 and tr < 0:
+        root = -root  # (tr - sqrt(disc))/2 is the dominant root
+    if disc == 0:
+        relation = EQUAL_REPEATED
+    elif disc > 0 and tr != 0:
+        relation = STRICTLY_DOMINANT
+    else:
+        relation = EQUAL_DISTINCT
+    return (tr + root) / 2, (tr - root) / 2, relation
+
+
+def _eigen_split_float(
+    tr: Scalar, det: Scalar, prec: int, tolerance: Fraction
+) -> tuple[Scalar, Scalar, str]:
+    tr = as_complexfloat(tr, prec)
+    det = as_complexfloat(det, prec)
     disc = tr * tr - 4 * det
     root = disc.sqrt()
     lam1 = (tr + root) / 2
@@ -243,13 +250,7 @@ def _eigen_split_float(matrix: PeriodMatrix, tolerance: Fraction) -> EigenSplit:
         relation = EQUAL_DISTINCT
     else:
         relation = STRICTLY_DOMINANT
-    x1 = x2 = None
-    if not is_zero(matrix.m21):
-        m21 = as_complexfloat(matrix.m21, prec)
-        m22 = as_complexfloat(matrix.m22, prec)
-        x1 = (lam1 - m22) / m21
-        x2 = (lam2 - m22) / m21
-    return EigenSplit(lam1, lam2, relation, x1, x2)
+    return lam1, lam2, relation
 
 
 def classify(
@@ -274,32 +275,20 @@ def classify(
     if eigen.modulus_relation == EQUAL_DISTINCT:
         return StolzReport(matrix, eigen, Verdict(kind=DIVERGENT_EQUAL_MODULUS))
     # strict dominance: check whether any early convergent sits on x2
+    tolerance = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
+    x2 = eigen.x2
     p = pcf.period
-    if p >= 2:
-        table = convergent_table(pcf, p - 2)
-        tolerance = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
-        for q in range(0, p - 1):
-            pair = table[q + 1]
-            test = pair.num - eigen.x2 * pair.den
-            if is_zero(test):
-                return StolzReport(
-                    matrix,
-                    eigen,
-                    Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=eigen.x2),
-                )
-            if not exact:
-                prec = test.prec
-                tol = _tolerance_mpf(tolerance, prec)
-                scale = (
-                    as_complexfloat(pair.num, prec).modulus()
-                    + (eigen.x2 * pair.den).modulus()
-                    + 1
-                )
-                if test.modulus() <= tol * scale:
-                    raise PrecisionExhausted(
-                        f"fixed-point test at q={q} is inside the tolerance band; "
-                        f"raise precision or use an exact tower"
-                    )
+    for q, (num, den) in enumerate(islice(iter_pairs(pcf, 0, p - 2), p - 1)):
+        on_x2 = x2 * den
+        if is_zero(num - on_x2):
+            return StolzReport(
+                matrix, eigen, Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=x2)
+            )
+        if not exact and _values_match(num, on_x2, tolerance):
+            raise PrecisionExhausted(
+                f"fixed-point test at q={q} is inside the tolerance band; "
+                f"raise precision or use an exact tower"
+            )
     return StolzReport(
         matrix, eigen, Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C2")
     )
@@ -320,8 +309,6 @@ def power_iterate(
         raise ZeroStart("power iteration needs a nonzero start vector")
     if is_zero(matrix.m21):
         raise DegenerateMatrix("matrix must have a nonzero lower-left entry")
-    if is_zero(matrix.det):
-        raise DegenerateMatrix("determinant is zero")
     eigen = eigen_split(matrix)
     x1, x2 = eigen.x1, eigen.x2
     if eigen.modulus_relation == EQUAL_REPEATED:
@@ -363,57 +350,34 @@ class GaloisReport:
     relation_holds: bool
 
 
-def _values_match(x, y, tolerance: Fraction) -> bool:
-    if isinstance(x, ComplexFloat) or isinstance(y, ComplexFloat):
-        prec = max(
-            x.prec if isinstance(x, ComplexFloat) else 0,
-            y.prec if isinstance(y, ComplexFloat) else 0,
-        )
-        xf, yf = as_complexfloat(x, prec), as_complexfloat(y, prec)
-        tol = _tolerance_mpf(tolerance, prec)
-        return (xf - yf).modulus() <= tol * (xf.modulus() + yf.modulus() + 1)
-    return x == y
-
-
 def galois_analysis(
     pcf: PeriodicCF, tolerance: Fraction | None = None
 ) -> GaloisReport:
     """Classify a CF and its reversed period, and check the predicted relation.
 
-    When the original converges, the reversed period must converge to
-    b(0) - x2 unless the dominant case trips the reversed fixed-point test,
-    in which case the reversed CF oscillates.  `relation_holds` records that
-    the observed verdicts agree with this prediction; it is a self-check and
-    should always be True.
+    The reversed period matrix has the same trace and determinant, so its
+    fixed points are b(0) - x2 and b(0) - x1.  When the original converges,
+    `relation_holds` is True exactly when the reversed CF's verdict is
+    convergent or divergent_thiele, its modulus relation equals the
+    original's, and its x1 and x2 match b(0) - x2 and b(0) - x1 (within
+    the tolerance in the complex tower).  The reversed CF then converges to
+    b(0) - x2, unless `classify`'s own scan found an early convergent on
+    b(0) - x1.  For a CF that does not converge it is True.  It is a
+    self-check and should always be True.
     """
     tol = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
     alpha = classify(pcf, tolerance)
-    reversed_pcf = reverse_period(pcf)
-    alpha_prime = classify(reversed_pcf, tolerance)
+    alpha_prime = classify(reverse_period(pcf), tolerance)
     if not alpha.verdict.is_convergent:
         return GaloisReport(alpha, alpha_prime, True)
     b0 = pcf.b(0)
-    x1, x2 = alpha.eigen.x1, alpha.eigen.x2
-    expected_limit = b0 - x2
-    exception_q: int | None = None
-    if alpha.eigen.modulus_relation == STRICTLY_DOMINANT and pcf.period >= 2:
-        table = convergent_table(reversed_pcf, pcf.period - 2)
-        recessive = b0 - x1  # the reversed CF's own recessive fixed point
-        for q in range(0, pcf.period - 1):
-            pair = table[q + 1]
-            if is_zero(pair.num - recessive * pair.den):
-                exception_q = q
-                break
-    if exception_q is not None:
-        holds = (
-            alpha_prime.verdict.kind == DIVERGENT_THIELE
-            and alpha_prime.verdict.q == exception_q
-            and _values_match(alpha_prime.verdict.sublimit, b0 - x1, tol)
-        )
-    else:
-        holds = alpha_prime.verdict.is_convergent and _values_match(
-            alpha_prime.verdict.limit, expected_limit, tol
-        )
+    eigen, eigen_prime = alpha.eigen, alpha_prime.eigen
+    holds = (
+        alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
+        and eigen_prime.modulus_relation == eigen.modulus_relation
+        and _values_match(eigen_prime.x1, b0 - eigen.x2, tol)
+        and _values_match(eigen_prime.x2, b0 - eigen.x1, tol)
+    )
     return GaloisReport(alpha, alpha_prime, holds)
 
 
@@ -442,43 +406,30 @@ def conjugate_check(pcf: PeriodicCF) -> ConjugateReport:
     """Verify the conjugate relations of a convergent integer periodic CF.
 
     The limit must be a quadratic irrational alpha; its field conjugate is
-    then x2, the reversed period converges to b(0) - conjugate, and for
-    regular (all a = 1) and negative (all a = -1) CFs the classical
-    reciprocal identities are checked against the reversed-block CF.
+    then x2, the reversed period converges to b(0) - conjugate, and when
+    every a(n) equals a = 1 (regular) or a = -1 (negative) the CF with the
+    b-block in descending order converges to -a/conjugate.
     """
     _require_integers(pcf)
-    report = classify(pcf)
+    record = galois_analysis(pcf)
+    report, reversed_verdict = record.alpha, record.alpha_prime.verdict
     if not report.verdict.is_convergent:
         raise InvalidSpec("conjugate analysis needs a convergent CF")
     alpha = report.verdict.limit
     if is_rational(alpha):
         raise NotIrrational(f"limit {alpha} is rational")
     conjugate = alpha.conjugate()
-    checks = [report.eigen.x2 == conjugate]
-
-    reversed_report = classify(reverse_period(pcf))
-    b0 = pcf.b(0)
-    checks.append(
-        reversed_report.verdict.is_convergent
-        and reversed_report.verdict.limit - b0 == -conjugate
-    )
-
-    p = pcf.period
-    descending = tuple(pcf.b(p - 1 - i) for i in range(p))
-    if all(a == 1 for a in pcf.a_block):
-        galois_cf = PeriodicCF(a_block=(1,) * p, b_block=descending)
-        galois_report = classify(galois_cf)
-        checks.append(
-            galois_report.verdict.is_convergent
-            and galois_report.verdict.limit == -(1 / conjugate)
-        )
-    elif all(a == -1 for a in pcf.a_block):
-        mobius_cf = PeriodicCF(a_block=(-1,) * p, b_block=descending)
-        mobius_report = classify(mobius_cf)
-        checks.append(
-            mobius_report.verdict.is_convergent
-            and mobius_report.verdict.limit == 1 / conjugate
-        )
+    checks = [
+        report.eigen.x2 == conjugate,
+        reversed_verdict.is_convergent
+        and reversed_verdict.limit - pcf.b(0) == -conjugate,
+    ]
+    a = pcf.a_block[0]
+    if a in (1, -1) and all(value == a for value in pcf.a_block):
+        p = pcf.period
+        descending = tuple(pcf.b(p - 1 - i) for i in range(p))
+        verdict = classify(PeriodicCF(a_block=pcf.a_block, b_block=descending)).verdict
+        checks.append(verdict.is_convergent and verdict.limit == -a / conjugate)
     return ConjugateReport(
         is_quadratic=True,
         alpha=alpha,

@@ -360,22 +360,6 @@ def abs_lt(x, bound: RationalLike) -> bool:
     raise TowerMismatch(f"no exact comparison for {type(x).__name__}")
 
 
-def compare_abs(x, y) -> int:
-    """Exact comparison of |x| and |y| (-1, 0, or +1) within one context."""
-    for v in (x, y):
-        if not isinstance(v, (int, Fraction, QuadExt)):
-            raise TowerMismatch(f"no exact comparison for {type(v).__name__}")
-    complex_x = isinstance(x, QuadExt) and x.d < 0
-    complex_y = isinstance(y, QuadExt) and y.d < 0
-    if complex_x or complex_y:
-        mx = x.modulus_squared() if complex_x else _as_fraction(abs(x)) ** 2
-        my = y.modulus_squared() if complex_y else _as_fraction(abs(y)) ** 2
-        return 0 if mx == my else (1 if mx > my else -1)
-    diff = x * x - y * y
-    s = sign_of(diff)
-    return s
-
-
 # -- complex floating tower ---------------------------------------------------
 
 _context_lock = threading.Lock()

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import cfkit.periodic
 from cfkit import (
     PeriodicCF,
+    as_complexfloat,
     classify,
     conjugate_check,
     galois_analysis,
@@ -69,6 +72,27 @@ class TestGaloisAnalysis:
             ):
                 hits += 1
         assert hits > 0
+
+    def test_relation_fails_when_the_period_is_not_reversed(self, monkeypatch):
+        monkeypatch.setattr(cfkit.periodic, "reverse_period", lambda pcf: pcf)
+        record = galois_analysis(PeriodicCF((1, 2), (1, 3)))
+        assert record.alpha.verdict.kind == CONVERGENT
+        assert not record.relation_holds
+
+    def test_complex_tower_matches_exact_tower(self):
+        # every period-1..2 CF with coefficients in {-2, -1, 1, 2}, lifted to 128 bits
+        values = (-2, -1, 1, 2)
+        for p in (1, 2):
+            for a_block in product(values, repeat=p):
+                for b_block in product(values, repeat=p):
+                    exact = galois_analysis(PeriodicCF(a_block, b_block))
+                    lifted = galois_analysis(PeriodicCF(
+                        tuple(as_complexfloat(a, 128) for a in a_block),
+                        tuple(as_complexfloat(b, 128) for b in b_block),
+                    ))
+                    assert lifted.relation_holds, (a_block, b_block)
+                    assert lifted.alpha.verdict.kind == exact.alpha.verdict.kind
+                    assert lifted.alpha_prime.verdict.kind == exact.alpha_prime.verdict.kind
 
 
 class TestConjugateCheck:

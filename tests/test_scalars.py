@@ -4,7 +4,7 @@ import pytest
 
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import abs_lt, compare_abs, is_zero, sign_of
+from cfkit.scalars import abs_lt, is_zero, sign_of
 
 
 def F(n, d=1):
@@ -150,11 +150,6 @@ class TestQuadExtComparisons:
         z = quadext(F(1, 10), F(1, 10), -1)  # modulus sqrt(2)/10
         assert abs_lt(z, F(15, 100))
         assert not abs_lt(z, F(14, 100))
-
-    def test_compare_abs(self):
-        assert compare_abs(quadext(0, 1, 2), F(1)) == 1
-        assert compare_abs(F(-3), quadext(0, 2, 2)) == 1  # 3 > 2*sqrt2
-        assert compare_abs(quadext(1, 1, -3), quadext(1, -1, -3)) == 0
 
     def test_random_sign_against_float(self, rng):
         for _ in range(300):
