@@ -18,6 +18,7 @@ from .cfcore import (
     cross_determinant,
     evaluate_convergent,
     make_generator,
+    pair_at,
     recurrence,
     shifted_table,
     successive_difference,

@@ -7,15 +7,19 @@ n >= 0.  Convergent numerators and denominators follow
     A(n) = b(n) A(n-1) + a(n) A(n-2),      A(-1) = 1, A(0) = b(0),
     B(n) = b(n) B(n-1) + a(n) B(n-2),      B(-1) = 0, B(0) = 1,
 
-`recurrence` is the one loop that evaluates them, streaming the pairs; only
-the tables keep them all.  Every operation here is exact: values never
-leave the tower of the coefficients that produced them.
+`recurrence` is the one loop that evaluates them, streaming the pairs for
+the tables and the scans that need every index.  A single pair is a product
+of 2x2 step matrices instead: `pair_at` multiplies them as a balanced tree,
+or by powers of the period matrix for a periodic CF, which costs
+O(M(n) log n) bit operations where streaming costs O(n^2).  Every operation
+here is exact: values never leave the tower of the coefficients that
+produced them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator
@@ -229,11 +233,78 @@ def convergent_table(spec: CFSpec, n_max: int) -> list[ConvergentPair]:
     return _table(spec, 0, n_max)
 
 
-def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
-    """The pair (A(n), B(n)), n >= 0, keeping only the latest pair in memory."""
+#: 2x2 matrix [[m11, m12], [m21, m22]] as the tuple (m11, m12, m21, m22)
+Matrix = tuple[Scalar, Scalar, Scalar, Scalar]
+
+
+def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (
+        x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+        x21 * y11 + x22 * y21, x21 * y12 + x22 * y22,
+    )
+
+
+def _tree_product(matrices: Iterable[Matrix]) -> Matrix:
+    """Ordered product of a nonempty stream of matrices, multiplied as a
+    balanced tree: a binary-counter stack merges equal-sized partial products
+    as they arrive, so at most O(log n) of them are alive at once."""
+    stack: list[tuple[int, Matrix]] = []  # (level, product of 2**level leaves)
+    for m in matrices:
+        level = 0
+        while stack and stack[-1][0] == level:
+            m = _mat_mul(stack.pop()[1], m)
+            level += 1
+        stack.append((level, m))
+    product = stack.pop()[1]
+    while stack:
+        product = _mat_mul(stack.pop()[1], product)
+    return product
+
+
+def _power(m: Matrix, e: int) -> Matrix:
+    """m**e for e >= 1 by repeated squaring."""
+    result = m
+    for bit in bin(e)[3:]:
+        result = _mat_mul(result, result)
+        if bit == "1":
+            result = _mat_mul(result, m)
+    return result
+
+
+def _steps(spec: CFSpec, first: int, last: int) -> Iterator[Matrix]:
+    """Step matrices S(j) = [[b(j), 1], [a(j), 0]] for j = first .. last."""
+    for j in range(first, last + 1):
+        yield (spec.b(j), 1, spec.a(j), 0)
+
+
+def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPair]:
+    """The pairs at n - 1 and n of the tail b(k) + a(k+1)/b(k+1) + ...;
+    k = 0 gives (A(n-1), B(n-1)) and (A(n), B(n)).
+
+    [[b(k), 1], [1, 0]] S(k+1) ... S(k+n) = [[A(k,n), A(k,n-1)], [B(k,n), B(k,n-1)]].
+    A periodic CF raises the product of one period to the q-th power and
+    multiplies it by the first r steps, n = q p + r: the steps from k + 1 on
+    repeat with period p whatever k is.
+    """
+    _check_index(k, 0, "k")
     _check_index(n, 0)
-    num, den = deque(iter_pairs(spec, 0, n), maxlen=1)[0]
-    return ConvergentPair(n, num, den)
+    spec.require(k + n)
+    seed = (spec.b(k), 1, 1, 0)
+    if isinstance(spec, PeriodicCF) and n >= spec.period:
+        q, r = divmod(n, spec.period)
+        period = _tree_product(_steps(spec, k + 1, k + spec.period))
+        factors = chain([seed, _power(period, q)], _steps(spec, k + 1, k + r))
+    else:
+        factors = chain([seed], _steps(spec, k + 1, k + n))
+    num, num_prev, den, den_prev = _tree_product(factors)
+    return ConvergentPair(n - 1, num_prev, den_prev), ConvergentPair(n, num, den)
+
+
+def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
+    """The pair (A(n), B(n)), n >= 0."""
+    return pair_at(spec, 0, n)[1]
 
 
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
@@ -252,19 +323,17 @@ def coefficient_product(spec: CFSpec, n: int) -> Scalar:
 def cross_determinant(spec: CFSpec, n: int) -> Scalar:
     """A(n)B(n-1) - A(n-1)B(n); equals (-1)^(n-1) a(1)...a(n) exactly."""
     _check_index(n, 1)
-    (num_prev, den_prev), (num, den) = deque(iter_pairs(spec, 0, n), maxlen=2)
-    return num * den_prev - num_prev * den
+    prev, cur = pair_at(spec, 0, n)
+    return cur.num * prev.den - prev.num * cur.den
 
 
 def successive_difference(spec: CFSpec, n: int) -> Scalar:
     """A(n)/B(n) - A(n-1)/B(n-1), defined only when both denominators are nonzero."""
     _check_index(n, 1)
-    (num_prev, den_prev), (num, den) = deque(iter_pairs(spec, 0, n), maxlen=2)
-    if is_zero(den_prev):
+    prev, cur = pair_at(spec, 0, n)
+    if is_zero(prev.den):
         raise ZeroDenominator(n - 1)
-    if is_zero(den):
-        raise ZeroDenominator(n)
-    return scalar_div(num, den) - scalar_div(num_prev, den_prev)
+    return cur.value() - prev.value()
 
 
 def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:

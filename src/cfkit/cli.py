@@ -44,6 +44,9 @@ EXIT_NOT_PERIODIC = 6
 EXIT_MODULE_ERROR = 7
 
 MAX_INDEX = 1_000_000  # exact entries grow exponentially in bit size
+# power-iter keeps and renders every step, so its memory grows with the
+# square of the step count
+MAX_STEPS = 10_000
 
 
 def _diag(message: str):
@@ -117,11 +120,19 @@ def _load_periodic(args, needs: str = "a periodic spec") -> tuple[SpecFile, Peri
     return spec_file, spec, prec
 
 
-def _bounded_index(text: str) -> int:
+def _bounded(text: str, cap: int, what: str) -> int:
     value = int(text)
-    if value < 0 or value > MAX_INDEX:
-        raise argparse.ArgumentTypeError(f"index must be in 0..{MAX_INDEX}")
+    if value < 0 or value > cap:
+        raise argparse.ArgumentTypeError(f"{what} must be in 0..{cap}")
     return value
+
+
+def _bounded_index(text: str) -> int:
+    return _bounded(text, MAX_INDEX, "index")
+
+
+def _bounded_steps(text: str) -> int:
+    return _bounded(text, MAX_STEPS, "step count")
 
 
 def _fraction(text: str) -> Fraction:
@@ -352,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="explicit matrix entries instead of a spec file")
     p_power.add_argument("--u0", default="1", help="start numerator (default 1)")
     p_power.add_argument("--v0", default="0", help="start denominator (default 0)")
-    p_power.add_argument("--steps", type=_bounded_index, default=30,
+    p_power.add_argument("--steps", type=_bounded_steps, default=30,
                          help="number of iterations (default 30)")
     p_power.set_defaults(func=cmd_power_iter)
     return parser

@@ -1,19 +1,19 @@
 """Continuants: tridiagonal determinants that generate convergent pairs.
 
 K(a1..an; b0..bn) is the determinant of the (n+1) x (n+1) matrix with
-diagonal b0..bn, superdiagonal -1 and subdiagonal a1..an.  The fast path is
-the three-term expansion along the last row; `continuant_oracle` recomputes
-the same value by naive cofactor expansion of the explicit matrix so the two
-routes share no code.
+diagonal b0..bn, superdiagonal -1 and subdiagonal a1..an.  Expanding along
+the last row gives the three-term recurrence, so the fast path is the
+numerator A(n) of b0 + a1/b1 + ... + an/bn, computed by `cfcore.pair_at` as
+a product of 2x2 step matrices; `continuant_oracle` recomputes the same
+value by naive cofactor expansion of the explicit matrix so the two routes
+share no code.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
 
-from .cfcore import CFSpec, ConvergentPair, iter_pairs, recurrence
+from .cfcore import CFSpec, ConvergentPair, FiniteCF, pair_at
 from .errors import InvalidSpec, SizeLimit
 from .scalars import Scalar
 
@@ -43,7 +43,7 @@ class ContinuantArgs:
 def continuant(args: ContinuantArgs) -> Scalar:
     """Continuant value via the last-row expansion K_m = b_m K_{m-1} + a_m K_{m-2},
     the numerator recurrence A(n) of b0 + a1/b1 + ... + an/bn."""
-    return deque(recurrence(args.b[0], zip(args.a, args.b[1:])), maxlen=1)[0][0]
+    return pair_at(FiniteCF(a_list=args.a, b_list=args.b), 0, args.n)[1].num
 
 
 def _det_cofactor(matrix: list[list[Scalar]]) -> Scalar:
@@ -105,7 +105,8 @@ class ReversedConvergents:
 
 
 def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
-    """Convergents of the order-reversed CF, computed by direct recurrence.
+    """Convergents of the order-reversed CF, computed from the reversed
+    coefficients: b'(k) = b(n-k), a'(k) = a(n+1-k).
 
     They coincide with forward values: A'(n) = A(n), B'(n) = A(n-1),
     A'(n-1) = B(n), B'(n-1) = B(n-1).
@@ -113,10 +114,12 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     spec.require(n)
-    # reversed coefficients: b'(k) = b(n-k), a'(k) = a(n+1-k)
-    terms = ((spec.a(n + 1 - k), spec.b(n - k)) for k in range(1, n + 1))
-    (num_prev, den_prev), (num_n, den_n) = deque(recurrence(spec.b(n), terms), maxlen=2)
-    return ReversedConvergents(num_n, den_n, num_prev, den_prev)
+    reversed_cf = FiniteCF(
+        a_list=[spec.a(i) for i in range(n, 0, -1)],
+        b_list=[spec.b(i) for i in range(n, -1, -1)],
+    )
+    prev, cur = pair_at(reversed_cf, 0, n)
+    return ReversedConvergents(cur.num, cur.den, prev.num, prev.den)
 
 
 def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
@@ -129,13 +132,11 @@ def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    (num_prev2, den_prev2), (num_prev, den_prev) = deque(
-        chain([(1, 0)], iter_pairs(spec, 0, n - 1)), maxlen=2
-    )
-    tail_num, tail_den = deque(iter_pairs(spec, n, k), maxlen=1)[0]
+    prev2, prev = pair_at(spec, 0, n - 1)
+    tail = pair_at(spec, n, k)[1]
     an = spec.a(n)
-    num = tail_num * num_prev + an * tail_den * num_prev2
-    den = tail_num * den_prev + an * tail_den * den_prev2
+    num = tail.num * prev.num + an * tail.den * prev2.num
+    den = tail.num * prev.den + an * tail.den * prev2.den
     return ConvergentPair(n + k, num, den)
 
 
@@ -145,10 +146,9 @@ def generalized_cross_determinant(spec: CFSpec, n: int, k: int) -> Scalar:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    pairs = iter_pairs(spec, 0, n + k)
-    num_prev, den_prev = next(islice(pairs, n - 1, None))
-    num_far, den_far = deque(pairs, maxlen=1)[0]
-    return num_far * den_prev - num_prev * den_far
+    far = pair_at(spec, 0, n + k)[1]
+    prev = pair_at(spec, 0, n - 1)[1]
+    return far.num * prev.den - prev.num * far.den
 
 
 def continuant_of_convergent(spec: CFSpec, n: int) -> tuple[Scalar, Scalar]:

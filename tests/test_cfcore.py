@@ -19,7 +19,17 @@ from cfkit.errors import (
     InvalidSpec,
     ZeroDenominator,
 )
+from cfkit.cfcore import convergent_pair
 from conftest import footnote_cf, golden_cf, random_finite
+
+
+def fibonacci_pair(m):
+    """(F(m), F(m+1)) by fast doubling."""
+    if m == 0:
+        return 0, 1
+    f, g = fibonacci_pair(m // 2)
+    f2, g2 = f * (2 * g - f), f * f + g * g  # F(2j), F(2j+1)
+    return (g2, f2 + g2) if m % 2 else (f2, g2)
 
 
 class TestConvergentTable:
@@ -70,6 +80,13 @@ class TestEvaluateConvergent:
         with pytest.raises(ZeroDenominator) as err:
             evaluate_convergent(spec, 2)
         assert err.value.index == 2
+
+    def test_golden_deep_index(self):
+        # A(n) = F(n+2) and B(n) = F(n+1); the pair comes from period-matrix powers
+        n = 10**6
+        f_next, f_next2 = fibonacci_pair(n + 1)
+        pair = convergent_pair(golden_cf(), n)
+        assert (pair.num, pair.den) == (f_next2, f_next)
 
     def test_rational_result_canonical(self):
         value = evaluate_convergent(footnote_cf(), 3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cfkit import parse_exact
-from cfkit.cli import main
+from cfkit.cli import MAX_STEPS, main
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -80,13 +80,20 @@ class TestEval:
         assert parse_exact(report["exact_values"]["value"]) == Fraction(fib[21002], fib[21001])
         assert parse_exact(report["exact_values"]["A"]) == fib[21002]
 
-    def test_streams_in_bounded_memory(self, capsys, tmp_path):
-        # a table of 20000 Fibonacci-sized pairs takes about 39 MB
-        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "golden"}})
+    @pytest.mark.parametrize("generator, n", [
+        pytest.param("golden", 20_000, id="golden"),
+        pytest.param("sqrt2", 50_000, id="sqrt2"),
+    ])
+    def test_streams_in_bounded_memory(self, capsys, tmp_path, generator, n):
+        # A table of 20000 Fibonacci-sized pairs takes about 39 MB.  golden is
+        # a PeriodicCF and takes the period-power path; sqrt2 is a RuleCF and
+        # takes the product tree, whose 50000 leaves would take about 4 MB if
+        # they were collected in a list.
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": generator}})
         run_json(capsys, ["eval", spec, "-n", "10"])  # warm caches and lazy imports
         tracemalloc.start()
         try:
-            code = main(["--json", "eval", spec, "-n", "20000"])
+            code = main(["--json", "eval", spec, "-n", str(n)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -292,6 +299,13 @@ class TestPowerIter:
         assert report["result"]["case"] == "equal_modulus"
         rows = report["result"]["trajectory"]
         assert (rows[6]["u"], rows[6]["v"]) == (rows[0]["u"], rows[0]["v"])
+
+    def test_steps_past_the_cap_exit_2_at_parse_time(self, capsys):
+        # every step is kept and rendered, so memory grows with steps squared
+        with pytest.raises(SystemExit) as exc:
+            main(["power-iter", "--matrix", "1,1,1,0", "--steps", str(MAX_STEPS + 1)])
+        assert exc.value.code == 2
+        assert f"step count must be in 0..{MAX_STEPS}" in capsys.readouterr().err
 
     def test_degenerate_matrix_exits_7(self, capsys):
         code = main(["power-iter", "--matrix", "1,1,0,1"])

@@ -1,30 +1,39 @@
 """Property tests of the exact towers (field laws, value identity, sign, text
-form) and of the recurrence core against the independent loop in brute.py."""
+form) and of the recurrence core and the single-pair matrix products against
+the independent loop in brute.py."""
 
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 from brute import raw_table
 from cfkit import (
+    ComplexFloat,
     ContinuantArgs,
     FiniteCF,
+    PeriodicCF,
     QuadExt,
+    RuleCF,
+    as_complexfloat,
     continuant,
     convergent_table,
     cross_determinant,
     evaluate_convergent,
     format_exact,
+    generalized_cross_determinant,
+    pair_at,
     parse_exact,
     quadext,
     shifted_table,
+    successive_difference,
+    tail_combination,
 )
 from cfkit.errors import ZeroDenominator
-from cfkit.scalars import sign_of
+from cfkit.scalars import scalar_div, sign_of
 
 # plain Fraction arithmetic: no example is slow, but a loaded host can be
 no_deadline = settings(deadline=None)
@@ -146,3 +155,120 @@ def test_recurrence_core_agrees_with_brute_loop(spec, data):
         if n >= 1:
             expected = nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
             assert cross_determinant(spec, n) == expected
+
+
+def shifted(spec, k):
+    """The tail b(k) + a(k+1)/b(k+1) + ... as a plain rule, for brute.py."""
+    return RuleCF(a_rule=lambda j: spec.a(k + j), b_rule=lambda j: spec.b(k + j))
+
+
+def with_zero_denominator(spec, m):
+    """spec with b(m) replaced so that B(m) = 0, when B(m-1) != 0 allows it."""
+    dens = [0, *raw_table(spec, m - 1)[1]]  # dens[i] = B(i - 1)
+    if dens[m] == 0:
+        return spec
+    b = list(spec.b_list)
+    b[m] = scalar_div(-spec.a(m) * dens[m - 1], dens[m])
+    return FiniteCF(a_list=spec.a_list, b_list=b)
+
+
+@st.composite
+def pair_cases(draw):
+    """(spec, k, n_max): a finite or periodic CF over the rationals or one
+    quadratic field, a shift k, and the last index n_max of the shifted tail."""
+    d = draw(radicands)
+    coefficient = draw(st.sampled_from([
+        small_rationals,
+        st.builds(lambda a, b: quadext(a, b, d), small_rationals, small_rationals),
+    ]))
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 4))
+        blocks = st.lists(coefficient.filter(bool), min_size=p, max_size=p)
+        spec = PeriodicCF(a_block=draw(blocks), b_block=draw(blocks))
+        return spec, draw(st.integers(0, 6)), draw(st.integers(0, 20))
+    n = draw(st.integers(1, 14))
+    spec = FiniteCF(
+        a_list=draw(st.lists(coefficient, min_size=n, max_size=n)),
+        b_list=draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1)),
+    )
+    if draw(st.booleans()):
+        spec = with_zero_denominator(spec, draw(st.integers(1, n)))
+    k = draw(st.integers(0, n))
+    return spec, k, n - k
+
+
+@no_deadline
+@given(pair_cases())
+@example((PeriodicCF(a_block=(-1,), b_block=(1,)), 1, 8))  # B(2) = B(5) = 0
+@example((FiniteCF(a_list=(1, -1, 2), b_list=(1, 1, 1, 3)), 0, 3))  # B(2) = 0
+def test_single_pairs_agree_with_brute_loop(case):
+    spec, k, n_max = case
+    nums, dens = raw_table(shifted(spec, k), n_max)
+    nums, dens = [*nums, 1], [*dens, 0]  # index -1 reads the seed (1, 0)
+    for n in range(n_max + 1):
+        prev, cur = pair_at(spec, k, n)
+        assert (prev.n, prev.num, prev.den) == (n - 1, nums[n - 1], dens[n - 1])
+        assert (cur.n, cur.num, cur.den) == (n, nums[n], dens[n])
+    n_total = k + n_max
+    nums, dens = raw_table(spec, n_total)
+    for n in range(1, n_total + 1):
+        assert cross_determinant(spec, n) == nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
+        if dens[n - 1] == 0 or dens[n] == 0:
+            with pytest.raises(ZeroDenominator) as err:
+                successive_difference(spec, n)
+            assert err.value.index == (n - 1 if dens[n - 1] == 0 else n)
+        else:
+            assert successive_difference(spec, n) == (
+                scalar_div(nums[n], dens[n]) - scalar_div(nums[n - 1], dens[n - 1])
+            )
+        j = n_total - n
+        pair = tail_combination(spec, n, j)
+        assert (pair.n, pair.num, pair.den) == (n_total, nums[n_total], dens[n_total])
+        assert generalized_cross_determinant(spec, n, j) == (
+            nums[n_total] * dens[n - 1] - nums[n - 1] * dens[n_total]
+        )
+
+
+@st.composite
+def complex_cases(draw):
+    """(spec, k, n_max, prec) with ComplexFloat coefficients at precision prec."""
+    prec = draw(st.sampled_from([64, 128, 256]))
+    part = st.floats(-9, 9, allow_nan=False)
+    coefficient = st.builds(lambda re, im: ComplexFloat(re, im, prec), part, part)
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 3))
+        blocks = st.lists(coefficient.filter(lambda z: not z.is_zero), min_size=p, max_size=p)
+        spec = PeriodicCF(a_block=draw(blocks), b_block=draw(blocks))
+        return spec, draw(st.integers(0, 4)), draw(st.integers(0, 12), label="n_max"), prec
+    n = draw(st.integers(1, 10))
+    spec = FiniteCF(
+        a_list=draw(st.lists(coefficient, min_size=n, max_size=n)),
+        b_list=draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1)),
+    )
+    k = draw(st.integers(0, n))
+    return spec, k, n - k, prec
+
+
+@no_deadline
+@given(complex_cases())
+def test_complex_pairs_agree_with_stream_within_tolerance(case):
+    """The product tree rounds in another order than the stream, so the two
+    agree to 2**-(prec - 16) relative to the continuant of the coefficients'
+    moduli, which bounds every term either order adds up."""
+    spec, k, n_max, prec = case
+    tail = shifted(spec, k)
+    nums, dens = raw_table(tail, n_max)
+    moduli = RuleCF(
+        a_rule=lambda j: float(tail.a(j).modulus()),
+        b_rule=lambda j: float(tail.b(j).modulus()),
+    )
+    num_scale, den_scale = raw_table(moduli, n_max)
+    tolerance = 2.0 ** -(prec - 16)
+
+    def gap(x, y):
+        return float(as_complexfloat(x - y, prec).modulus())
+
+    for n in range(n_max + 1):
+        cur = pair_at(spec, k, n)[1]
+        assert gap(cur.num, nums[n]) <= tolerance * num_scale[n]
+        assert gap(cur.den, dens[n]) <= tolerance * den_scale[n]
