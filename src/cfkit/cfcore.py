@@ -19,7 +19,7 @@ produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, cycle, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator
@@ -27,7 +27,8 @@ from .scalars import Scalar, is_zero, scalar_div
 
 
 class CFSpec:
-    """Coefficient source; subclasses provide `a(n)` (n>=1) and `b(n)` (n>=0)."""
+    """Coefficient source; subclasses provide `a(n)` (n>=1) and `b(n)` (n>=0),
+    and may stream them faster by overriding `terms`."""
 
     #: largest index n for which b(n) exists, or None when unbounded
     max_index: int | None = None
@@ -37,6 +38,14 @@ class CFSpec:
 
     def b(self, n: int) -> Scalar:
         raise NotImplementedError
+
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        """(a(n), b(n)) for n = first, first + 1, ..., through `max_index` when
+        it is set; first >= 1."""
+        _check_index(first, 1, "first")
+        last = self.max_index
+        indices = count(first) if last is None else range(first, last + 1)
+        return ((self.a(n), self.b(n)) for n in indices)
 
     def require(self, n: int) -> None:
         """Fail fast when coefficients up to index n are not available."""
@@ -81,6 +90,10 @@ class FiniteCF(CFSpec):
             raise CoefficientUnavailable(n, "partial denominator b")
         return self.b_list[n]
 
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        _check_index(first, 1, "first")
+        return zip(islice(self.a_list, first - 1, None), islice(self.b_list, first, None))
+
 
 @dataclass(frozen=True)
 class PeriodicCF(CFSpec):
@@ -123,6 +136,12 @@ class PeriodicCF(CFSpec):
         _check_index(n, 0)
         return self.b_block[n % self.period]
 
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        _check_index(first, 1, "first")
+        # (a(n), b(n)) for n = 1 .. p, then the same p pairs again
+        block = zip(self.a_block, self.b_block[1:] + self.b_block[:1])
+        return islice(cycle(block), (first - 1) % self.period, None)
+
 
 @dataclass(frozen=True)
 class RuleCF(CFSpec):
@@ -139,6 +158,10 @@ class RuleCF(CFSpec):
     def b(self, n: int) -> Scalar:
         _check_index(n, 0)
         return self.b_rule(n)
+
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        _check_index(first, 1, "first")
+        return zip(map(self.a_rule, count(first)), map(self.b_rule, count(first)))
 
 
 def _make_regular(params: dict) -> CFSpec:
@@ -204,8 +227,14 @@ def iter_pairs(spec: CFSpec, k: int, n_max: int) -> Iterator[tuple[Scalar, Scala
     """(A(k,n), B(k,n)) of the tail b(k) + a(k+1)/b(k+1) + ... for n = 0 .. n_max;
     k = 0 gives the convergent pairs (A(n), B(n))."""
     spec.require(k + n_max)
-    indices = range(k + 1, k + n_max + 1)
-    return recurrence(spec.b(k), zip(map(spec.a, indices), map(spec.b, indices)))
+    return recurrence(spec.b(k), islice(spec.terms(k + 1), max(n_max, 0)))
+
+
+def coefficient_lists(spec: CFSpec, n: int) -> tuple[tuple, tuple]:
+    """(a(1), ..., a(n)) and (b(0), ..., b(n))."""
+    spec.require(n)
+    head = tuple(islice(spec.terms(1), n))
+    return tuple(a for a, _ in head), (spec.b(0), *(b for _, b in head))
 
 
 @dataclass(frozen=True)
@@ -275,8 +304,7 @@ def _power(m: Matrix, e: int) -> Matrix:
 
 def _steps(spec: CFSpec, first: int, last: int) -> Iterator[Matrix]:
     """Step matrices S(j) = [[b(j), 1], [a(j), 0]] for j = first .. last."""
-    for j in range(first, last + 1):
-        yield (spec.b(j), 1, spec.a(j), 0)
+    return ((b, 1, a, 0) for a, b in islice(spec.terms(first), last - first + 1))
 
 
 def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPair]:

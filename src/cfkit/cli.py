@@ -30,7 +30,7 @@ from .periodic import (
     power_iterate,
     reverse_period,
 )
-from .render import format_exact, format_float, parse_exact
+from .render import format_exact, format_float, int_texts, parse_exact
 from .scalars import DEFAULT_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
 from .tietze import NotSemiRegular, evaluate_tietze
@@ -53,8 +53,8 @@ def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-def _exact_or_none(value) -> str | None:
-    return format_exact(value) if is_exact(value) else None
+def _exact_or_none(value, int_text=None) -> str | None:
+    return format_exact(value, int_text) if is_exact(value) else None
 
 
 def _float_or_none(value, prec: int) -> str | None:
@@ -67,8 +67,11 @@ def _report(command: str, echo: dict, result: dict, values: dict, prec: int,
             exact_only: dict | None = None) -> dict:
     """The report of one subcommand: each of `values` is rendered into both
     `exact_values` and `float_values`, each of `exact_only` into the first."""
-    exact = {name: _exact_or_none(value) for name, value in values.items()}
-    exact.update((name, _exact_or_none(value)) for name, value in (exact_only or {}).items())
+    int_text = int_texts()
+    exact = {
+        name: _exact_or_none(value, int_text)
+        for name, value in {**values, **(exact_only or {})}.items()
+    }
     return {
         "command": command,
         "input": echo,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfcore import CFSpec, ConvergentPair, FiniteCF, pair_at
+from .cfcore import CFSpec, ConvergentPair, FiniteCF, coefficient_lists, pair_at
 from .errors import InvalidSpec, SizeLimit
 from .scalars import Scalar
 
@@ -113,11 +113,8 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    spec.require(n)
-    reversed_cf = FiniteCF(
-        a_list=[spec.a(i) for i in range(n, 0, -1)],
-        b_list=[spec.b(i) for i in range(n, -1, -1)],
-    )
+    a, b = coefficient_lists(spec, n)
+    reversed_cf = FiniteCF(a_list=a[::-1], b_list=b[::-1])
     prev, cur = pair_at(reversed_cf, 0, n)
     return ReversedConvergents(cur.num, cur.den, prev.num, prev.den)
 
@@ -155,8 +152,7 @@ def continuant_of_convergent(spec: CFSpec, n: int) -> tuple[Scalar, Scalar]:
     """(A(n), B(n)) recomputed as continuants of the coefficient slices."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    a = tuple(spec.a(i) for i in range(1, n + 1))
-    b = tuple(spec.b(i) for i in range(0, n + 1))
+    a, b = coefficient_lists(spec, n)
     num = continuant(ContinuantArgs(a=a, b=b))
     den = continuant(ContinuantArgs(a=a[1:], b=b[1:])) if n >= 1 else 1
     return num, den

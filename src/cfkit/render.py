@@ -15,6 +15,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable
 
 from .errors import SpecFileError
 from .scalars import (
@@ -58,29 +59,46 @@ def _text_rational(text: str) -> Fraction:
     return Fraction(_text_int(num), _text_int(den) if den else 1)
 
 
-def format_exact(x) -> str:
-    """Canonical string for an exact scalar (int, Fraction, or QuadExt)."""
+def int_texts() -> Callable[[int], str]:
+    """An `int_text` for `format_exact` that renders each distinct |n| once,
+    so that one report does not pay twice for the same big integer."""
+    texts: dict[int, str] = {}
+
+    def int_text(n: int) -> str:
+        m = abs(n)
+        text = texts.get(m)
+        if text is None:
+            text = texts[m] = _int_text(m)
+        return text if n >= 0 else f"-{text}"
+
+    return int_text
+
+
+def format_exact(x, int_text: Callable[[int], str] | None = None) -> str:
+    """Canonical string for an exact scalar (int, Fraction, or QuadExt);
+    `int_text` renders its integers, `_int_text` by default."""
+    text = int_text or _int_text
     if isinstance(x, int):
-        return _int_text(x)
+        return text(x)
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return _int_text(x.numerator)
-        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+            return text(x.numerator)
+        return f"{text(x.numerator)}/{text(x.denominator)}"
     if isinstance(x, QuadExt):
         p, q, d, r = _surd_parts(x)
-        radical = f"√{_int_text(d)}"
+        radical = f"√{text(d)}"
         if abs(q) != 1:
-            radical = f"{_int_text(abs(q))}{radical}"
+            radical = f"{text(abs(q))}{radical}"
         if p == 0:
             core = radical if q > 0 else f"-{radical}"
         else:
             op = "+" if q > 0 else "-"
-            core = f"{_int_text(p)} {op} {radical}"
+            core = f"{text(p)} {op} {radical}"
         if r == 1:
             return core
         if " " in core:
-            return f"({core})/{_int_text(r)}"
-        return f"{core}/{_int_text(r)}"
+            return f"({core})/{text(r)}"
+        return f"{core}/{text(r)}"
     raise TypeError(f"no exact form for {type(x).__name__}")
 
 

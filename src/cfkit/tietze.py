@@ -1,18 +1,24 @@
 """Semi-regular continued fractions: validation, growth certificates, evaluation.
 
 A CF is semi-regular when a(n) is +1 or -1, b(n) >= 1 and b(n) + a(n+1) >= 1
-for every n >= 1 (b(0) is unconstrained).  Under these conditions the
-denominators B(n) grow without bound, which makes the convergents a Cauchy
-sequence with the fully explicit window bound
+for every n >= 1 (b(0) is unconstrained).  Under these conditions every tail
+x(n+1) = b(n+1) + a(n+2)/x(n+2) lies in [1, oo] and the denominators B(n) are
+positive and grow without bound, so the value is the Moebius image
 
-    |A(n+k)/B(n+k) - A(n-1)/B(n-1)|  <=  1/B(n-1)      (n >= 1, k >= 0),
+    (A(n) x(n+1) + a(n+1) A(n-1)) / (B(n) x(n+1) + a(n+1) B(n-1))
 
-so a value can be returned together with a certified error bound.  The
-bound needs the conditions on every term of the tail, so `evaluate_tietze`
-checks all of a finite CF and p + 1 terms of a periodic CF of period p; an
-unbounded rule is checked on the terms read, and beyond them its
-semi-regularity is a premise.  `_semiregular_terms` is the one loop that
-applies the conditions.
+of [1, oo].  Since A(n) B(n-1) - A(n-1) B(n) = +-1, that image is an interval
+with one end at A(n)/B(n), the image of oo, and width
+
+    1 / (B(n) (B(n) + a(n+1) B(n-1))),
+
+about the square of the window bound 1/B(n-1) on
+|A(n+k)/B(n+k) - A(n-1)/B(n-1)|, so a value can be returned together with a
+certified error bound.  The bound needs the conditions on every term of the
+tail, so `evaluate_tietze` checks all of a finite CF and p + 1 terms of a
+periodic CF of period p; an unbounded rule is checked on the terms read, and
+beyond them its semi-regularity is a premise.  `_semiregular_terms` is the one
+loop that applies the conditions.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice, tee
+from math import isqrt
 from typing import Callable, Literal
 
 from .cfcore import CFSpec, PeriodicCF, iter_pairs, recurrence
@@ -101,15 +108,20 @@ def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
 def _semiregular_terms(spec: CFSpec):
     """(a(n), b(n)) for n = 1, 2, ..., refusing the first term that is not
     rational or that breaks a semi-regular condition."""
-    b_prev = None
-    for n in count(1):
-        a_n, b_n = spec.a(n), spec.b(n)
-        if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
-            raise _tower_mismatch(n, a_n, b_n)
-        violation = _violation(n, b_prev, a_n, b_n)
-        if violation is not None:
-            raise NotSemiRegular(violation)
-        yield a_n, b_n
+    b_prev = 2  # makes the sum condition vacuous at n = 1
+    for n, term in enumerate(spec.terms(1), 1):
+        a_n, b_n = term
+        if not (
+            isinstance(a_n, RATIONAL_TYPES)
+            and isinstance(b_n, RATIONAL_TYPES)
+            and (a_n == 1 or a_n == -1)
+            and b_n >= 1
+            and b_prev + a_n >= 1
+        ):
+            if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
+                raise _tower_mismatch(n, a_n, b_n)
+            raise NotSemiRegular(_violation(n, b_prev, a_n, b_n))
+        yield term
         b_prev = b_n
 
 
@@ -198,38 +210,53 @@ def evaluate_tietze(
     max_terms: int = DEFAULT_ITERATION_CAP,
     should_cancel: Callable[[], bool] | None = None,
 ) -> BoundedValue:
-    """Iterate convergents until the window bound certifies accuracy epsilon.
+    """Certify the value to accuracy epsilon from the Moebius enclosure.
 
-    Stops at the first index n where both B(n-1) and B(n) exceed 1/epsilon
-    and returns A(n)/B(n).  The reported error bound is the larger of
-    1/B(n-1) and 1/B(n), which dominates the true error of the returned
-    convergent.
+    Stops at the first index n where B(n) (B(n) + a(n+1) B(n-1)) exceeds
+    1/epsilon and returns A(n)/B(n) with the error bound
+    1/(B(n) (B(n) + a(n+1) B(n-1))) < epsilon: the limit lies between
+    A(n)/B(n) and (A(n) + a(n+1) A(n-1))/(B(n) + a(n+1) B(n-1)), the images
+    of the tails oo and 1.  The test needs a(n+1), so the terms are read one
+    ahead of the recurrence.  A finite spec that reaches its last index N
+    returns A(N)/B(N), its exact value, with error bound 0, and a(N+1) is
+    never asked for.
 
     The bound needs the semi-regular conditions on the whole tail, so each
     term is checked as it is read, and after stopping the check reads on,
     without recurrence steps, through every coefficient the value depends
     on: to the last index of a finite spec, and to index p + 1 of a periodic
     spec of period p, which covers every condition.  A rule is checked only
-    on the terms read; beyond them its semi-regularity is a premise.  The
-    first broken condition raises `InvalidSpec`, a coefficient that is not
-    rational `TowerMismatch`; `checked_up_to` is the last index checked.
+    on the terms read, n + 1 of them; beyond them its semi-regularity is a
+    premise.  The first broken condition raises `InvalidSpec`, a coefficient
+    that is not rational `TowerMismatch`; `checked_up_to` is the last index
+    checked.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    # B * eps > 1, in integers: for rational B this also forces B > 0
+    # certified once B(n) (B(n) + a(n+1) B(n-1)) eps > 1, in integers; the
+    # B are positive, so the product is at most 2 max(B(n-1), B(n))^2 and
+    # cannot pass while both are <= floor
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
+    floor = isqrt(eps_den // (2 * eps_num))
     terms = _semiregular_terms(spec)
-    pairs = recurrence(spec.b(0), islice(terms, max_terms))
-    _, b_prev = next(pairs)
-    for n, (a_cur, b_cur) in enumerate(pairs, 1):
-        if should_cancel is not None and n % 1024 == 0 and should_cancel():
-            raise EvaluationCancelled(f"cancelled after {n} terms")
-        if b_prev * eps_num > eps_den and b_cur * eps_num > eps_den:
+    feed, ahead = tee(islice(terms, max_terms))
+    pairs = recurrence(spec.b(0), feed)
+    n, b_prev = -1, 0
+    # `ahead` runs one term in front of `pairs`: (a(n+1), b(n+1)) with (A(n), B(n))
+    for n, ((a_next, _), (a_cur, b_cur)) in enumerate(zip(ahead, pairs)):
+        if should_cancel is not None and (n + 1) % 1024 == 0 and should_cancel():
+            raise EvaluationCancelled(f"cancelled after {n + 1} terms")
+        if (b_cur > floor or b_prev > floor) and (
+            (inverse_width := b_cur * (b_cur + a_next * b_prev)) * eps_num > eps_den
+        ):
             last = spec.period + 1 if isinstance(spec, PeriodicCF) else spec.max_index
-            checked_up_to = max(n, last or 0)
-            deque(islice(terms, checked_up_to - n), maxlen=0)
-            bound = max(Fraction(1, 1) / b_prev, Fraction(1, 1) / b_cur)
+            checked_up_to = max(n + 1, last or 0)
+            deque(islice(terms, checked_up_to - n - 1), maxlen=0)
+            bound = Fraction(1, 1) / inverse_width
             return BoundedValue(scalar_div(a_cur, b_cur), n, bound, checked_up_to)
         b_prev = b_cur
+    if n + 1 == spec.max_index:  # every term read: A(N)/B(N) is the value
+        a_cur, b_cur = next(pairs)
+        return BoundedValue(scalar_div(a_cur, b_cur), n + 1, Fraction(0), n + 1)
     raise IterationCap(max_terms)

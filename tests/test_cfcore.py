@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from cfkit import (
+    CFSpec,
     FiniteCF,
     PeriodicCF,
     RuleCF,
@@ -219,6 +221,38 @@ class TestSpecs:
             spec.a(0)
         with pytest.raises(ValueError):
             spec.b(-1)
+
+
+class _Indexed(CFSpec):
+    """Coefficients by index only: `terms` is the CFSpec default."""
+
+    max_index = 7
+
+    def a(self, n):
+        return -n
+
+    def b(self, n):
+        return Fraction(n, 3)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FiniteCF(a_list=(2, -1, 3, 1, 4), b_list=(5, 9, 2, 6, 5, 3)),
+        PeriodicCF(a_block=(7, 8, -9), b_block=(5, 6, 4)),
+        make_generator("sqrt2"),
+        RuleCF(a_rule=lambda n: n * n, b_rule=lambda n: 1 - n),
+        _Indexed(),
+    ],
+    ids=["finite", "periodic", "rule", "rule_squares", "default"],
+)
+def test_terms_stream_matches_indexed_coefficients(spec):
+    end = spec.max_index if spec.max_index is not None else 40
+    for first in (1, 2, 3, 4, 5, 6, 7, 8, 11):
+        expected = [(spec.a(n), spec.b(n)) for n in range(first, end + 1)][:20]
+        assert list(islice(spec.terms(first), 20)) == expected
+    with pytest.raises(ValueError):
+        spec.terms(0)
 
 
 class TestGenerators:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit import parse_exact
+from cfkit import PeriodicCF, parse_exact, render
+from cfkit.cfcore import convergent_pair
 from cfkit.cli import MAX_STEPS, main
 
 
@@ -79,6 +80,25 @@ class TestEval:
             fib.append(fib[-1] + fib[-2])
         assert parse_exact(report["exact_values"]["value"]) == Fraction(fib[21002], fib[21001])
         assert parse_exact(report["exact_values"]["A"]) == fib[21002]
+
+    def test_each_big_integer_rendered_once(self, capsys, golden_spec, monkeypatch):
+        # value = A/B in lowest terms: its digits are A's and B's, not a third
+        # and fourth rendering of the same integers
+        rendered = []
+        int_text = render._int_text
+
+        def counted(n):
+            rendered.append(n)
+            return int_text(n)
+
+        monkeypatch.setattr(render, "_int_text", counted)
+        code, report = run_json(capsys, ["eval", golden_spec, "-n", "20000"])
+        assert code == 0
+        assert len([n for n in rendered if n.bit_length() > 64]) == 2
+        pair = convergent_pair(PeriodicCF(a_block=(1,), b_block=(1,)), 20000)
+        exact = report["exact_values"]
+        assert exact["A"] == int_text(pair.num) and exact["B"] == int_text(pair.den)
+        assert exact["value"] == f"{exact['A']}/{exact['B']}"
 
     @pytest.mark.parametrize("generator, n", [
         pytest.param("golden", 20_000, id="golden"),
@@ -159,9 +179,9 @@ class TestTietze:
     def test_footnote_closed_form(self, capsys, footnote_spec):
         code, report = run_json(capsys, ["tietze", footnote_spec, "--eps", "1/10"])
         assert code == 0
-        assert report["exact_values"]["value"] == "13/12"
+        assert report["exact_values"]["value"] == "12/11"
         assert report["exact_values"]["error_bound"] == "1/11"
-        assert report["result"]["n_used"] == 11
+        assert report["result"]["n_used"] == 10
 
     def test_violation_exits_5(self, capsys, tmp_path):
         spec = write_spec(
@@ -196,7 +216,7 @@ class TestTietze:
         spec = write_spec(tmp_path, {"mode": "finite", "a": [1] * 30, "b": [1] * 31})
         code, report = run_json(capsys, ["tietze", spec, "--eps", "1/10"])
         assert code == 0
-        assert report["result"]["n_used"] == 7
+        assert report["result"]["n_used"] == 3
         assert report["result"]["checked_up_to"] == 30
 
 

@@ -1,12 +1,12 @@
 """Property tests of the exact towers (field laws, value identity, sign, text
 form) and of the recurrence core and the single-pair matrix products against
-the independent loop in brute.py."""
+the independent loop in brute.py, and of Tietze certificates against it."""
 
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -23,6 +23,7 @@ from cfkit import (
     convergent_table,
     cross_determinant,
     evaluate_convergent,
+    evaluate_tietze,
     format_exact,
     generalized_cross_determinant,
     pair_at,
@@ -272,3 +273,47 @@ def test_complex_pairs_agree_with_stream_within_tolerance(case):
         cur = pair_at(spec, k, n)[1]
         assert gap(cur.num, nums[n]) <= tolerance * num_scale[n]
         assert gap(cur.den, dens[n]) <= tolerance * den_scale[n]
+
+
+@st.composite
+def semiregular_cases(draw):
+    """(spec, eps): a semi-regular FiniteCF of 1..30 terms or PeriodicCF of
+    period 1..4, and eps = 10**-e for e in 1..40."""
+    periodic = draw(st.booleans())
+    n = draw(st.integers(1, 4 if periodic else 30))
+    a = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))  # a[i] = a(i+1)
+    b = [draw(small_rationals)]  # b(0) is unconstrained
+    for i in range(1, n + 1):
+        a_next = a[i % n] if periodic else (a[i] if i < n else 1)
+        low = 1 if a_next == 1 else 2  # b(i) >= 1 and b(i) + a(i+1) >= 1
+        b.append(low + draw(st.fractions(0, 3, max_denominator=4)))
+    if periodic:  # b(0) = b(p)
+        spec = PeriodicCF(a_block=a, b_block=b[n:] + b[1:n])
+    else:
+        spec = FiniteCF(a_list=a, b_list=b)
+    return spec, Fraction(1, 10 ** draw(st.integers(1, 40)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(semiregular_cases())
+@example((PeriodicCF(a_block=(-1,), b_block=(2,)), Fraction(1, 10)))  # limit 1 = value - bound
+def test_tietze_certificate_encloses_the_value(case):
+    spec, eps = case
+    if isinstance(spec, PeriodicCF):
+        # B(n) may grow only linearly, as for 2 - 1/(2 - ...): keep the specs
+        # whose 1/eps is within reach of a few hundred terms
+        assume(raw_table(spec, 300)[1][-1] > 10**50 or eps == Fraction(1, 10))
+    bounded = evaluate_tietze(spec, eps, max_terms=2000)
+    assert bounded.error_bound < eps
+    n = bounded.n_used
+    if isinstance(spec, PeriodicCF):
+        depth, checked = 2 * n + 20, max(n + 1, spec.period + 1)
+    else:
+        depth = checked = spec.max_index
+    assert bounded.checked_up_to == checked
+    nums, dens = raw_table(spec, depth)
+    assert bounded.value == Fraction(nums[n]) / dens[n]
+    if n == spec.max_index:
+        assert bounded.error_bound == 0
+    # any convergent past n is a Moebius image of a tail in [1, oo)
+    assert abs(Fraction(nums[depth]) / dens[depth] - bounded.value) <= bounded.error_bound

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit import format_exact, parse_exact, quadext
+from cfkit import format_exact, parse_exact, quadext, render
 from cfkit.errors import SpecFileError
 from cfkit.render import format_float, squarefree_split
 
@@ -12,6 +12,16 @@ def F(n, d=1):
 
 
 class TestFormat:
+    def test_shared_int_texts_render_each_magnitude_once(self, monkeypatch):
+        values = [-(7**40), F(7**40, 3**50), 7**40 - 1, quadext(-(3**50), 3**50, 5), 0]
+        expected = [format_exact(x) for x in values]
+        rendered = []
+        int_text = render._int_text
+        monkeypatch.setattr(render, "_int_text", lambda n: rendered.append(n) or int_text(n))
+        shared = render.int_texts()
+        assert [format_exact(x, shared) for x in values] == expected
+        assert sorted(rendered) == sorted({0, 5, 7**40 - 1, 7**40, 3**50})
+
     def test_integers_and_fractions(self):
         assert format_exact(F(3)) == "3"
         assert format_exact(F(-3, 4)) == "-3/4"

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cfkit import (
+    BoundedValue,
+    CFSpec,
     ComplexFloat,
     FiniteCF,
     PeriodicCF,
@@ -98,10 +100,10 @@ class TestCertificate:
 class TestEvaluate:
     def test_footnote_tenth(self):
         bounded = evaluate_tietze(footnote_cf(), Fraction(1, 10))
-        assert bounded.value == Fraction(13, 12)
-        assert bounded.n_used == 11
+        assert bounded.value == Fraction(12, 11)
+        assert bounded.n_used == 10
         assert bounded.error_bound == Fraction(1, 11)
-        # the limit is exactly 1
+        # the limit is exactly 1, the end of the enclosure where every tail is 1
         assert abs(bounded.value - 1) <= bounded.error_bound
 
     def test_sqrt2(self):
@@ -112,7 +114,7 @@ class TestEvaluate:
 
     def test_coarse_epsilon_returns_quickly(self):
         bounded = evaluate_tietze(footnote_cf(), Fraction(1))
-        assert bounded.n_used == 2
+        assert bounded.n_used == 1
         assert bounded.error_bound == Fraction(1, 2)
 
     def test_refinement_consistency(self, rng):
@@ -173,9 +175,36 @@ class TestEvaluate:
             evaluate_tietze(spec, Fraction(1, 10**20))
 
     def test_finite_spec_read_only_up_to_its_last_term(self):
-        # the stopping index 5 is the spec's last: a(6) must not be read
+        # B(2) (B(2) + a(3) B(1)) = 6 > 4 stops at 2; the check reads on to
+        # the last index 5, and a(6) must not be read
         spec = FiniteCF(a_list=(1,) * 5, b_list=(1,) * 6)
-        assert evaluate_tietze(spec, Fraction(1, 4)).n_used == 5
+        bounded = evaluate_tietze(spec, Fraction(1, 4))
+        assert (bounded.n_used, bounded.checked_up_to) == (2, 5)
+        assert bounded.error_bound == Fraction(1, 6)
+
+    def test_finite_spec_end_is_exact(self):
+        # no n < 5 certifies 1e-9, so the last index returns A(5)/B(5) itself
+        read = []
+
+        class Counted(CFSpec):
+            max_index = 5
+
+            def a(self, n):
+                read.append(n)
+                return 1
+
+            def b(self, n):
+                return 1
+
+        bounded = evaluate_tietze(Counted(), Fraction(1, 10**9))
+        assert bounded == BoundedValue(Fraction(13, 8), 5, Fraction(0), 5)
+        assert max(read) == 5
+
+    def test_sqrt2_deep_pin(self):
+        # half the 2614 terms the window bound max(1/B(n-1), 1/B(n)) needed
+        bounded = evaluate_tietze(make_generator("sqrt2"), Fraction(1, 10**1000))
+        assert bounded.n_used == 1307
+        assert bounded.error_bound < Fraction(1, 10**1000)
 
     def test_finite_violation_in_the_last_term(self):
         # b(30) turns A(30)/B(30) into about -1.44e8 after 29 terms that
@@ -205,9 +234,10 @@ class TestEvaluate:
         periodic = PeriodicCF(a_block=(1,) * 12, b_block=(1,) * 12)
         assert evaluate_tietze(finite, Fraction(1, 10)).checked_up_to == 30
         assert evaluate_tietze(periodic, Fraction(1, 10)).checked_up_to == 13
-        # a rule's semi-regularity past the terms read is a premise
+        # a rule is checked one term ahead of the stopping index; its
+        # semi-regularity past the terms read is a premise
         bounded = evaluate_tietze(make_generator("sqrt2"), Fraction(1, 10))
-        assert bounded.checked_up_to == bounded.n_used
+        assert bounded.checked_up_to == bounded.n_used + 1 == 3
 
     @pytest.mark.parametrize(
         "spec, message",
