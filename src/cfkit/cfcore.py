@@ -19,7 +19,7 @@ produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, cycle, islice
+from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator
@@ -44,8 +44,10 @@ class CFSpec:
         it is set; first >= 1."""
         _check_index(first, 1, "first")
         last = self.max_index
-        indices = count(first) if last is None else range(first, last + 1)
-        return ((self.a(n), self.b(n)) for n in indices)
+        if last is None:
+            return zip(map(self.a, count(first)), map(self.b, count(first)))
+        indices = range(first, last + 1)
+        return zip(map(self.a, indices), map(self.b, indices))
 
     def require(self, n: int) -> None:
         """Fail fast when coefficients up to index n are not available."""
@@ -90,10 +92,6 @@ class FiniteCF(CFSpec):
             raise CoefficientUnavailable(n, "partial denominator b")
         return self.b_list[n]
 
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        _check_index(first, 1, "first")
-        return zip(islice(self.a_list, first - 1, None), islice(self.b_list, first, None))
-
 
 @dataclass(frozen=True)
 class PeriodicCF(CFSpec):
@@ -135,12 +133,6 @@ class PeriodicCF(CFSpec):
     def b(self, n: int) -> Scalar:
         _check_index(n, 0)
         return self.b_block[n % self.period]
-
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        _check_index(first, 1, "first")
-        # (a(n), b(n)) for n = 1 .. p, then the same p pairs again
-        block = zip(self.a_block, self.b_block[1:] + self.b_block[:1])
-        return islice(cycle(block), (first - 1) % self.period, None)
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,9 @@ def _semiregular_terms(spec: CFSpec):
     b_prev = 2  # makes the sum condition vacuous at n = 1
     for n, term in enumerate(spec.terms(1), 1):
         a_n, b_n = term
-        if not (
-            isinstance(a_n, RATIONAL_TYPES)
-            and isinstance(b_n, RATIONAL_TYPES)
-            and (a_n == 1 or a_n == -1)
-            and b_n >= 1
-            and b_prev + a_n >= 1
-        ):
-            if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
-                raise _tower_mismatch(n, a_n, b_n)
+        if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
+            raise _tower_mismatch(n, a_n, b_n)
+        if not ((a_n == 1 or a_n == -1) and b_n >= 1 and b_prev + a_n >= 1):
             raise NotSemiRegular(_violation(n, b_prev, a_n, b_n))
         yield term
         b_prev = b_n

@@ -4,6 +4,7 @@ import pytest
 
 from cfkit import (
     ContinuantArgs,
+    FiniteCF,
     continuant,
     continuant_of_convergent,
     continuant_oracle,
@@ -15,7 +16,7 @@ from cfkit import (
     shifted_table,
     tail_combination,
 )
-from cfkit.errors import InvalidSpec, SizeLimit
+from cfkit.errors import CoefficientUnavailable, InvalidSpec, SizeLimit
 from conftest import footnote_cf, golden_cf, nonzero_int, random_finite
 
 
@@ -108,6 +109,13 @@ class TestConvergentsAreContinuants:
             for n in range(0, 31):
                 num, den = continuant_of_convergent(spec, n)
                 assert (num, den) == (table[n + 1].num, table[n + 1].den)
+
+    def test_past_a_finite_end_names_the_requested_index(self):
+        # the same error `pair_at` and `reverse_relations` raise: index n, not N + 1
+        spec = FiniteCF(a_list=(1, 1, 1), b_list=(1, 2, 3, 4))
+        with pytest.raises(CoefficientUnavailable, match="^coefficient at index 6 is") as info:
+            continuant_of_convergent(spec, 6)
+        assert info.value.index == 6
 
 
 class TestReverseRelations:
