@@ -40,7 +40,6 @@ from .errors import (
     CertificateFailure,
     CoefficientUnavailable,
     DegenerateMatrix,
-    EvaluationCancelled,
     InvalidSpec,
     IterationCap,
     NotIrrational,

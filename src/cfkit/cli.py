@@ -104,8 +104,7 @@ def _emit(report: dict, as_json: bool):
 
 def _load(args) -> tuple[SpecFile, CFSpec, int]:
     spec_file = load_specfile(args.spec, precision_override=args.precision)
-    prec = args.precision or spec_file.precision_bits
-    return spec_file, spec_file.to_cfspec(), prec
+    return spec_file, spec_file.to_cfspec(), spec_file.precision_bits
 
 
 def _echo(args, spec_file: SpecFile) -> dict:

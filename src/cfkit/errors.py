@@ -60,10 +60,6 @@ class IterationCap(CFKitError):
         super().__init__(f"no certified value after {cap} terms")
 
 
-class EvaluationCancelled(CFKitError):
-    """A cooperative cancellation token stopped a long evaluation."""
-
-
 class DegenerateMatrix(CFKitError):
     """The 2x2 matrix does not satisfy the preconditions (det or b entry zero)."""
 

@@ -10,8 +10,9 @@ report carries the witness index.
 
 Rational input is classified exactly: the discriminant's sign replaces any
 modulus comparison and the fixed-point test is decided in the quadratic
-extension field.  Complex floating input is classified with an explicit
-relative tolerance and refuses to guess inside the undecidable band.
+extension field.  Complex floating input is classified with the fixed
+relative tolerance `TOLERANCE` = 2^-64 and refuses to guess inside the
+undecidable band.
 `classify` is the only fixed-point (Thiele) scan; the Galois and conjugate
 checks compare its results.
 """
@@ -44,7 +45,7 @@ from .scalars import (
     scalar_div,
 )
 
-DEFAULT_TOLERANCE = Fraction(1, 2**64)
+TOLERANCE = Fraction(1, 2**64)
 
 STRICTLY_DOMINANT = "strictly_dominant"
 EQUAL_DISTINCT = "equal_distinct"
@@ -81,10 +82,14 @@ class PeriodMatrix:
     def apply(self, u: Scalar, v: Scalar) -> tuple[Scalar, Scalar]:
         return self.m11 * u + self.m12 * v, self.m21 * u + self.m22 * v
 
-    def is_exact(self) -> bool:
-        return not any(
-            isinstance(m, ComplexFloat) for m in (self.m11, self.m12, self.m21, self.m22)
-        )
+    @property
+    def prec(self) -> int:
+        """Largest precision of a ComplexFloat entry; 0 when the matrix is exact."""
+        prec = 0
+        for m in (self.m11, self.m12, self.m21, self.m22):
+            if isinstance(m, ComplexFloat) and m.prec > prec:
+                prec = m.prec
+        return prec
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     matrix = PeriodMatrix(
         m11=prev.num, m12=a_p * prev2.num, m21=prev.den, m22=a_p * prev2.den
     )
-    if matrix.is_exact():
+    if not matrix.prec:
         b0 = pcf.b(0)
         checks = (
             ("m12 = A(p) - b(0) A(p-1)", matrix.m12 == full.num - b0 * prev.num),
@@ -157,43 +162,32 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     return matrix
 
 
-def _float_entries(matrix: PeriodMatrix) -> int:
-    precs = [
-        m.prec for m in (matrix.m11, matrix.m12, matrix.m21, matrix.m22)
-        if isinstance(m, ComplexFloat)
-    ]
-    return max(precs) if precs else 0
+def _tolerance_mpf(prec: int):
+    return _ctx(prec).fdiv(TOLERANCE.numerator, TOLERANCE.denominator)
 
 
-def _tolerance_mpf(tolerance: Fraction, prec: int):
-    ctx = _ctx(prec)
-    return ctx.fdiv(tolerance.numerator, tolerance.denominator)
-
-
-def _values_match(x, y, tolerance: Fraction) -> bool:
+def _values_match(x, y) -> bool:
     if isinstance(x, ComplexFloat) or isinstance(y, ComplexFloat):
         prec = max(
             x.prec if isinstance(x, ComplexFloat) else 0,
             y.prec if isinstance(y, ComplexFloat) else 0,
         )
         xf, yf = as_complexfloat(x, prec), as_complexfloat(y, prec)
-        tol = _tolerance_mpf(tolerance, prec)
+        tol = _tolerance_mpf(prec)
         return (xf - yf).modulus() <= tol * (xf.modulus() + yf.modulus() + 1)
     return x == y
 
 
-def eigen_split(
-    matrix: PeriodMatrix, tolerance: Fraction | None = None
-) -> EigenSplit:
+def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     """Eigenvalues of the period matrix with |lambda1| >= |lambda2|.
 
     Exact matrices are split by the sign of the discriminant: positive
     discriminant with nonzero trace gives strict dominance, zero trace gives
     a real pair of equal modulus, negative discriminant gives a conjugate
     pair, zero discriminant a repeated root.  Floating matrices use the
-    quadratic formula and a relative tolerance for the modulus comparison.
+    quadratic formula at the largest entry precision, and the relative
+    tolerance `TOLERANCE` for the modulus comparison.
     """
-    tolerance = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
     tr, det = matrix.trace, matrix.det
     if is_zero(det):
         raise DegenerateMatrix("determinant is zero")
@@ -203,12 +197,11 @@ def eigen_split(
                 "eigenvalue split over quadratic-extension entries would need "
                 "nested radicals; use the complex tower instead"
             )
-    if matrix.is_exact():
-        lam1, lam2, relation = _eigen_split_exact(Fraction(tr), Fraction(det))
+    prec = matrix.prec
+    if prec:
+        lam1, lam2, relation = _eigen_split_float(tr, det, prec)
     else:
-        lam1, lam2, relation = _eigen_split_float(
-            tr, det, _float_entries(matrix), tolerance
-        )
+        lam1, lam2, relation = _eigen_split_exact(Fraction(tr), Fraction(det))
     x1 = x2 = None
     if not is_zero(matrix.m21):
         x1 = scalar_div(lam1 - matrix.m22, matrix.m21)
@@ -230,9 +223,7 @@ def _eigen_split_exact(tr: Fraction, det: Fraction) -> tuple[Scalar, Scalar, str
     return (tr + root) / 2, (tr - root) / 2, relation
 
 
-def _eigen_split_float(
-    tr: Scalar, det: Scalar, prec: int, tolerance: Fraction
-) -> tuple[Scalar, Scalar, str]:
+def _eigen_split_float(tr: Scalar, det: Scalar, prec: int) -> tuple[Scalar, Scalar, str]:
     tr = as_complexfloat(tr, prec)
     det = as_complexfloat(det, prec)
     disc = tr * tr - 4 * det
@@ -241,7 +232,7 @@ def _eigen_split_float(
     lam2 = (tr - root) / 2
     if lam1.modulus() < lam2.modulus():
         lam1, lam2 = lam2, lam1
-    tol = _tolerance_mpf(tolerance, prec)
+    tol = _tolerance_mpf(prec)
     m1, m2 = lam1.modulus(), lam2.modulus()
     gap = (lam1 - lam2).modulus()
     if gap <= tol * (m1 + m2):
@@ -253,9 +244,7 @@ def _eigen_split_float(
     return lam1, lam2, relation
 
 
-def classify(
-    pcf: PeriodicCF, tolerance: Fraction | None = None
-) -> StolzReport:
+def classify(pcf: PeriodicCF) -> StolzReport:
     """Full convergence verdict for a purely periodic CF.
 
     Never iterates convergents past one period: the verdict comes from the
@@ -264,34 +253,31 @@ def classify(
     decided at the working tolerance.
     """
     matrix = build_period_matrix(pcf)
-    exact = matrix.is_exact()
-    eigen = eigen_split(matrix, tolerance)
+    eigen = eigen_split(matrix)
+    return StolzReport(matrix, eigen, _verdict(pcf, matrix, eigen))
+
+
+def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
     if is_zero(matrix.m21):
-        return StolzReport(matrix, eigen, Verdict(kind=DIVERGENT_ZERO_DENOMINATOR))
+        return Verdict(kind=DIVERGENT_ZERO_DENOMINATOR)
     if eigen.modulus_relation == EQUAL_REPEATED:
-        return StolzReport(
-            matrix, eigen, Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C1")
-        )
+        return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C1")
     if eigen.modulus_relation == EQUAL_DISTINCT:
-        return StolzReport(matrix, eigen, Verdict(kind=DIVERGENT_EQUAL_MODULUS))
+        return Verdict(kind=DIVERGENT_EQUAL_MODULUS)
     # strict dominance: check whether any early convergent sits on x2
-    tolerance = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
+    exact = not matrix.prec
     x2 = eigen.x2
     p = pcf.period
     for q, (num, den) in enumerate(islice(iter_pairs(pcf, 0, p - 2), p - 1)):
         on_x2 = x2 * den
         if is_zero(num - on_x2):
-            return StolzReport(
-                matrix, eigen, Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=x2)
-            )
-        if not exact and _values_match(num, on_x2, tolerance):
+            return Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=x2)
+        if not exact and _values_match(num, on_x2):
             raise PrecisionExhausted(
                 f"fixed-point test at q={q} is inside the tolerance band; "
                 f"raise precision or use an exact tower"
             )
-    return StolzReport(
-        matrix, eigen, Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C2")
-    )
+    return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C2")
 
 
 def power_iterate(
@@ -350,9 +336,7 @@ class GaloisReport:
     relation_holds: bool
 
 
-def galois_analysis(
-    pcf: PeriodicCF, tolerance: Fraction | None = None
-) -> GaloisReport:
+def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     """Classify a CF and its reversed period, and check the predicted relation.
 
     The reversed period matrix has the same trace and determinant, so its
@@ -360,14 +344,13 @@ def galois_analysis(
     `relation_holds` is True exactly when the reversed CF's verdict is
     convergent or divergent_thiele, its modulus relation equals the
     original's, and its x1 and x2 match b(0) - x2 and b(0) - x1 (within
-    the tolerance in the complex tower).  The reversed CF then converges to
+    `TOLERANCE` in the complex tower).  The reversed CF then converges to
     b(0) - x2, unless `classify`'s own scan found an early convergent on
     b(0) - x1.  For a CF that does not converge it is True.  It is a
     self-check and should always be True.
     """
-    tol = DEFAULT_TOLERANCE if tolerance is None else Fraction(tolerance)
-    alpha = classify(pcf, tolerance)
-    alpha_prime = classify(reverse_period(pcf), tolerance)
+    alpha = classify(pcf)
+    alpha_prime = classify(reverse_period(pcf))
     if not alpha.verdict.is_convergent:
         return GaloisReport(alpha, alpha_prime, True)
     b0 = pcf.b(0)
@@ -375,8 +358,8 @@ def galois_analysis(
     holds = (
         alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
         and eigen_prime.modulus_relation == eigen.modulus_relation
-        and _values_match(eigen_prime.x1, b0 - eigen.x2, tol)
-        and _values_match(eigen_prime.x2, b0 - eigen.x1, tol)
+        and _values_match(eigen_prime.x1, b0 - eigen.x2)
+        and _values_match(eigen_prime.x2, b0 - eigen.x1)
     )
     return GaloisReport(alpha, alpha_prime, holds)
 
@@ -392,10 +375,7 @@ class ConjugateReport:
 def _require_integers(pcf: PeriodicCF):
     for name, block in (("a", pcf.a_block), ("b", pcf.b_block)):
         for value in block:
-            ok = isinstance(value, int) or (
-                isinstance(value, Fraction) and value.denominator == 1
-            )
-            if not ok:
+            if not (is_rational(value) and value.denominator == 1):
                 raise TowerMismatch(
                     f"conjugate analysis needs integer coefficients, "
                     f"got {name}-coefficient {value!r}"

@@ -153,13 +153,10 @@ def parse_exact(text: str):
     return quadext(p / r, q / r, d)
 
 
-def decimal_digits(prec_bits: int) -> int:
-    return max(6, int(prec_bits * 0.30103))
-
-
-def format_float(x, prec_bits: int = 128, digits: int | None = None) -> str:
-    """Decimal rendering of any scalar at the requested working precision."""
-    digits = digits if digits is not None else decimal_digits(prec_bits)
+def format_float(x, prec_bits: int = 128) -> str:
+    """Decimal rendering of any scalar at the requested working precision,
+    to max(6, prec_bits log10(2)) significant digits."""
+    digits = max(6, int(prec_bits * 0.30103))
     value = as_complexfloat(x, prec_bits)
     ctx = _ctx(max(prec_bits, value.prec))
     if value.im == 0:

@@ -13,9 +13,9 @@ and only the printed form reduces d to its squarefree part.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from mpmath.ctx_mp import MPContext
@@ -273,8 +273,6 @@ class QuadExt:
         if parts is None:
             return NotImplemented
         oa, ob = parts
-        if oa == 0 and ob == 0:
-            raise ZeroDivisionError("division by zero")
         if ob == 0:
             return _quadext_trusted(self.a / oa, self.b / oa, self.d)
         return self * _quadext_trusted(oa, ob, self.d)._inverse()
@@ -362,18 +360,12 @@ def abs_lt(x, bound: RationalLike) -> bool:
 
 # -- complex floating tower ---------------------------------------------------
 
-_context_lock = threading.Lock()
-_contexts: dict[int, MPContext] = {}
-
-
+@cache
 def _ctx(prec_bits: int) -> MPContext:
-    """Shared mpmath context per precision; never mutated after creation."""
-    with _context_lock:
-        ctx = _contexts.get(prec_bits)
-        if ctx is None:
-            ctx = MPContext()
-            ctx.prec = prec_bits
-            _contexts[prec_bits] = ctx
+    """Shared mpmath context per precision; never mutated after creation, so
+    two threads racing on a first call at worst build two equal contexts."""
+    ctx = MPContext()
+    ctx.prec = prec_bits
     return ctx
 
 
@@ -423,15 +415,9 @@ class ComplexFloat:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, ComplexFloat) and other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        if isinstance(other, (int, Fraction)) and other == 0:
-            raise ZeroDivisionError("division by zero")
         return self._binary(other, lambda a, b: a / b)
 
     def __rtruediv__(self, other):
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero")
         return self._binary(other, lambda a, b: a / b, reverse=True)
 
     def __neg__(self):
@@ -520,7 +506,5 @@ def is_zero(x) -> bool:
 def scalar_div(num, den):
     """Exact division that returns Fractions for int/int input."""
     if isinstance(num, int) and isinstance(den, int):
-        if den == 0:
-            raise ZeroDivisionError("division by zero")
         return Fraction(num, den)
     return num / den

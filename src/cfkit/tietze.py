@@ -29,12 +29,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, islice, tee
 from math import isqrt
-from typing import Callable, Literal
+from typing import Literal
 
 from .cfcore import CFSpec, PeriodicCF, iter_pairs, recurrence
 from .errors import (
     CertificateFailure,
-    EvaluationCancelled,
     InvalidSpec,
     IterationCap,
     TowerMismatch,
@@ -202,7 +201,6 @@ def evaluate_tietze(
     spec: CFSpec,
     epsilon: Fraction | int,
     max_terms: int = DEFAULT_ITERATION_CAP,
-    should_cancel: Callable[[], bool] | None = None,
 ) -> BoundedValue:
     """Certify the value to accuracy epsilon from the Moebius enclosure.
 
@@ -223,7 +221,8 @@ def evaluate_tietze(
     on the terms read, n + 1 of them; beyond them its semi-regularity is a
     premise.  The first broken condition raises `InvalidSpec`, a coefficient
     that is not rational `TowerMismatch`; `checked_up_to` is the last index
-    checked.
+    checked.  `max_terms` is the only limit on the loop: with no certificate
+    after that many terms it raises `IterationCap`.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -239,8 +238,6 @@ def evaluate_tietze(
     n, b_prev = -1, 0
     # `ahead` runs one term in front of `pairs`: (a(n+1), b(n+1)) with (A(n), B(n))
     for n, ((a_next, _), (a_cur, b_cur)) in enumerate(zip(ahead, pairs)):
-        if should_cancel is not None and (n + 1) % 1024 == 0 and should_cancel():
-            raise EvaluationCancelled(f"cancelled after {n + 1} terms")
         if (b_cur > floor or b_prev > floor) and (
             (inverse_width := b_cur * (b_cur + a_next * b_prev)) * eps_num > eps_den
         ):

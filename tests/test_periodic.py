@@ -213,6 +213,17 @@ class TestEigenSplit:
         with pytest.raises(TowerMismatch):
             eigen_split(m)
 
+    @pytest.mark.parametrize("prec11, prec21", [(128, 256), (256, 128)])
+    def test_float_split_runs_at_the_largest_entry_precision(self, prec11, prec21):
+        # trace 5, det 5: lambda = (5 +- sqrt5)/2, whichever entry holds 256 bits
+        m = PeriodMatrix(ComplexFloat(2, 0, prec11), 1, ComplexFloat(1, 0, prec21), 3)
+        split = eigen_split(m)
+        assert split.modulus_relation == STRICTLY_DOMINANT
+        assert split.lambda1.prec == split.lambda2.prec == 256
+        for lam, sign in ((split.lambda1, 1), (split.lambda2, -1)):
+            exact = as_complexfloat(quadext(F(5, 2), F(sign, 2), 5), 256)
+            assert (lam - exact).modulus() < 2.0**-250
+
 
 class TestClassify:
     def test_footnote_convergent_repeated(self):

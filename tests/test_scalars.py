@@ -4,7 +4,7 @@ import pytest
 
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import abs_lt, is_zero, sign_of
+from cfkit.scalars import abs_lt, is_zero, scalar_div, sign_of
 
 
 def F(n, d=1):
@@ -229,3 +229,30 @@ class TestHelpers:
                 assert value.denominator > 0
                 from math import gcd
                 assert gcd(abs(value.numerator), value.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "divide",
+    [
+        lambda: scalar_div(1, 0),
+        lambda: scalar_div(F(1, 2), 0),
+        lambda: quadext(1, 1, 2) / F(0),
+        lambda: scalar_div(quadext(1, 1, 2), 0),
+        lambda: ComplexFloat(1, 1) / 0,
+        lambda: ComplexFloat(1, 1) / F(0),
+        lambda: 1 / ComplexFloat(0, 0),
+        lambda: F(1, 3) / ComplexFloat(0, 0, 256),
+        lambda: quadext(1, 1, 2) / ComplexFloat(0, 0),
+        lambda: scalar_div(ComplexFloat(1, 0), 0),
+    ],
+    ids=[
+        "int/0", "Fraction/0", "QuadExt/Fraction0", "div(QuadExt,0)",
+        "ComplexFloat/0", "ComplexFloat/Fraction0", "int/ComplexFloat0",
+        "Fraction/ComplexFloat0", "QuadExt/ComplexFloat0", "div(ComplexFloat,0)",
+    ],
+)
+def test_division_by_zero_raises_in_every_tower(divide):
+    # with TestQuadExtArithmetic::test_division_by_zero_rational (QuadExt / 0)
+    # and TestComplexFloat::test_division_by_zero (ComplexFloat / ComplexFloat0)
+    with pytest.raises(ZeroDivisionError):
+        divide()

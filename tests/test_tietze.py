@@ -15,12 +15,7 @@ from cfkit import (
     quadext,
     validate_semiregular,
 )
-from cfkit.errors import (
-    EvaluationCancelled,
-    InvalidSpec,
-    IterationCap,
-    TowerMismatch,
-)
+from cfkit.errors import InvalidSpec, IterationCap, TowerMismatch
 from conftest import footnote_cf, golden_cf, random_semiregular
 
 
@@ -135,12 +130,6 @@ class TestEvaluate:
     def test_iteration_cap(self):
         with pytest.raises(IterationCap):
             evaluate_tietze(footnote_cf(), Fraction(1, 10**6), max_terms=100)
-
-    def test_cancellation(self):
-        with pytest.raises(EvaluationCancelled):
-            evaluate_tietze(
-                footnote_cf(), Fraction(1, 10**9), should_cancel=lambda: True
-            )
 
     def test_constant_coefficients_certified_or_refused(self):
         # b + a/(b + a/(b + ...)) for a in ±1..6, b in 1..6: the 11
