@@ -43,7 +43,6 @@ from .errors import (
     InvalidSpec,
     IterationCap,
     NotIrrational,
-    PrecisionExhausted,
     SelfCheckFailure,
     SizeLimit,
     SpecFileError,

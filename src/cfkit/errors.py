@@ -68,13 +68,6 @@ class ZeroStart(CFKitError):
     """Power iteration was started from the zero vector."""
 
 
-class PrecisionExhausted(CFKitError):
-    """A floating-tower test fell inside the undecidable tolerance band.
-
-    Raise the working precision or switch to an exact tower.
-    """
-
-
 class NotIrrational(CFKitError):
     """Conjugate analysis requires an irrational limit; this one is rational."""
 

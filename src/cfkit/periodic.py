@@ -8,27 +8,27 @@ the recessive fixed point x2.  In the latter failure mode the convergents
 split between the two fixed points (the classical oscillation), and the
 report carries the witness index.
 
-Rational input is classified exactly: the discriminant's sign replaces any
-modulus comparison and the fixed-point test is decided in the quadratic
-extension field.  Complex floating input is classified with the fixed
-relative tolerance `TOLERANCE` = 2^-64 and refuses to guess inside the
-undecidable band.
-`classify` is the only fixed-point (Thiele) scan; the Galois and conjugate
-checks compare its results.
+Every decision is an exact identity in the entries, tr = m11 + m22 and
+D = tr^2 - 4 det: equal moduli exactly when D = 0 or tr^2 conj(D) is a real
+<= 0, and A(q) on x2 exactly when w = 2 m21 A(q) - (tr - 2 m22) B(q) has
+w^2 = D B(q)^2 and Re(-tr conj(w) B(q)) > 0.  A ComplexFloat holds dyadic
+rationals, so complex input is decided over the Gaussian rationals; only its
+values are rounded, to the working precision.  `classify` is the only
+fixed-point (Thiele) scan; the Galois and conjugate checks compare its results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .cfcore import PeriodicCF, coefficient_product, convergent_table, iter_pairs
+from .cfcore import PeriodicCF, recurrence
 from .errors import (
     DegenerateMatrix,
     InvalidSpec,
     NotIrrational,
-    PrecisionExhausted,
     SelfCheckFailure,
     TowerMismatch,
     ZeroStart,
@@ -37,15 +37,12 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     Scalar,
-    _ctx,
+    _quadext_trusted,
     as_complexfloat,
     is_rational,
     is_zero,
-    quadext,
     scalar_div,
 )
-
-TOLERANCE = Fraction(1, 2**64)
 
 STRICTLY_DOMINANT = "strictly_dominant"
 EQUAL_DISTINCT = "equal_distinct"
@@ -64,12 +61,14 @@ REPEATED = "repeated"
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det."""
+    """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det;
+    `exact` holds the entries unrounded when `build_period_matrix` made M."""
 
     m11: Scalar
     m12: Scalar
     m21: Scalar
     m22: Scalar
+    exact: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def trace(self) -> Scalar:
@@ -85,11 +84,8 @@ class PeriodMatrix:
     @property
     def prec(self) -> int:
         """Largest precision of a ComplexFloat entry; 0 when the matrix is exact."""
-        prec = 0
-        for m in (self.m11, self.m12, self.m21, self.m22):
-            if isinstance(m, ComplexFloat) and m.prec > prec:
-                prec = m.prec
-        return prec
+        entries = (self.m11, self.m12, self.m21, self.m22)
+        return max((m.prec for m in entries if isinstance(m, ComplexFloat)), default=0)
 
 
 @dataclass(frozen=True)
@@ -139,118 +135,126 @@ class PowerIterTrajectory:
     case: str
 
 
+def _dyadic(value) -> int | Fraction:
+    sign, man, exp, _ = value._mpf_  # value = (-1)^sign man 2^exp
+    if not man and exp:  # mpmath's +-inf and nan
+        raise InvalidSpec(f"{value} is not a finite number")
+    man = -man if sign else man
+    return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _exact(x):
+    """x as an exact scalar: a ComplexFloat becomes its dyadic real part, or
+    re + im*sqrt(-1) as a QuadExt when its imaginary part is nonzero."""
+    if not isinstance(x, ComplexFloat):
+        return x
+    re, im = _dyadic(x.re), _dyadic(x.im)
+    return _quadext_trusted(Fraction(re), Fraction(im), -1) if im else re
+
+
+def _exact_blocks(pcf: PeriodicCF) -> tuple[tuple, tuple]:
+    return tuple(map(_exact, pcf.a_block)), tuple(map(_exact, pcf.b_block))
+
+
+def _exact_entries(matrix: PeriodMatrix) -> tuple:
+    return matrix.exact or tuple(map(_exact, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)))
+
+
 def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
-    """Period matrix from the convergent table of one full period."""
-    p = pcf.period
-    table = convergent_table(pcf, p)
-    a_p = pcf.a(p)
-    prev, prev2, full = table[p], table[p - 1], table[p + 1]
-    matrix = PeriodMatrix(
-        m11=prev.num, m12=a_p * prev2.num, m21=prev.den, m22=a_p * prev2.den
+    """Period matrix from one exact pass over A(n), B(n) for n = 0 .. p,
+    checked by three identities.  Complex coefficients are streamed as exact
+    Gaussian dyadic rationals and the entries rounded once, to the largest
+    coefficient precision."""
+    p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
+    precs = [x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)]
+    if precs:
+        a_block, b_block = _exact_blocks(pcf)
+    a_p, b0 = a_block[-1], b_block[0]
+    # pairs[n + 1] = (A(n), B(n)) for n = -1 .. p, from the terms (a(n), b(n)), n = 1 .. p
+    pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + (b0,)))]
+    (a_prev2, b_prev2), (a_prev, b_prev), (a_full, b_full) = pairs[p - 1:]
+    m11, m12, m21, m22 = exact = (a_prev, a_p * a_prev2, b_prev, a_p * b_prev2)
+    checks = (
+        ("m12 = A(p) - b(0) A(p-1)", m12 == a_full - b0 * a_prev),
+        ("m22 = B(p) - b(0) B(p-1)", m22 == b_full - b0 * b_prev),
+        ("det = (-1)^p a(1)...a(p)",
+         m11 * m22 - m12 * m21 == (-1) ** p * math.prod(a_block)),
     )
-    if not matrix.prec:
-        b0 = pcf.b(0)
-        checks = (
-            ("m12 = A(p) - b(0) A(p-1)", matrix.m12 == full.num - b0 * prev.num),
-            ("m22 = B(p) - b(0) B(p-1)", matrix.m22 == full.den - b0 * prev.den),
-            ("det = (-1)^p a(1)...a(p)",
-             matrix.det == (-1) ** p * coefficient_product(pcf, p)),
-        )
-        for identity, holds in checks:
-            if not holds:
-                raise SelfCheckFailure(f"period matrix violates {identity}")
-    return matrix
+    for identity, holds in checks:
+        if not holds:
+            raise SelfCheckFailure(f"period matrix violates {identity}")
+    entries = [as_complexfloat(m, max(precs)) for m in exact] if precs else exact
+    return PeriodMatrix(*entries, exact)
 
 
-def _tolerance_mpf(prec: int):
-    return _ctx(prec).fdiv(TOLERANCE.numerator, TOLERANCE.denominator)
-
-
-def _values_match(x, y) -> bool:
-    if isinstance(x, ComplexFloat) or isinstance(y, ComplexFloat):
-        prec = max(
-            x.prec if isinstance(x, ComplexFloat) else 0,
-            y.prec if isinstance(y, ComplexFloat) else 0,
-        )
-        xf, yf = as_complexfloat(x, prec), as_complexfloat(y, prec)
-        tol = _tolerance_mpf(prec)
-        return (xf - yf).modulus() <= tol * (xf.modulus() + yf.modulus() + 1)
-    return x == y
+def _modulus_relation(tr, disc) -> str:
+    """Roots (tr +- sqrt(disc))/2 differ in modulus by Re(tr conj(sqrt(disc))),
+    which vanishes exactly when tr^2 conj(disc) is a real <= 0."""
+    if disc == 0:
+        return EQUAL_REPEATED
+    z = tr * tr * disc.conjugate()
+    return EQUAL_DISTINCT if not isinstance(z, QuadExt) and z <= 0 else STRICTLY_DOMINANT
 
 
 def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     """Eigenvalues of the period matrix with |lambda1| >= |lambda2|.
 
-    Exact matrices are split by the sign of the discriminant: positive
-    discriminant with nonzero trace gives strict dominance, zero trace gives
-    a real pair of equal modulus, negative discriminant gives a conjugate
-    pair, zero discriminant a repeated root.  Floating matrices use the
-    quadratic formula at the largest entry precision, and the relative
-    tolerance `TOLERANCE` for the modulus comparison.
+    The modulus relation is decided exactly by `_modulus_relation`.  An
+    exact matrix is scaled to integers, which give its eigenvalues and fixed
+    points exactly.  A floating matrix is decided on its exact entries, and
+    its values come from the quadratic formula at the largest entry precision.
     """
-    tr, det = matrix.trace, matrix.det
+    if any(isinstance(m, QuadExt) for m in (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
+        raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
+                            "need nested radicals; use the complex tower instead")
+    m11, m12, m21, m22 = exact = _exact_entries(matrix)
+    tr, det = m11 + m22, m11 * m22 - m12 * m21
     if is_zero(det):
         raise DegenerateMatrix("determinant is zero")
-    for entry in (matrix.m11, matrix.m12, matrix.m21, matrix.m22):
-        if isinstance(entry, QuadExt):
-            raise TowerMismatch(
-                "eigenvalue split over quadratic-extension entries would need "
-                "nested radicals; use the complex tower instead"
-            )
     prec = matrix.prec
-    if prec:
-        lam1, lam2, relation = _eigen_split_float(tr, det, prec)
-    else:
-        lam1, lam2, relation = _eigen_split_exact(Fraction(tr), Fraction(det))
+    if not prec:
+        return _split_integer(exact)
+    tr_f, det_f = as_complexfloat(matrix.trace, prec), as_complexfloat(matrix.det, prec)
+    root = (tr_f * tr_f - 4 * det_f).sqrt()
+    lam1, lam2 = (tr_f + root) / 2, (tr_f - root) / 2
+    if lam1.modulus() < lam2.modulus():
+        lam1, lam2 = lam2, lam1
     x1 = x2 = None
     if not is_zero(matrix.m21):
         x1 = scalar_div(lam1 - matrix.m22, matrix.m21)
         x2 = scalar_div(lam2 - matrix.m22, matrix.m21)
-    return EigenSplit(lam1, lam2, relation, x1, x2)
+    return EigenSplit(lam1, lam2, _modulus_relation(tr, tr * tr - 4 * det), x1, x2)
 
 
-def _eigen_split_exact(tr: Fraction, det: Fraction) -> tuple[Scalar, Scalar, str]:
-    disc = tr * tr - 4 * det
-    root = quadext(0, 1, disc)  # sqrt(disc): Fraction when disc is square
-    if disc > 0 and tr < 0:
-        root = -root  # (tr - sqrt(disc))/2 is the dominant root
-    if disc == 0:
-        relation = EQUAL_REPEATED
-    elif disc > 0 and tr != 0:
-        relation = STRICTLY_DOMINANT
+def _split_integer(entries: tuple) -> EigenSplit:
+    """Exact split of a rational matrix from L*M, its least integer multiple."""
+    scale = math.lcm(*(m.denominator for m in entries))
+    n11, n12, n21, n22 = (m.numerator * (scale // m.denominator) for m in entries)
+    tr, disc = n11 + n22, (n11 - n22) ** 2 + 4 * n12 * n21
+    sign = -1 if disc > 0 and tr < 0 else 1  # (tr + sign*sqrt(disc))/2 dominates
+    root = math.isqrt(disc) if disc > 0 else 0
+    if root * root == disc:  # lambda = (tr +- s)/(2 scale), x = (tr +- s - 2 n22)/(2 n21)
+        s = sign * root
+        values = [Fraction(tr + s, 2 * scale), Fraction(tr - s, 2 * scale)]
+        if n21:
+            values += [Fraction(tr + s - 2 * n22, 2 * n21), Fraction(tr - s - 2 * n22, 2 * n21)]
     else:
-        relation = EQUAL_DISTINCT
-    return (tr + root) / 2, (tr - root) / 2, relation
-
-
-def _eigen_split_float(tr: Scalar, det: Scalar, prec: int) -> tuple[Scalar, Scalar, str]:
-    tr = as_complexfloat(tr, prec)
-    det = as_complexfloat(det, prec)
-    disc = tr * tr - 4 * det
-    root = disc.sqrt()
-    lam1 = (tr + root) / 2
-    lam2 = (tr - root) / 2
-    if lam1.modulus() < lam2.modulus():
-        lam1, lam2 = lam2, lam1
-    tol = _tolerance_mpf(prec)
-    m1, m2 = lam1.modulus(), lam2.modulus()
-    gap = (lam1 - lam2).modulus()
-    if gap <= tol * (m1 + m2):
-        relation = EQUAL_REPEATED
-    elif m1 - m2 <= tol * m1:
-        relation = EQUAL_DISTINCT
-    else:
-        relation = STRICTLY_DOMINANT
-    return lam1, lam2, relation
+        # sqrt(disc)/scale = sqrt(num*den)/den for disc/scale^2 = num/den in lowest terms
+        ratio = Fraction(disc, scale * scale)
+        radicand, den = ratio.numerator * ratio.denominator, ratio.denominator
+        parts = [(Fraction(tr, 2 * scale), Fraction(sign, 2 * den))]
+        if n21:
+            parts.append((Fraction(tr - 2 * n22, 2 * n21), Fraction(sign * scale, 2 * n21 * den)))
+        values = [_quadext_trusted(a, b, radicand) for a, c in parts for b in (c, -c)]
+    return EigenSplit(values[0], values[1], _modulus_relation(tr, disc), *values[2:])
 
 
 def classify(pcf: PeriodicCF) -> StolzReport:
     """Full convergence verdict for a purely periodic CF.
 
     Never iterates convergents past one period: the verdict comes from the
-    period matrix alone.  Exact input yields an exact verdict; floating
-    input raises PrecisionExhausted when the fixed-point test cannot be
-    decided at the working tolerance.
+    period matrix and the pairs of the first period.  It is exact in every
+    tower; complex input has its limits reported at the working precision.
     """
     matrix = build_period_matrix(pcf)
     eigen = eigen_split(matrix)
@@ -264,19 +268,20 @@ def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdic
         return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C1")
     if eigen.modulus_relation == EQUAL_DISTINCT:
         return Verdict(kind=DIVERGENT_EQUAL_MODULUS)
-    # strict dominance: check whether any early convergent sits on x2
-    exact = not matrix.prec
-    x2 = eigen.x2
-    p = pcf.period
-    for q, (num, den) in enumerate(islice(iter_pairs(pcf, 0, p - 2), p - 1)):
-        on_x2 = x2 * den
-        if is_zero(num - on_x2):
-            return Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=x2)
-        if not exact and _values_match(num, on_x2):
-            raise PrecisionExhausted(
-                f"fixed-point test at q={q} is inside the tolerance band; "
-                f"raise precision or use an exact tower"
-            )
+    # strict dominance: a rational convergent can sit on x2 only when D is a
+    # square, which makes x2 a Fraction; complex input is always scanned
+    complex_input = isinstance(eigen.x2, ComplexFloat)
+    if complex_input or isinstance(eigen.x2, Fraction):
+        m11, m12, m21, m22 = _exact_entries(matrix)
+        tr, disc = m11 + m22, (m11 - m22) ** 2 + 4 * m12 * m21
+        a_block, b_block = _exact_blocks(pcf) if complex_input else (pcf.a_block, pcf.b_block)
+        pairs = recurrence(b_block[0], zip(a_block, b_block[1:]))  # q = 0 .. p - 1
+        for q, (num, den) in enumerate(islice(pairs, pcf.period - 1)):
+            # A(q) = x2 B(q) makes w = -sqrt(disc) B(q) with the dominant root's sign
+            w = 2 * m21 * num - (tr - 2 * m22) * den
+            r = -tr * w.conjugate() * den
+            if w * w == disc * den * den and r + r.conjugate() > 0:
+                return Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=eigen.x2)
     return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C2")
 
 
@@ -342,24 +347,26 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     The reversed period matrix has the same trace and determinant, so its
     fixed points are b(0) - x2 and b(0) - x1.  When the original converges,
     `relation_holds` is True exactly when the reversed CF's verdict is
-    convergent or divergent_thiele, its modulus relation equals the
-    original's, and its x1 and x2 match b(0) - x2 and b(0) - x1 (within
-    `TOLERANCE` in the complex tower).  The reversed CF then converges to
-    b(0) - x2, unless `classify`'s own scan found an early convergent on
-    b(0) - x1.  For a CF that does not converge it is True.  It is a
-    self-check and should always be True.
+    convergent or divergent_thiele with the original's modulus relation, and
+    the parts of x = (m11 - m22 +- sqrt(D)) / (2 m21) match exactly in either
+    tower: the two matrices' own trace, det and m21 agree, and their rational
+    parts add up to b(0).  The reversed CF then converges to b(0) - x2, unless
+    `classify`'s own scan found an early convergent on b(0) - x1.  For a CF
+    that does not converge it is True.  It is a self-check: always True.
     """
     alpha = classify(pcf)
     alpha_prime = classify(reverse_period(pcf))
     if not alpha.verdict.is_convergent:
         return GaloisReport(alpha, alpha_prime, True)
-    b0 = pcf.b(0)
-    eigen, eigen_prime = alpha.eigen, alpha_prime.eigen
+    m11, m12, m21, m22 = _exact_entries(alpha.matrix)
+    n11, n12, n21, n22 = _exact_entries(alpha_prime.matrix)
     holds = (
         alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
-        and eigen_prime.modulus_relation == eigen.modulus_relation
-        and _values_match(eigen_prime.x1, b0 - eigen.x2)
-        and _values_match(eigen_prime.x2, b0 - eigen.x1)
+        and alpha_prime.eigen.modulus_relation == alpha.eigen.modulus_relation
+        and n21 == m21
+        and n11 + n22 == m11 + m22
+        and n11 * n22 - n12 * n21 == m11 * m22 - m12 * m21
+        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b(0)) * m21
     )
     return GaloisReport(alpha, alpha_prime, holds)
 

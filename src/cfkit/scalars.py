@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from mpmath.ctx_mp import MPContext
-
 from .errors import TowerMismatch
 
 MIN_PRECISION_BITS = 64
@@ -95,7 +93,7 @@ def radicand_ratio(d_from: int, d_to: int) -> Fraction | None:
     return Fraction(root, abs(d_to))
 
 
-def _int_text(n: int) -> str:
+def _int_label(n: int) -> str:
     """str(n) for messages and repr; past ~3000 digits n is named by its size,
     because str() refuses ints of more than 4300 digits (Python >= 3.11)."""
     if n.bit_length() <= 10_000:
@@ -183,8 +181,8 @@ class QuadExt:
             ratio = radicand_ratio(other.d, self.d)
             if ratio is None:
                 raise TowerMismatch(
-                    f"mixed radicands sqrt({_int_text(self.d)}) and "
-                    f"sqrt({_int_text(other.d)})"
+                    f"mixed radicands sqrt({_int_label(self.d)}) and "
+                    f"sqrt({_int_label(other.d)})"
                 )
             return other.a, other.b * ratio
         if isinstance(other, (int, Fraction)):
@@ -329,9 +327,9 @@ class QuadExt:
         return self._cmp(other) >= 0
 
     def __repr__(self):
-        a, b = (f"Fraction({_int_text(q.numerator)}, {_int_text(q.denominator)})"
+        a, b = (f"Fraction({_int_label(q.numerator)}, {_int_label(q.denominator)})"
                 for q in (self.a, self.b))
-        return f"QuadExt({a} + {b}*sqrt({_int_text(self.d)}))"
+        return f"QuadExt({a} + {b}*sqrt({_int_label(self.d)}))"
 
 
 # -- exact comparison helpers ----------------------------------------------
@@ -361,9 +359,11 @@ def abs_lt(x, bound: RationalLike) -> bool:
 # -- complex floating tower ---------------------------------------------------
 
 @cache
-def _ctx(prec_bits: int) -> MPContext:
+def _ctx(prec_bits: int):
     """Shared mpmath context per precision; never mutated after creation, so
-    two threads racing on a first call at worst build two equal contexts."""
+    two threads racing on a first call at worst build two equal contexts.
+    mpmath is imported here, on first use, so exact work never loads it."""
+    from mpmath.ctx_mp import MPContext
     ctx = MPContext()
     ctx.prec = prec_bits
     return ctx

@@ -14,11 +14,20 @@ period matrices; residue-class tails are judged by three data-driven tests:
 
 Comparisons are exact integer/rational arithmetic throughout, which is
 strictly stronger than evaluating at any fixed float precision.
+
+Complex-tower input is simulated exactly too: each ComplexFloat coefficient
+holds dyadic rationals, which become a `Gaussian` here through mpmath's own
+`to_rational`, and the trajectory runs over Q(i).  Its claimed limits are
+floats at the working precision, so they are matched within TOL_CONV.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
-from cfkit.scalars import QuadExt, abs_lt
+from mpmath.libmp import to_rational
+
+from cfkit.scalars import ComplexFloat, QuadExt, abs_lt
 
 TOL_CONV = Fraction(1, 10**6)
 TOL_SPLIT = Fraction(1, 10**3)
@@ -41,10 +50,88 @@ def raw_table(spec, n_max):
     return nums, dens
 
 
+class Gaussian:
+    """Exact re + im*i with rational parts, written apart from cfkit's towers."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im  # ints or Fractions
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, Gaussian):
+            return x
+        if isinstance(x, ComplexFloat):
+            re, im = (Fraction(*to_rational(part._mpf_)) for part in (x.re, x.im))
+            return Gaussian(re, im)
+        return Gaussian(x)
+
+    def __add__(self, other):
+        other = Gaussian.of(other)
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Gaussian(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -Gaussian.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = Gaussian.of(other)
+        return Gaussian(
+            self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Gaussian.of(other)
+        norm = other.norm()
+        return self * Gaussian(Fraction(other.re, norm), Fraction(-other.im, norm))
+
+    def __rtruediv__(self, other):
+        return Gaussian.of(other) / self
+
+    def __eq__(self, other):
+        other = Gaussian.of(other)
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = None
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+
+def parts(x):
+    return (x.re, x.im) if isinstance(x, Gaussian) else (x,)
+
+
+def times(x, c):
+    """c * x as an int, or as a Gaussian with int parts; c clears x's denominators."""
+    if isinstance(x, Gaussian):
+        return Gaussian(int(x.re * c), int(x.im * c))
+    return int(x * c)
+
+
+def ratio(num, den):
+    if isinstance(num, Gaussian) or isinstance(den, Gaussian):
+        return num / den
+    return Fraction(num, den)
+
+
 def within(num, den, x, tol):
     """Exact test |num/den - x| < tol (den != 0)."""
     if isinstance(x, QuadExt):
         return abs_lt(Fraction(num, den) - x, tol)
+    if isinstance(x, (Gaussian, ComplexFloat)) or isinstance(num, Gaussian):
+        gap = Gaussian.of(num) - Gaussian.of(x) * den
+        return gap.norm() < tol * tol * Gaussian.of(den).norm()
     x = Fraction(x)
     lhs = abs(num * x.denominator - x.numerator * den) * tol.denominator
     return lhs < tol.numerator * abs(den) * x.denominator
@@ -57,7 +144,24 @@ class Simulation:
         self.p = pcf.period
         self.periods = periods
         n_max = periods * self.p + self.p - 1
-        self.nums, self.dens = raw_table(pcf, n_max)
+        a_block, b_block = pcf.a_block, pcf.b_block
+        gaussian = any(isinstance(x, ComplexFloat) for x in a_block + b_block)
+        if gaussian:
+            a_block, b_block = tuple(map(Gaussian.of, a_block)), tuple(map(Gaussian.of, b_block))
+        c = math.lcm(*(Fraction(part).denominator for x in a_block + b_block for part in parts(x)))
+        if c == 1 and not gaussian:
+            self.nums, self.dens = raw_table(pcf, n_max)
+            return
+        # equivalence transformation b -> c b, a -> c^2 a, which makes every
+        # coefficient an integer (Gaussian for complex input): A'(n) = c^(n+1) A(n)
+        # and B'(n) = c^n B(n), so (A'(n), c B'(n)) is (A(n), B(n)) times
+        # c^(n+1), and every test below is unchanged by such a factor
+        scaled = type(pcf)(
+            a_block=tuple(times(a, c * c) for a in a_block),
+            b_block=tuple(times(b, c) for b in b_block),
+        )
+        self.nums, dens = raw_table(scaled, n_max)
+        self.dens = [den * c for den in dens]
 
     def defined_tail(self, count):
         """Last `count` defined convergents as (num, den), newest last."""
@@ -102,12 +206,13 @@ def moebius_tail_limit(points, tail=60):
 
     Fits (P + Q n)/(R + S n) through three spread tail points and verifies
     the fit on every other tail point exactly.  Returns the limit Q/S as a
-    Fraction, or None when the tail is not of this shape.
+    Fraction (a Gaussian for complex input), or None when the tail is not of
+    this shape.
     """
     pts = points[-tail:]
     if len(pts) < 10:
         return None
-    samples = [(Fraction(n), Fraction(a, b)) for n, a, b in pts]
+    samples = [(Fraction(n), ratio(a, b)) for n, a, b in pts]
     n1, v1 = samples[0]
     n2, v2 = samples[len(samples) // 2]
     n3, v3 = samples[-1]
@@ -138,24 +243,30 @@ def matches_convergent(sim, x1):
             return False
         if class_is_constant(points):
             _, a0, b0 = points[0]
-            if Fraction(a0, b0) != x1:
+            if not at_point(a0, b0, x1):
                 return False
             continue
         limit = moebius_tail_limit(points)
-        if limit is None or limit != x1:
+        if limit is None or not at_point(limit, 1, x1):
             return False
     return True
 
 
+def at_point(num, den, x):
+    """num/den is the claimed point x: exactly for an exact claim, within
+    TOL_CONV for a complex-tower claim made at the working precision."""
+    if isinstance(x, ComplexFloat):
+        return within(num, den, x, TOL_CONV)
+    return not isinstance(x, QuadExt) and ratio(num, den) == x
+
+
 def matches_thiele(sim, q, x2, x1):
     """Class q pinned exactly at x2 while the last class settles at x1."""
-    if isinstance(x2, QuadExt):
-        return False  # rational convergents can never sit on an irrational point
-    x2 = Fraction(x2)
     points = sim.class_points(q)
-    if len(points) != sim.class_size(q) or not points:
+    if len(points) != sim.class_size(q) or not class_is_constant(points):
         return False
-    if not all(a * x2.denominator == x2.numerator * b for _, a, b in points):
+    _, a0, b0 = points[0]
+    if not at_point(a0, b0, x2):  # never an irrational x2 for rational convergents
         return False
     last_class = sim.class_points(sim.p - 1)[-10:]
     if len(last_class) < 10:
@@ -175,8 +286,32 @@ def matches_equal_modulus(sim):
     points = sim.class_points(q)
     if class_is_constant(points):
         return False
-    values = [Fraction(a, b) for _, a, b in points[-30:]]
+    return spreads(points[-30:])
+
+
+def spreads(points):
+    """Two of the points' values lie more than TOL_SPLIT apart."""
+    values = [ratio(a, b) for _, a, b in points]
+    if isinstance(values[0], Gaussian):
+        return any((u - v).norm() > TOL_SPLIT**2 for u, v in combinations(values, 2))
     return max(values) - min(values) > TOL_SPLIT
+
+
+def decided(sim):
+    """Whether 200 periods show the last residue class's fate at all: it is
+    undefined, constant, settled within TOL_CONV/2, an exact Moebius tail,
+    or spread past TOL_SPLIT.  A dominant root only slightly larger in
+    modulus than the other leaves none of these within reach, and a
+    property test skips such a case rather than judge it."""
+    q = sim.p - 1
+    points = sim.class_points(q)
+    if sim.undefined_count(q) >= 2 or len(points) < 30 or class_is_constant(points):
+        return True
+    _, a, b = points[-1]
+    last = ratio(a, b)
+    if all(within(a, b, last, TOL_CONV / 2) for _, a, b in points[-20:]):
+        return True
+    return spreads(points[-30:]) or moebius_tail_limit(points) is not None
 
 
 def matches_zero_denominator(sim):

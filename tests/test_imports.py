@@ -1,7 +1,11 @@
 """Every module in src/cfkit uses each name it imports (the package
-__init__ re-exports by importing, so it is left out)."""
+__init__ re-exports by importing, so it is left out), and importing the
+package does not load mpmath."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,14 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_import_leaves_mpmath_unloaded():
+    # only the complex tower needs mpmath; scalars._ctx imports it on first use
+    script = "import sys, cfkit; print('mpmath' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

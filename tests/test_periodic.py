@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,10 +19,10 @@ from cfkit import (
     quadext,
     reverse_period,
 )
-from cfkit.cfcore import ConvergentPair
+from cfkit.cfcore import recurrence
 from cfkit.errors import (
     DegenerateMatrix,
-    PrecisionExhausted,
+    InvalidSpec,
     SelfCheckFailure,
     TowerMismatch,
     ZeroStart,
@@ -86,13 +87,13 @@ class TestPeriodMatrix:
             assert m.m22 == table[p + 1].den - b0 * table[p].den
 
     def test_corrupted_table_fails_the_self_check(self, monkeypatch):
-        def corrupted_table(spec, n_max):
-            table = convergent_table(spec, n_max)
-            full = table[-1]
-            table[-1] = ConvergentPair(full.n, full.num + 1, full.den)
-            return table
+        def corrupted_pairs(b0, terms):
+            pairs = list(recurrence(b0, terms))
+            num, den = pairs[-1]
+            pairs[-1] = (num + 1, den)
+            return iter(pairs)
 
-        monkeypatch.setattr(cfkit.periodic, "convergent_table", corrupted_table)
+        monkeypatch.setattr(cfkit.periodic, "recurrence", corrupted_pairs)
         with pytest.raises(SelfCheckFailure, match="m12"):
             build_period_matrix(thiele_cf())
 
@@ -100,13 +101,13 @@ class TestPeriodMatrix:
         script = (
             "import cfkit.periodic as periodic\n"
             "from cfkit import PeriodicCF\n"
-            "from cfkit.cfcore import ConvergentPair, convergent_table\n"
+            "from cfkit.cfcore import recurrence\n"
             "from cfkit.errors import SelfCheckFailure\n"
-            "def corrupted(spec, n):\n"
-            "    table = convergent_table(spec, n)\n"
-            "    table[-1] = ConvergentPair(table[-1].n, table[-1].num, table[-1].den + 1)\n"
-            "    return table\n"
-            "periodic.convergent_table = corrupted\n"
+            "def corrupted(b0, terms):\n"
+            "    pairs = list(recurrence(b0, terms))\n"
+            "    pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)\n"
+            "    return iter(pairs)\n"
+            "periodic.recurrence = corrupted\n"
             "try:\n"
             "    periodic.build_period_matrix(PeriodicCF(a_block=(1,), b_block=(1,)))\n"
             "except SelfCheckFailure:\n"
@@ -301,17 +302,25 @@ class TestClassifyComplexTower:
         assert report.verdict.kind == DIVERGENT_THIELE
         assert report.verdict.q == 0
 
-    def test_perturbed_thiele_precision_exhausted(self):
-        eps = 2.0**-100
-        pcf = PeriodicCF(
-            a_block=tuple(as_complexfloat(a, 128) for a in (-3, 1, 1)),
-            b_block=(
-                ComplexFloat(1, 0, 128) + ComplexFloat(eps, 0, 128),
-                ComplexFloat(-1, 0, 128),
-                ComplexFloat(-1, 0, 128),
-            ),
-        )
-        with pytest.raises(PrecisionExhausted):
+    @pytest.mark.parametrize("prec", [128, 512, 2048])
+    def test_perturbed_thiele_is_decided_exactly(self, prec):
+        # b(0) = 1 + 2^-100 moves the Thiele case off x2 by far less than any
+        # fixed float tolerance could resolve, yet the dyadic CF converges,
+        # in both towers and at every precision
+        b0 = 1 + F(1, 2**100)
+        exact = classify(PeriodicCF(a_block=(-3, 1, 1), b_block=(b0, -1, -1)))
+        assert exact.verdict.kind == CONVERGENT and exact.verdict.condition == "C2"
+        report = classify(self._complex_pcf((-3, 1, 1), (b0, -1, -1), prec))
+        assert report.verdict.kind == CONVERGENT
+        assert report.verdict.condition == "C2"
+        err = report.verdict.limit - as_complexfloat(exact.verdict.limit, prec)
+        assert err.modulus() * 2 ** (prec - 8) < 1
+
+    @pytest.mark.parametrize("re, im", [("inf", 0), ("-inf", 0), (1, "nan")])
+    def test_non_finite_coefficient_is_refused(self, re, im):
+        # an exact decision needs finite dyadic coefficients
+        pcf = PeriodicCF(a_block=(ComplexFloat(1, 0),), b_block=(ComplexFloat(re, im),))
+        with pytest.raises(InvalidSpec, match="not a finite number"):
             classify(pcf)
 
     def test_purely_imaginary_b_diverges(self):
@@ -494,3 +503,60 @@ class TestClassifierAgainstSimulation:
             rep = classify(pcf)
             sim = Simulation(pcf, periods=200)
             assert matched_verdict(sim, rep), (pcf, rep.verdict)
+
+    def test_fraction_coefficient_sweep(self):
+        # every period <= 2 over {+-1/2, +-1, +-3/2}: the period matrix has
+        # Fraction entries, so the classifier scales it to integers first
+        from brute import Simulation, matched_verdict
+
+        values = (F(-3, 2), F(-1, 2), F(1, 2), 1, F(3, 2), -1)
+        failures = []
+        for p in (1, 2):
+            for a in itertools.product(values, repeat=p):
+                for b in itertools.product(values, repeat=p):
+                    pcf = PeriodicCF(a_block=a, b_block=b)
+                    rep = classify(pcf)
+                    if not matched_verdict(Simulation(pcf, periods=200), rep):
+                        failures.append((a, b, rep.verdict.kind))
+        assert failures == []
+
+    @pytest.mark.parametrize(
+        "a, b, kind",
+        [
+            # the named cases moved into Q(i) by b -> i b, a -> -a, which
+            # multiplies every convergent by i and keeps each verdict
+            ((3, -1, -1), (1j, -1j, -1j), DIVERGENT_THIELE),
+            ((-1, 2, -1), (1j, 1j, 2j), DIVERGENT_ZERO_DENOMINATOR),
+            ((1,), (2j,), CONVERGENT),
+            ((1,), (1j,), DIVERGENT_EQUAL_MODULUS),
+        ],
+    )
+    def test_gaussian_named_cases(self, a, b, kind):
+        from brute import Simulation, matched_verdict
+
+        pcf = self._gaussian_pcf(a, b)
+        rep = classify(pcf)
+        assert rep.verdict.kind == kind
+        assert matched_verdict(Simulation(pcf, periods=200), rep)
+
+    def test_gaussian_sweep(self):
+        # period 1 over ten Gaussian integers and period 2 over {+-1, +-i}
+        from brute import Simulation, matched_verdict
+
+        small = (1, -1, 2, 1j, -1j, 2j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
+        cases = [((a,), (b,)) for a in small for b in small]
+        units = (1, -1, 1j, -1j)
+        cases += [(a, b) for a in itertools.product(units, repeat=2)
+                  for b in itertools.product(units, repeat=2)]
+        failures = []
+        for a, b in cases:
+            pcf = self._gaussian_pcf(a, b)
+            rep = classify(pcf)
+            if not matched_verdict(Simulation(pcf, periods=200), rep):
+                failures.append((a, b, rep.verdict.kind))
+        assert failures == []
+
+    @staticmethod
+    def _gaussian_pcf(a, b, prec=128):
+        lift = lambda block: tuple(ComplexFloat(complex(z).real, complex(z).imag, prec) for z in block)
+        return PeriodicCF(a_block=lift(a), b_block=lift(b))

@@ -1,6 +1,7 @@
 """Property tests of the exact towers (field laws, value identity, sign, text
 form) and of the recurrence core and the single-pair matrix products against
-the independent loop in brute.py, and of Tietze certificates against it."""
+the independent loop in brute.py, of Tietze certificates against it, and of
+the periodic classifier against brute.py's exact simulation."""
 
 import math
 from decimal import Decimal, localcontext
@@ -10,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
-from brute import raw_table
+from brute import Simulation, decided, matched_verdict, raw_table
 from cfkit import (
     ComplexFloat,
     ContinuantArgs,
@@ -19,6 +20,7 @@ from cfkit import (
     QuadExt,
     RuleCF,
     as_complexfloat,
+    classify,
     continuant,
     convergent_table,
     cross_determinant,
@@ -273,6 +275,33 @@ def test_complex_pairs_agree_with_stream_within_tolerance(case):
         cur = pair_at(spec, k, n)[1]
         assert gap(cur.num, nums[n]) <= tolerance * num_scale[n]
         assert gap(cur.den, dens[n]) <= tolerance * den_scale[n]
+
+
+@st.composite
+def periodic_cases(draw):
+    """Purely periodic CFs of period 1..4 with coefficients up to +-50: nonzero
+    ints, or Gaussian dyadic rationals (re + im i) / 2^k at 128 bits."""
+    p = draw(st.integers(1, 4))
+    part = st.integers(-50, 50)
+    if draw(st.booleans()):
+        coefficient = part.filter(bool)
+    else:
+        scale = 2 ** draw(st.integers(0, 2))
+        coefficient = st.tuples(part, part).filter(any).map(
+            lambda z: ComplexFloat(z[0] / scale, z[1] / scale, 128)
+        )
+    blocks = st.lists(coefficient, min_size=p, max_size=p).map(tuple)
+    return PeriodicCF(a_block=draw(blocks), b_block=draw(blocks))
+
+
+# each example simulates 200 periods exactly, so keep the count small
+@settings(deadline=None, max_examples=40)
+@given(periodic_cases())
+def test_classify_agrees_with_the_simulation(pcf):
+    report = classify(pcf)
+    sim = Simulation(pcf, periods=200)
+    assume(decided(sim))
+    assert matched_verdict(sim, report), report.verdict
 
 
 @st.composite
