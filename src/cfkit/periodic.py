@@ -143,21 +143,24 @@ def _dyadic(value) -> int | Fraction:
     return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _exact(x):
-    """x as an exact scalar: a ComplexFloat becomes its dyadic real part, or
-    re + im*sqrt(-1) as a QuadExt when its imaginary part is nonzero."""
+def _exact(x, prec: int = 0):
+    """x as an exact scalar, promoted into the complex tower first when prec is
+    set: a ComplexFloat's dyadic parts give re, or re + im*sqrt(-1) as a QuadExt."""
+    if prec:
+        x = as_complexfloat(x, prec)
     if not isinstance(x, ComplexFloat):
         return x
     re, im = _dyadic(x.re), _dyadic(x.im)
     return _quadext_trusted(Fraction(re), Fraction(im), -1) if im else re
 
 
-def _exact_blocks(pcf: PeriodicCF) -> tuple[tuple, tuple]:
-    return tuple(map(_exact, pcf.a_block)), tuple(map(_exact, pcf.b_block))
+def _exact_blocks(pcf: PeriodicCF, prec: int) -> tuple[tuple, tuple]:
+    return tuple(_exact(x, prec) for x in pcf.a_block), tuple(_exact(x, prec) for x in pcf.b_block)
 
 
 def _exact_entries(matrix: PeriodMatrix) -> tuple:
-    return matrix.exact or tuple(map(_exact, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)))
+    entries = (matrix.m11, matrix.m12, matrix.m21, matrix.m22)
+    return matrix.exact or tuple(_exact(m, matrix.prec) for m in entries)
 
 
 def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
@@ -168,7 +171,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
     precs = [x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)]
     if precs:
-        a_block, b_block = _exact_blocks(pcf)
+        a_block, b_block = _exact_blocks(pcf, max(precs))
     a_p, b0 = a_block[-1], b_block[0]
     # pairs[n + 1] = (A(n), B(n)) for n = -1 .. p, from the terms (a(n), b(n)), n = 1 .. p
     pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + (b0,)))]
@@ -177,8 +180,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     checks = (
         ("m12 = A(p) - b(0) A(p-1)", m12 == a_full - b0 * a_prev),
         ("m22 = B(p) - b(0) B(p-1)", m22 == b_full - b0 * b_prev),
-        ("det = (-1)^p a(1)...a(p)",
-         m11 * m22 - m12 * m21 == (-1) ** p * math.prod(a_block)),
+        ("det = (-1)^p a(1)...a(p)", m11 * m22 - m12 * m21 == (-1) ** p * math.prod(a_block)),
     )
     for identity, holds in checks:
         if not holds:
@@ -270,11 +272,10 @@ def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdic
         return Verdict(kind=DIVERGENT_EQUAL_MODULUS)
     # strict dominance: a rational convergent can sit on x2 only when D is a
     # square, which makes x2 a Fraction; complex input is always scanned
-    complex_input = isinstance(eigen.x2, ComplexFloat)
-    if complex_input or isinstance(eigen.x2, Fraction):
+    if isinstance(eigen.x2, (ComplexFloat, Fraction)):
         m11, m12, m21, m22 = _exact_entries(matrix)
         tr, disc = m11 + m22, (m11 - m22) ** 2 + 4 * m12 * m21
-        a_block, b_block = _exact_blocks(pcf) if complex_input else (pcf.a_block, pcf.b_block)
+        a_block, b_block = _exact_blocks(pcf, matrix.prec)
         pairs = recurrence(b_block[0], zip(a_block, b_block[1:]))  # q = 0 .. p - 1
         for q, (num, den) in enumerate(islice(pairs, pcf.period - 1)):
             # A(q) = x2 B(q) makes w = -sqrt(disc) B(q) with the dominant root's sign
@@ -366,7 +367,7 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
         and n21 == m21
         and n11 + n22 == m11 + m22
         and n11 * n22 - n12 * n21 == m11 * m22 - m12 * m21
-        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b(0)) * m21
+        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b(0), alpha.matrix.prec) * m21
     )
     return GaloisReport(alpha, alpha_prime, holds)
 

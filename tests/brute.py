@@ -79,9 +79,6 @@ class Gaussian:
     def __sub__(self, other):
         return self + -Gaussian.of(other)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         other = Gaussian.of(other)
         return Gaussian(
@@ -94,9 +91,6 @@ class Gaussian:
         other = Gaussian.of(other)
         norm = other.norm()
         return self * Gaussian(Fraction(other.re, norm), Fraction(-other.im, norm))
-
-    def __rtruediv__(self, other):
-        return Gaussian.of(other) / self
 
     def __eq__(self, other):
         other = Gaussian.of(other)
