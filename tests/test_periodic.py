@@ -57,6 +57,14 @@ def F(n, d=1):
 PHI = quadext(F(1, 2), F(1, 2), 5)
 
 
+def complex_pcf(a_values, b_values, prec=128):
+    """The CF with each coefficient (int, Fraction or complex) in the complex tower."""
+    return PeriodicCF(
+        a_block=tuple(as_complexfloat(a, prec) for a in a_values),
+        b_block=tuple(as_complexfloat(b, prec) for b in b_values),
+    )
+
+
 class TestPeriodMatrix:
     def test_period_one_shape(self, rng):
         for _ in range(10):
@@ -283,14 +291,8 @@ class TestClassify:
 
 
 class TestClassifyComplexTower:
-    def _complex_pcf(self, a_values, b_values, prec=128):
-        return PeriodicCF(
-            a_block=tuple(as_complexfloat(a, prec) for a in a_values),
-            b_block=tuple(as_complexfloat(b, prec) for b in b_values),
-        )
-
     def test_golden_float(self):
-        report = classify(self._complex_pcf((1,), (1,)))
+        report = classify(complex_pcf((1,), (1,)))
         assert report.verdict.kind == CONVERGENT
         limit = report.verdict.limit
         err = limit - as_complexfloat(PHI, 128)
@@ -298,7 +300,7 @@ class TestClassifyComplexTower:
 
     def test_thiele_exact_float_zero(self):
         # the fixed-point test cancels exactly even in floats
-        report = classify(self._complex_pcf((-3, 1, 1), (1, -1, -1)))
+        report = classify(complex_pcf((-3, 1, 1), (1, -1, -1)))
         assert report.verdict.kind == DIVERGENT_THIELE
         assert report.verdict.q == 0
 
@@ -310,7 +312,7 @@ class TestClassifyComplexTower:
         b0 = 1 + F(1, 2**100)
         exact = classify(PeriodicCF(a_block=(-3, 1, 1), b_block=(b0, -1, -1)))
         assert exact.verdict.kind == CONVERGENT and exact.verdict.condition == "C2"
-        report = classify(self._complex_pcf((-3, 1, 1), (b0, -1, -1), prec))
+        report = classify(complex_pcf((-3, 1, 1), (b0, -1, -1), prec))
         assert report.verdict.kind == CONVERGENT
         assert report.verdict.condition == "C2"
         err = report.verdict.limit - as_complexfloat(exact.verdict.limit, prec)
@@ -534,7 +536,7 @@ class TestClassifierAgainstSimulation:
     def test_gaussian_named_cases(self, a, b, kind):
         from brute import Simulation, matched_verdict
 
-        pcf = self._gaussian_pcf(a, b)
+        pcf = complex_pcf(a, b)
         rep = classify(pcf)
         assert rep.verdict.kind == kind
         assert matched_verdict(Simulation(pcf, periods=200), rep)
@@ -550,13 +552,8 @@ class TestClassifierAgainstSimulation:
                   for b in itertools.product(units, repeat=2)]
         failures = []
         for a, b in cases:
-            pcf = self._gaussian_pcf(a, b)
+            pcf = complex_pcf(a, b)
             rep = classify(pcf)
             if not matched_verdict(Simulation(pcf, periods=200), rep):
                 failures.append((a, b, rep.verdict.kind))
         assert failures == []
-
-    @staticmethod
-    def _gaussian_pcf(a, b, prec=128):
-        lift = lambda block: tuple(ComplexFloat(complex(z).real, complex(z).imag, prec) for z in block)
-        return PeriodicCF(a_block=lift(a), b_block=lift(b))
