@@ -1,4 +1,4 @@
-"""Canonical text form for exact scalars, and the matching parser.
+"""Canonical text form for exact scalars, the matching parser, and decimals.
 
 Rationals print as "p" or "p/q".  Quadratic values print as "(p + q√D)/r"
 with integer p, q, r, D, r > 0, gcd(p, q, r) = 1 and D squarefree (squarefree
@@ -6,7 +6,11 @@ extraction is by trial division, so a huge square factor hiding behind a
 large prime may survive; the printed value is still exact).  Degenerate
 pieces are dropped: "√5", "-2√3", "(1 + √5)/2", "1 - √5".
 
-Everything this module prints, `parse_exact` reads back.
+Everything `format_exact` prints, `parse_exact` reads back.
+
+`format_float` prints the decimal digits of an exact value, rounded half-up
+(ties away from zero), in mpmath's `nstr` layout, with integers only; a
+ComplexFloat, whose input already loaded mpmath, prints through `nstr`.
 """
 
 from __future__ import annotations
@@ -19,24 +23,29 @@ from typing import Callable
 
 from .errors import SpecFileError
 from .scalars import (
+    ComplexFloat,
     QuadExt,
     _ctx,
-    as_complexfloat,
     quadext,
     squarefree_split,
 )
 
 
+def _integer_parts(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """Integers (p, q, r) with a + b*s = (p + q*s)/r for every s, r > 0 and
+    gcd(p, q, r) = 1."""
+    r = math.lcm(a.denominator, b.denominator)
+    p = a.numerator * (r // a.denominator)
+    q = b.numerator * (r // b.denominator)
+    g = math.gcd(p, q, r)
+    return p // g, q // g, r // g
+
+
 def _surd_parts(x: QuadExt) -> tuple[int, int, int, int]:
     """Normalize a + b*sqrt(d) to integers (p, q, D, r): value = (p + q√D)/r."""
     s, f = squarefree_split(abs(x.d))
-    d_int = f if x.d > 0 else -f
-    b = x.b * s
-    r = math.lcm(x.a.denominator, b.denominator)
-    p = x.a.numerator * (r // x.a.denominator)
-    q = b.numerator * (r // b.denominator)
-    g = math.gcd(math.gcd(abs(p), abs(q)), r)
-    return p // g, q // g, d_int, r // g
+    p, q, r = _integer_parts(x.a, x.b * s)
+    return p, q, f if x.d > 0 else -f, r
 
 
 # Decimal converts ints in both directions without the interpreter's limit on
@@ -154,12 +163,76 @@ def parse_exact(text: str):
 
 
 def format_float(x, prec_bits: int = 128) -> str:
-    """Decimal rendering of any scalar at the requested working precision,
-    to max(6, prec_bits log10(2)) significant digits."""
-    digits = max(6, int(prec_bits * 0.30103))
-    value = as_complexfloat(x, prec_bits)
-    ctx = _ctx(max(prec_bits, value.prec))
-    if value.im == 0:
-        return ctx.nstr(value.re, digits)
-    return ctx.nstr(ctx.mpc(value.re, value.im), digits)
+    """Decimal rendering of an int, Fraction, QuadExt or ComplexFloat with
+    n = max(6, prec_bits log10(2)) significant digits.  An exact value is
+    correctly rounded half-up, in mpmath's `nstr` layout: fixed point when
+    the decimal exponent e has min(-(n//3), -5) < e < n, else d.ddde±E;
+    trailing zeros dropped; complex values as "(re ± imj)".  A ComplexFloat
+    prints through `nstr` itself, as its exact dyadic parts may hold far more
+    bits than the digits need."""
+    n = max(6, int(prec_bits * 0.30103))
+    if isinstance(x, (int, Fraction)):
+        return _real_text(x.numerator, 0, 0, x.denominator, n)
+    if isinstance(x, QuadExt):
+        p, q, r = _integer_parts(x.a, x.b)
+        if x.d > 0:
+            return _real_text(p, q, x.d, r, n)
+        return _complex_text(_real_text(p, 0, 0, r, n), q < 0, _real_text(0, abs(q), -x.d, r, n))
+    if isinstance(x, ComplexFloat):
+        ctx = _ctx(max(prec_bits, x.prec))
+        return ctx.nstr(x.re if x.im == 0 else ctx.mpc(x.re, x.im), n)
+    raise TypeError(f"no decimal form for {type(x).__name__}")
 
+
+def _complex_text(re: str, negative: bool, im: str) -> str:
+    return f"({re} {'-' if negative else '+'} {im}j)"
+
+
+def _real_text(u: int, v: int, d: int, r: int, n: int) -> str:
+    """(u + v√d)/r to n significant digits, for r > 0 and v = 0 or √d
+    irrational."""
+    if v:
+        norm = u * u - v * v * d
+        negative = u < 0 if norm > 0 else v < 0
+        if negative:
+            u, v = -u, -v
+        # a lower bound on log2(u + v√d) from the larger term, 2^(top-1) <= it
+        # < 2^top, or from |u² - v²d| over their sum when the terms cancel
+        top = max(u.bit_length(), ((v * v * d).bit_length() + 1) // 2)
+        bits = top - 1 if u * v >= 0 else abs(norm).bit_length() - top - 2
+    elif u:
+        negative, u = u < 0, abs(u)
+        bits = u.bit_length() - 1
+    else:
+        return "0.0"
+    # e never exceeds the decimal exponent, so one exact floor of 2x, for
+    # x = 10^t (u + v√d)/r, gives n digits or more
+    e = math.floor((bits - r.bit_length()) * math.log10(2)) - 1
+    t = n - 1 - e
+    scale = 2 * 10**t if t > 0 else 2
+    u, v = u * scale, v * scale
+    if v:
+        # floor(v√d) = ±isqrt(v²d), less one when negative: √d is irrational
+        root = math.isqrt(v * v * d)
+        u += root if v > 0 else -root - 1
+    # floor(u/(r 10^k)) = floor(floor(u/2^k)/(r 5^k)), and 5^k is the smaller power
+    twice = u // r if t >= 0 else (u >> -t) // (r * 5**-t)
+    high = 20 * 10 ** (n - 1)
+    while twice >= high:  # floor(2x/10) = floor(floor(2x)/10)
+        twice //= 10
+        e += 1
+    digits = (twice + 1) >> 1  # floor(x + 1/2) = floor((floor(2x) + 1)/2)
+    if digits == high // 2:
+        digits, e = high // 20, e + 1
+    # str() refuses ints of more than 4300 digits; see _int_text
+    text = str(Decimal(digits))
+    split = 1
+    if min(-(n // 3), -5) < e < n:  # fixed point: no exponent
+        text = "0" * -e + text  # leading zeros when e < 0, none otherwise
+        split, e = max(e, 0) + 1, 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    if e:
+        text += f"e{'+' if e > 0 else ''}{e}"
+    return ("-" if negative else "") + text

@@ -12,7 +12,7 @@ Schema (UTF-8 JSON object; unknown keys are rejected):
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), bare JSON integers, or {"re": ..., "im": ...} objects
 for the complex tower.  Floats are accepted only in the complex tower so
-that rational parsing stays exact.
+that rational parsing stays exact, and only finite ones.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     ComplexFloat,
     QuadExt,
+    _ctx,
     as_complexfloat,
     radicand_ratio,
 )
@@ -68,6 +69,10 @@ def _parse_literal(token, tower: str, prec: int):
         if missing or extra:
             raise SpecFileError(f"complex literal needs exactly re and im: {token!r}")
         value = ComplexFloat(token["re"], token["im"], prec)
+    if isinstance(value, ComplexFloat):
+        ctx = _ctx(prec)
+        if not (ctx.isfinite(value.re) and ctx.isfinite(value.im)):
+            raise SpecFileError(f"complex literal {token!r} is not finite")
     if tower == "complex" and not isinstance(value, ComplexFloat):
         value = as_complexfloat(value, prec)
     return value

@@ -121,6 +121,17 @@ class TestEval:
         assert code == 0
         assert peak < 2 * 2**20
 
+    def test_non_finite_complex_literal_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "inf.json"
+        spec.write_text(
+            '{"mode": "periodic", "tower": "complex", "a": [1], "b": [Infinity], "period": 1}',
+            encoding="utf-8",
+        )
+        assert main(["eval", str(spec), "-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_human_output(self, capsys, golden_spec):
         code = main(["eval", golden_spec, "-n", "4"])
         out = capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Every module in src/cfkit uses each name it imports (the package
-__init__ re-exports by importing, so it is left out), and importing the
-package does not load mpmath."""
+__init__ re-exports by importing, so it is left out), and neither importing
+the package nor a CLI run on exact input loads mpmath."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,55 @@ def test_import_leaves_mpmath_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _cli(tmp_path, *argv):
+    """`python -m cfkit --json ARGV` under -X importtime: (report, imported
+    top-level modules)."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cfkit", "--json", *argv],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {
+        line.rsplit("|", 1)[-1].strip().split(".")[0]
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    return json.loads(proc.stdout), imported
+
+
+def test_exact_cli_runs_leave_mpmath_unloaded(tmp_path):
+    # float_values are rendered from the exact values with integers alone
+    specs = {
+        "golden": {"mode": "periodic", "a": [1], "b": [1], "period": 1},
+        "regular": {"mode": "periodic", "a": [1], "b": [5], "period": 1},
+        "sqrt2": {"mode": "generator", "generator": {"name": "sqrt2"}},
+        "fib": {"mode": "generator", "generator": {"name": "golden"}},
+    }
+    for name, data in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    runs = [
+        ("classify", "golden.json"),
+        ("galois", "regular.json"),
+        ("tietze", "sqrt2.json", "--eps", "1e-30"),
+        ("eval", "fib.json", "-n", "40"),
+        ("reverse", "golden.json"),
+        ("continuant", "--oracle", "--a=1,-2", "--b=2,3,5"),
+        ("power-iter", "golden.json", "--steps", "5"),
+    ]
+    for argv in runs:
+        report, imported = _cli(tmp_path, *argv)
+        assert "cfkit" in imported and "mpmath" not in imported, argv
+        if argv[0] != "reverse":
+            assert any(report["float_values"].values()), argv
+
+
+def test_complex_cli_run_renders_through_mpmath(tmp_path):
+    spec = tmp_path / "complex.json"
+    spec.write_text(json.dumps({
+        "mode": "periodic", "a": [{"re": 1, "im": 0}], "b": [{"re": 1, "im": 1}], "period": 1,
+    }), encoding="utf-8")
+    report, imported = _cli(tmp_path, "classify", "complex.json")
+    assert "mpmath" in imported
+    assert report["float_values"]["limit"].endswith("j)")

@@ -1,8 +1,11 @@
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+import time
 
+import mpmath
 import pytest
 
-from cfkit import format_exact, parse_exact, quadext, render
+from cfkit import ComplexFloat, format_exact, parse_exact, quadext, render
 from cfkit.errors import SpecFileError
 from cfkit.render import format_float, squarefree_split
 
@@ -119,6 +122,55 @@ class TestParse:
             assert parse_exact(format_exact(value)) == value
 
 
+def _digits(prec_bits):
+    return max(6, int(prec_bits * 0.30103))
+
+
+def _decimal_oracle(a: Fraction, b: Fraction, d: int, n: int) -> Decimal:
+    """a + b·sqrt(d), d >= 0, rounded half-up to n significant digits by the
+    decimal module alone."""
+    size = max(Decimal(k).adjusted() for k in (a.numerator, a.denominator, b.numerator, b.denominator, d))
+    with localcontext() as ctx:
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        # room for the digits a and b·sqrt(d) can cancel; truncation keeps a
+        # rational on its side of every n-digit tie, so it is rounded once
+        ctx.prec, ctx.rounding = n + 40 + 4 * size, ROUND_DOWN
+        value = Decimal(a.numerator) / Decimal(a.denominator)
+        if b:
+            value += Decimal(b.numerator) / Decimal(b.denominator) * Decimal(d).sqrt()
+        ctx.prec, ctx.rounding = n, ROUND_HALF_UP
+        return +value
+
+
+def _parts(text: str) -> tuple[str, str | None]:
+    """The real and imaginary texts of "re", or of "(re + imj)" / "(re - imj)"."""
+    if not text.startswith("("):
+        return text, None
+    re, op, im = text[1:-2].split(" ")
+    return re, im if op == "+" else f"-{im}"
+
+
+def _pell_approximant(d: int, terms: int) -> Fraction:
+    """A convergent p/q of sqrt(d) from Newton steps, so a = -p/q nearly
+    cancels b·sqrt(d) with b = 1."""
+    x = Fraction(1)
+    for _ in range(terms):
+        x = (x + d / x) / 2
+    return x
+
+
+def _exact_values(rng, count):
+    for _ in range(count):
+        size = rng.choice([1, 3, 12, 40, 120])
+        num = rng.randint(-(10**size), 10**size)
+        den = rng.randint(1, 10 ** rng.choice([1, 4, 20, 60]))
+        b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**size), rng.randint(1, 10**5))
+        yield num
+        yield Fraction(num, den)
+        yield quadext(Fraction(num, den), b, rng.choice([2, 3, 5, 12, 45, 10**9 + 7]))
+        yield quadext(Fraction(num, den), b, rng.choice([-1, -3, -12, -(10**9 + 7)]))
+
+
 class TestFloatRendering:
     def test_rational(self):
         text = format_float(F(1, 4), 128)
@@ -132,6 +184,85 @@ class TestFloatRendering:
         z = quadext(1, 1, -1)
         rendered = format_float(z, 128)
         assert "j" in rendered or "i" in rendered
+
+    @pytest.mark.parametrize("prec_bits, count", [(64, 60), (128, 60), (256, 60), (20000, 2)])
+    def test_correctly_rounded_against_decimal(self, rng, prec_bits, count):
+        n = _digits(prec_bits)
+        named = [
+            0, -7, 10**4400 + 1, -(3**9100), F(-1, 3), F(5, 2 * 10**40), quadext(0, 3, 12),
+            quadext(-_pell_approximant(2, 7), 1, 2), quadext(_pell_approximant(12, 6), -1, 12),
+        ]
+        for value in [*named, *_exact_values(rng, count)]:
+            text = format_float(value, prec_bits)
+            if isinstance(value, (int, Fraction)):
+                expected = [_decimal_oracle(Fraction(value), F(0), 0, n), None]
+            elif value.d > 0:
+                expected = [_decimal_oracle(value.a, value.b, value.d, n), None]
+            else:
+                expected = [_decimal_oracle(value.a, F(0), 0, n),
+                            _decimal_oracle(F(0), value.b, -value.d, n)]
+            for part, want in zip(_parts(text), expected):
+                assert (part is None) == (want is None), text
+                if part is None:
+                    continue
+                assert Decimal(part) == want, (value, text)
+                fixed = want.is_zero() or min(-(n // 3), -5) < want.adjusted() < n
+                assert ("e" in part) != fixed, part
+
+    @pytest.mark.parametrize("prec_bits, value, text", [
+        (128, 0, "0.0"),
+        (128, F(-3, 2), "-1.5"),
+        # the window for the fixed layout is min(-(n//3), -5) < exponent < n
+        (128, F(15, 10**12), "0.000000000015"),
+        (128, F(15, 10**13), "1.5e-12"),
+        (128, 15 * 10**36, "15000000000000000000000000000000000000.0"),
+        (128, 15 * 10**37, "1.5e+38"),
+        (64, F(15, 10**6), "0.000015"),
+        (64, F(15, 10**7), "1.5e-6"),
+        (16, F(15, 10**5), "0.00015"),
+        (16, F(15, 10**6), "1.5e-5"),
+        # half-up at the last digit, and rounding into the next power of ten
+        (16, F(1234565, 10**6), "1.23457"),
+        (16, F(-1234565, 10**6), "-1.23457"),
+        (16, 999_999, "999999.0"),
+        (16, 9_999_995, "1.0e+7"),
+        (128, 10**38 - 1, "99999999999999999999999999999999999999.0"),
+        (128, 10**39 - 1, "1.0e+39"),
+        (64, quadext(F(1, 2), F(-1, 2), -3), "(0.5 - 0.8660254037844386468j)"),
+    ])
+    def test_layout_edges(self, prec_bits, value, text):
+        assert format_float(value, prec_bits) == text
+
+    @pytest.mark.parametrize("prec_bits", [64, 128, 256])
+    def test_complexfloat_text_matches_mpmath(self, rng, prec_bits):
+        n = _digits(prec_bits)
+
+        def mpf_part():
+            if rng.random() < 0.1:
+                return 0
+            bits = rng.choice([1, 7, prec_bits // 2, prec_bits])
+            man = rng.choice([-1, 1]) * (rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+            return mpmath.mpf((man, rng.randint(-3000, 3000) - bits))
+
+        with mpmath.workprec(prec_bits):
+            values = [ComplexFloat(mpf_part(), mpf_part() if rng.random() < 0.7 else 0, prec_bits)
+                      for _ in range(300)]
+            values += [ComplexFloat(re, im, prec_bits) for re, im in [
+                ("inf", 0), ("-inf", 1), (1, "-inf"), (1, "nan"), ("nan", "inf"), (0, 0),
+            ]]
+            assert max(z.re._mpf_[3] for z in values) == prec_bits
+            for z in values:
+                mp_value = z.re if z.im == 0 else mpmath.mpc(z.re, z.im)
+                assert format_float(z, prec_bits) == mpmath.nstr(mp_value, n)
+
+    @pytest.mark.parametrize("exp", [10**7, -(10**7), 3 * 10**9, -(3 * 10**9)])
+    def test_complexfloat_with_huge_binary_exponent_is_quick(self, exp):
+        # the exact dyadic value would need an int of |exp| bits
+        z = ComplexFloat(mpmath.mpf((3, exp)), mpmath.mpf((-5, -exp)), 128)
+        start = time.perf_counter()
+        text = format_float(z, 128)
+        assert time.perf_counter() - start < 1.0
+        assert text.startswith("(") and " - " in text and text.endswith("j)")
 
 
 def test_squarefree_split():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,31 @@ class TestLiterals:
         assert spec.tower == "quadext"
         assert spec.a[0] == quadext(0, 2, 3)
         assert spec.a[0] + spec.b[1] == quadext(0, 3, 3)
+
+    @pytest.mark.parametrize("literal", [
+        float("inf"), -float("inf"), float("nan"),
+        {"re": float("inf"), "im": 0}, {"re": 1, "im": -float("inf")},
+        {"re": float("nan"), "im": 1}, {"re": "-inf", "im": 0},
+    ], ids=["inf", "-inf", "nan", "re-inf", "im--inf", "re-nan", "re-text-inf"])
+    def test_non_finite_complex_literals_rejected(self, tmp_path, literal):
+        # json writes these as Infinity, -Infinity and NaN, and reads them back
+        path = write_spec(tmp_path, {
+            "mode": "periodic", "tower": "complex", "a": [1], "b": [literal], "period": 1,
+        })
+        with pytest.raises(SpecFileError, match="not finite"):
+            load_specfile(path)
+
+    def test_finite_complex_literal_with_huge_exponent_loads(self, tmp_path):
+        # finiteness is read off the mpf, without building its exact value
+        path = write_spec(tmp_path, {
+            "mode": "periodic", "tower": "complex", "a": [1, 1],
+            "b": [{"re": "1e-10000000000", "im": 0}, {"re": 1, "im": "1e+10000000000"}],
+            "period": 2,
+        })
+        start = time.perf_counter()
+        spec = load_specfile(path)
+        assert time.perf_counter() - start < 5.0
+        assert 0 < spec.b[0].re < 1 and spec.b[1].im > 1
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(SpecFileError):
