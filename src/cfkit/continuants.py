@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfcore import CFSpec, ConvergentPair, FiniteCF, coefficient_lists, pair_at
+from .cfcore import CFSpec, ConvergentPair, FiniteCF, _check_index, coefficient_lists, pair_at
 from .errors import InvalidSpec, SizeLimit
 from .scalars import Scalar
 
@@ -111,8 +111,7 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
     They coincide with forward values: A'(n) = A(n), B'(n) = A(n-1),
     A'(n-1) = B(n), B'(n-1) = B(n-1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_index(n, 1)
     a, b = coefficient_lists(spec, n)
     reversed_cf = FiniteCF(a_list=a[::-1], b_list=b[::-1])
     prev, cur = pair_at(reversed_cf, 0, n)
@@ -125,10 +124,8 @@ def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
         A(n+k) = A(n,k) A(n-1) + a(n) B(n,k) A(n-2)
         B(n+k) = A(n,k) B(n-1) + a(n) B(n,k) B(n-2)
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_index(n, 1)
+    _check_index(k, 0, "k")
     prev2, prev = pair_at(spec, 0, n - 1)
     tail = pair_at(spec, n, k)[1]
     an = spec.a(n)
@@ -139,10 +136,8 @@ def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
 
 def generalized_cross_determinant(spec: CFSpec, n: int, k: int) -> Scalar:
     """A(n+k)B(n-1) - A(n-1)B(n+k); equals (-1)^(n-1) a(1)..a(n) B(n,k)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_index(n, 1)
+    _check_index(k, 0, "k")
     far = pair_at(spec, 0, n + k)[1]
     prev = pair_at(spec, 0, n - 1)[1]
     return far.num * prev.den - prev.num * far.den
@@ -150,8 +145,7 @@ def generalized_cross_determinant(spec: CFSpec, n: int, k: int) -> Scalar:
 
 def continuant_of_convergent(spec: CFSpec, n: int) -> tuple[Scalar, Scalar]:
     """(A(n), B(n)) recomputed as continuants of the coefficient slices."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_index(n, 0)
     a, b = coefficient_lists(spec, n)
     num = continuant(ContinuantArgs(a=a, b=b))
     den = continuant(ContinuantArgs(a=a[1:], b=b[1:])) if n >= 1 else 1

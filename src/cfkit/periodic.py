@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
-from .cfcore import PeriodicCF, recurrence
+from .cfcore import PeriodicCF, _check_index, recurrence
 from .errors import (
     DegenerateMatrix,
     InvalidSpec,
@@ -295,8 +295,7 @@ def power_iterate(
     (mu1, mu2) of the start vector in the eigenbasis, which decide the
     limiting behaviour of the ratios.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    _check_index(n_steps, 0, "n_steps")
     if is_zero(u0) and is_zero(v0):
         raise ZeroStart("power iteration needs a nonzero start vector")
     if is_zero(matrix.m21):

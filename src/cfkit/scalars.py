@@ -43,12 +43,6 @@ def is_square_rational(x: RationalLike) -> bool:
     return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
-def sqrt_rational(x: RationalLike) -> Fraction:
-    """Exact square root of a rational that is known to be a perfect square."""
-    f = _as_fraction(x)
-    return Fraction(math.isqrt(f.numerator), math.isqrt(f.denominator))
-
-
 _TRIAL_DIVISION_BOUND = 100_000
 
 
@@ -116,7 +110,7 @@ def quadext(a, b, d) -> "Scalar":
     if b == 0:
         return a
     if is_square_rational(d):
-        return a + b * sqrt_rational(d)
+        return a + b * Fraction(math.isqrt(d.numerator), math.isqrt(d.denominator))
     return _quadext_trusted(a, b / d.denominator, d.numerator * d.denominator)
 
 
@@ -196,13 +190,6 @@ class QuadExt:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
         return self.a * self.a - self.b * self.b * self.d
 
-    def modulus_squared(self) -> Fraction:
-        """|value|^2; rational for d < 0, equals value^2's rational part only
-        when b = 0, so for d > 0 use sign-based comparison instead."""
-        if self.d < 0:
-            return self.a * self.a - self.b * self.b * self.d
-        raise TowerMismatch("modulus_squared is rational only for d < 0")
-
     def sign(self) -> int:
         """Exact sign of the real value (requires d > 0)."""
         if self.d < 0:
@@ -233,18 +220,10 @@ class QuadExt:
         return _quadext_trusted(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        parts = self._lift(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _quadext_trusted(self.a - oa, self.b - ob, self.d)
+        return self + -other
 
     def __rsub__(self, other):
-        parts = self._lift(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _quadext_trusted(oa - self.a, ob - self.b, self.d)
+        return -self + other
 
     def __mul__(self, other):
         parts = self._lift(other)
@@ -276,11 +255,7 @@ class QuadExt:
         return self * _quadext_trusted(oa, ob, self.d)._inverse()
 
     def __rtruediv__(self, other):
-        parts = self._lift(other)
-        if parts is None:
-            return NotImplemented
-        oa, ob = parts
-        return _quadext_trusted(oa, ob, self.d) * self._inverse()
+        return self._inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -351,7 +326,7 @@ def abs_lt(x, bound: RationalLike) -> bool:
         return -bound < x < bound
     if isinstance(x, QuadExt):
         if x.d < 0:
-            return x.modulus_squared() < bound * bound
+            return x.norm() < bound * bound  # a^2 - b^2 d = |x|^2 for d < 0
         return sign_of(bound - x) > 0 and sign_of(bound + x) > 0
     raise TowerMismatch(f"no exact comparison for {type(x).__name__}")
 
@@ -470,10 +445,6 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
         if x.d > 0:
             return ComplexFloat(a + b * root, 0, prec)
         return ComplexFloat(a, b * root, prec)
-    if isinstance(x, float):
-        return ComplexFloat(ctx.mpf(x), 0, prec)
-    if isinstance(x, complex):
-        return ComplexFloat(ctx.mpf(x.real), ctx.mpf(x.imag), prec)
     try:
         value = ctx.mpc(x)
     except (TypeError, ValueError):

@@ -31,7 +31,7 @@ from itertools import accumulate, islice, tee
 from math import isqrt
 from typing import Literal
 
-from .cfcore import CFSpec, PeriodicCF, iter_pairs, recurrence
+from .cfcore import CFSpec, PeriodicCF, _check_index, iter_pairs, recurrence
 from .errors import (
     CertificateFailure,
     InvalidSpec,
@@ -124,8 +124,7 @@ def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     Reads coefficients up to index n_max + 1 and reports the first violated
     condition, if any.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_index(n_max, 1, "n_max")
     spec.require(n_max + 1)
     try:
         deque(islice(_semiregular_terms(spec), n_max + 1), maxlen=0)
@@ -159,8 +158,7 @@ def denominator_bounds_certificate(
     1 <= B(k,n) <= B(k-1,n+1) <= B(k+n) is also verified.  These are
     theorems for semi-regular input, so any failure is raised as a bug.
     """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    _check_index(n_max, 2, "n_max")
     report = validate_semiregular(spec, n_max)
     if not report.valid:
         raise NotSemiRegular(report.first_violation)
