@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 from .cfcore import PeriodicCF, _check_index, recurrence
@@ -203,8 +204,9 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
 
     The modulus relation is decided exactly by `_modulus_relation`.  An
     exact matrix is scaled to integers, which give its eigenvalues and fixed
-    points exactly.  A floating matrix is decided on its exact entries, and
-    its values come from the quadratic formula at the largest entry precision.
+    points exactly.  A floating matrix is decided and ordered on its exact
+    entries, and its values come from them without cancellation, at the
+    largest entry precision.
     """
     if any(isinstance(m, QuadExt) for m in (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
@@ -216,16 +218,22 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     prec = matrix.prec
     if not prec:
         return _split_integer(exact)
-    tr_f, det_f = as_complexfloat(matrix.trace, prec), as_complexfloat(matrix.det, prec)
-    root = (tr_f * tr_f - 4 * det_f).sqrt()
-    lam1, lam2 = (tr_f + root) / 2, (tr_f - root) / 2
-    if lam1.modulus() < lam2.modulus():
-        lam1, lam2 = lam2, lam1
+    disc = tr * tr - 4 * det
+    t, rounded = as_complexfloat(tr, prec), partial(as_complexfloat, prec=prec)
+    # s = sqrt(disc) with Re(s conj(tr)) >= 0: the principal root of the exact
+    # disc/tr^2 has Re >= 0, so (tr + s)/2 dominates and neither sum cancels
+    s = t * rounded(scalar_div(disc, tr * tr)).sqrt() if not is_zero(tr) else rounded(disc).sqrt()
+    lam1 = (t + s) / 2
     x1 = x2 = None
-    if not is_zero(matrix.m21):
-        x1 = scalar_div(lam1 - matrix.m22, matrix.m21)
-        x2 = scalar_div(lam2 - matrix.m22, matrix.m21)
-    return EigenSplit(lam1, lam2, _modulus_relation(tr, tr * tr - 4 * det), x1, x2)
+    if not is_zero(m21):
+        # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
+        u, v = rounded(m11 - m22) + s, s - rounded(m11 - m22)
+        two_m12, two_m21 = rounded(2 * m12), rounded(2 * m21)
+        if u.modulus() < v.modulus():
+            x1, x2 = two_m12 / v, -v / two_m21
+        else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
+            x1, x2 = u / two_m21, (u if u.is_zero else -two_m12 / u)
+    return EigenSplit(lam1, rounded(det) / lam1, _modulus_relation(tr, disc), x1, x2)
 
 
 def _split_integer(entries: tuple) -> EigenSplit:

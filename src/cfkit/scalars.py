@@ -442,9 +442,12 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
         a = ctx.fdiv(x.a.numerator, x.a.denominator)
         b = ctx.fdiv(x.b.numerator, x.b.denominator)
         root = ctx.sqrt(ctx.mpf(abs(x.d)))
-        if x.d > 0:
-            return ComplexFloat(a + b * root, 0, prec)
-        return ComplexFloat(a, b * root, prec)
+        if x.d < 0:
+            return ComplexFloat(a, b * root, prec)
+        if x.a * x.b < 0:  # a + b sqrt(d) = norm/(a - b sqrt(d)), which does not cancel
+            n = x.norm()
+            return ComplexFloat(ctx.fdiv(n.numerator, n.denominator) / (a - b * root), 0, prec)
+        return ComplexFloat(a + b * root, 0, prec)
     try:
         value = ctx.mpc(x)
     except (TypeError, ValueError):

@@ -95,8 +95,9 @@ def format_literal(value):
         return int(value)
     if isinstance(value, (Fraction, QuadExt)):
         return format_exact(value)
-    if isinstance(value, ComplexFloat):
-        return {"re": str(value.re), "im": str(value.im)}
+    if isinstance(value, ComplexFloat):  # with enough digits to read back the same parts
+        from mpmath.libmp import repr_dps, to_str
+        return {k: to_str(getattr(value, k)._mpf_, repr_dps(value.prec)) for k in ("re", "im")}
     raise TypeError(f"no literal form for {type(value).__name__}")
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit import PeriodicCF, parse_exact, render
+from cfkit import PeriodicCF, load_specfile, parse_exact, render, reverse_period
 from cfkit.cfcore import convergent_pair
 from cfkit.cli import MAX_STEPS, main
 
@@ -293,6 +294,26 @@ class TestReverse:
         spec = write_spec(tmp_path, {"mode": "finite", "a": [1], "b": [1, 1]})
         assert main(["reverse", spec]) == 6
 
+    @pytest.mark.parametrize("prec", [64, 128, 256, 1000])
+    def test_complex_literals_read_back_exactly(self, capsys, tmp_path, prec):
+        # literals with more digits than the precision holds round to full-width
+        # binary parts, which the reversed spec must write with enough digits
+        rng = random.Random(prec)
+
+        def literal():
+            digits = "".join(rng.choices("0123456789", k=prec // 3 + 10))
+            return f"{rng.choice(('', '-'))}{rng.randint(1, 999)}.{digits}e{rng.randint(-40, 40)}"
+
+        coefficients = [{"re": literal(), "im": literal()} for _ in range(6)]
+        spec = write_spec(tmp_path, {"mode": "periodic", "a": coefficients[:3],
+                                     "b": coefficients[3:], "precision_bits": prec})
+        assert main(["reverse", spec]) == 0
+        reversed_spec = write_spec(tmp_path, json.loads(capsys.readouterr().out), "rev.json")
+        loaded = load_specfile(reversed_spec)
+        expected = reverse_period(load_specfile(spec).to_cfspec())
+        assert (loaded.tower, loaded.precision_bits) == ("complex", prec)
+        assert loaded.a == expected.a_block and loaded.b == expected.b_block
+
 
 class TestGalois:
     def test_golden(self, capsys, golden_spec):
@@ -337,6 +358,12 @@ class TestPowerIter:
             main(["power-iter", "--matrix", "1,1,1,0", "--steps", str(MAX_STEPS + 1)])
         assert exc.value.code == 2
         assert f"step count must be in 0..{MAX_STEPS}" in capsys.readouterr().err
+
+    def test_plain_text_table(self, capsys):
+        assert main(["power-iter", "--matrix", "1,1,1,0", "--steps", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-5:] == ["n\tu\tv\tratio", "0\t1\t0\t-", "1\t1\t1\t1",
+                              "2\t2\t1\t2", "3\t3\t2\t3/2"]
 
     def test_degenerate_matrix_exits_7(self, capsys):
         code = main(["power-iter", "--matrix", "1,1,0,1"])

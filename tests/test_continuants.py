@@ -5,16 +5,20 @@ import pytest
 from cfkit import (
     ContinuantArgs,
     FiniteCF,
+    build_period_matrix,
     continuant,
     continuant_of_convergent,
     continuant_oracle,
     convergent_table,
+    denominator_bounds_certificate,
     first_column_expansion,
     generalized_cross_determinant,
+    power_iterate,
     reverse_relations,
     reversed_args,
     shifted_table,
     tail_combination,
+    validate_semiregular,
 )
 from cfkit.errors import CoefficientUnavailable, InvalidSpec, SizeLimit
 from conftest import footnote_cf, golden_cf, nonzero_int, random_finite
@@ -250,3 +254,23 @@ def test_footnote_matrix_values_via_continuants():
         num, den = continuant_of_convergent(spec, n)
         assert num == n + 2
         assert den == n + 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reverse_relations(golden_cf(), 0), "n must be >= 1, got 0"),
+    (lambda: tail_combination(golden_cf(), 0, 2), "n must be >= 1, got 0"),
+    (lambda: tail_combination(golden_cf(), 1, -1), "k must be >= 0, got -1"),
+    (lambda: generalized_cross_determinant(golden_cf(), -3, 0), "n must be >= 1, got -3"),
+    (lambda: generalized_cross_determinant(golden_cf(), 2, -2), "k must be >= 0, got -2"),
+    (lambda: continuant_of_convergent(golden_cf(), -1), "n must be >= 0, got -1"),
+    (lambda: validate_semiregular(golden_cf(), 0), "n_max must be >= 1, got 0"),
+    (lambda: denominator_bounds_certificate(golden_cf(), 1), "n_max must be >= 2, got 1"),
+    (lambda: power_iterate(build_period_matrix(golden_cf()), 1, 0, -1),
+     "n_steps must be >= 0, got -1"),
+], ids=["reverse_relations", "tail_combination_n", "tail_combination_k", "cross_n",
+        "cross_k", "continuant_of_convergent", "validate_semiregular",
+        "denominator_bounds_certificate", "power_iterate"])
+def test_index_range_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -63,6 +64,14 @@ def complex_pcf(a_values, b_values, prec=128):
         a_block=tuple(as_complexfloat(a, prec) for a in a_values),
         b_block=tuple(as_complexfloat(b, prec) for b in b_values),
     )
+
+
+def close_to_exact(got, want, prec):
+    """got is within 2^-(prec - 4) relative of the exact value want (or both are None)."""
+    if want is None:
+        return got is None
+    want = as_complexfloat(want, 4 * prec)
+    return (got - want).modulus() <= want.modulus() * 2.0 ** (4 - prec)
 
 
 class TestPeriodMatrix:
@@ -234,6 +243,29 @@ class TestEigenSplit:
             assert (lam - exact).modulus() < 2.0**-250
 
 
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_float_split_keeps_the_working_precision(self, prec):
+        # integer period matrices in the complex tower against their exact split;
+        # named: tr = 0 (D > 0 and D < 0), D = 0, m12 = 0, m12 = D = 0 (a double
+        # fixed point at 0) and m21 = 0
+        rng = random.Random(20261019)
+        cases = [(0, 1, 1, 0), (0, -1, 1, 0), (2, -1, 1, 0), (1, 0, 3, 2), (5, 0, 7, 5), (2, 1, 0, 3)]
+        for _ in range(150):
+            p = rng.randint(1, 4)
+            pcf = PeriodicCF(a_block=tuple(rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(p)),
+                             b_block=tuple(rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(p)))
+            cases.append(build_period_matrix(pcf).exact)
+        for entries in cases:
+            exact = eigen_split(PeriodMatrix(*entries))
+            split = eigen_split(PeriodMatrix(*(as_complexfloat(m, prec) for m in entries)))
+            got = (split.lambda1, split.lambda2, split.x1, split.x2)
+            want = (exact.lambda1, exact.lambda2, exact.x1, exact.x2)
+            orders = [want]
+            if exact.modulus_relation != STRICTLY_DOMINANT:  # either order is right
+                orders.append((want[1], want[0], want[3], want[2]))
+            assert any(all(map(close_to_exact, got, order, [prec] * 4)) for order in orders), entries
+
+
 class TestClassify:
     def test_footnote_convergent_repeated(self):
         report = classify(footnote_cf())
@@ -317,6 +349,16 @@ class TestClassifyComplexTower:
         assert report.verdict.condition == "C2"
         err = report.verdict.limit - as_complexfloat(exact.verdict.limit, prec)
         assert err.modulus() * 2 ** (prec - 8) < 1
+
+    @pytest.mark.parametrize("e", [150, 200, 300])
+    def test_nearly_equal_moduli_are_ordered_exactly(self, e):
+        # b = -2^-e + i: the moduli of the eigenvalues differ by about 2^-e, far
+        # below the working precision, and the limit is -sqrt3/2 + i/2 at any precision
+        def limit(prec):
+            report = classify(complex_pcf((1,), (quadext(-F(1, 2**e), 1, -1),), prec))
+            assert report.verdict.kind == CONVERGENT and report.verdict.condition == "C2"
+            return report.verdict.limit
+        assert (limit(128) - limit(2048)).modulus() < 2.0**-120
 
     @pytest.mark.parametrize("re, im", [("inf", 0), ("-inf", 0), (1, "nan")])
     def test_non_finite_coefficient_is_refused(self, re, im):

@@ -4,7 +4,7 @@ import pytest
 
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import abs_lt, is_zero, scalar_div, sign_of
+from cfkit.scalars import _ctx, abs_lt, is_zero, scalar_div, sign_of
 
 
 def F(n, d=1):
@@ -192,6 +192,19 @@ class TestComplexFloat:
         z = as_complexfloat(quadext(2, 1, -4), 128)
         assert z.re == 2
         assert (z.im - 2).__abs__() < 1e-30
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cancelling_quadext_keeps_its_digits(self, sign):
+        # x is the sixth Newton iterate for sqrt2, so -x + sqrt2 is about -2.86e-49:
+        # rounding -x and sqrt2 apart and adding them would leave no digit
+        x = F(1)
+        for _ in range(6):
+            x = (x + 2 / x) / 2
+        ctx = _ctx(2000)
+        reference = sign * (ctx.sqrt(2) - ctx.fdiv(x.numerator, x.denominator))
+        z = as_complexfloat(quadext(-sign * x, sign, 2), 128)
+        assert z.im == 0
+        assert abs(z.re - reference) < abs(reference) * 2.0**-124
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
