@@ -219,11 +219,11 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     if not prec:
         return _split_integer(exact)
     disc = tr * tr - 4 * det
-    t, rounded = as_complexfloat(tr, prec), partial(as_complexfloat, prec=prec)
-    # s = sqrt(disc) with Re(s conj(tr)) >= 0: the principal root of the exact
-    # disc/tr^2 has Re >= 0, so (tr + s)/2 dominates and neither sum cancels
-    s = t * rounded(scalar_div(disc, tr * tr)).sqrt() if not is_zero(tr) else rounded(disc).sqrt()
-    lam1 = (t + s) / 2
+    rounded, relation = partial(as_complexfloat, prec=prec), _modulus_relation(tr, disc)
+    t, s = rounded(tr), rounded(disc).sqrt()
+    if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
+        s = t * rounded(scalar_div(disc, tr * tr)).sqrt()
+    lam1 = (t + s) / 2  # Re(s conj(t)) >= 0 (0 at equal moduli): t + s does not cancel
     x1 = x2 = None
     if not is_zero(m21):
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
@@ -233,7 +233,7 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
             x1, x2 = two_m12 / v, -v / two_m21
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
             x1, x2 = u / two_m21, (u if u.is_zero else -two_m12 / u)
-    return EigenSplit(lam1, rounded(det) / lam1, _modulus_relation(tr, disc), x1, x2)
+    return EigenSplit(lam1, rounded(det) / lam1, relation, x1, x2)
 
 
 def _split_integer(entries: tuple) -> EigenSplit:

@@ -245,9 +245,9 @@ class TestEigenSplit:
 
     @pytest.mark.parametrize("prec", [64, 128, 256])
     def test_float_split_keeps_the_working_precision(self, prec):
-        # integer period matrices in the complex tower against their exact split;
-        # named: tr = 0 (D > 0 and D < 0), D = 0, m12 = 0, m12 = D = 0 (a double
-        # fixed point at 0) and m21 = 0
+        # integer period matrices in the complex tower against their exact split,
+        # in the same order; named: tr = 0 (D > 0 and D < 0), D = 0, m12 = 0,
+        # m12 = D = 0 (a double fixed point at 0) and m21 = 0
         rng = random.Random(20261019)
         cases = [(0, 1, 1, 0), (0, -1, 1, 0), (2, -1, 1, 0), (1, 0, 3, 2), (5, 0, 7, 5), (2, 1, 0, 3)]
         for _ in range(150):
@@ -258,12 +258,9 @@ class TestEigenSplit:
         for entries in cases:
             exact = eigen_split(PeriodMatrix(*entries))
             split = eigen_split(PeriodMatrix(*(as_complexfloat(m, prec) for m in entries)))
-            got = (split.lambda1, split.lambda2, split.x1, split.x2)
-            want = (exact.lambda1, exact.lambda2, exact.x1, exact.x2)
-            orders = [want]
-            if exact.modulus_relation != STRICTLY_DOMINANT:  # either order is right
-                orders.append((want[1], want[0], want[3], want[2]))
-            assert any(all(map(close_to_exact, got, order, [prec] * 4)) for order in orders), entries
+            assert split.modulus_relation == exact.modulus_relation
+            for name in ("lambda1", "lambda2", "x1", "x2"):
+                assert close_to_exact(getattr(split, name), getattr(exact, name), prec), (entries, name)
 
 
 class TestClassify:
