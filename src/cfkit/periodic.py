@@ -227,8 +227,8 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     x1 = x2 = None
     if not is_zero(m21):
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
-        u, v = rounded(m11 - m22) + s, s - rounded(m11 - m22)
-        two_m12, two_m21 = rounded(2 * m12), rounded(2 * m21)
+        d, two_m12, two_m21 = rounded(m11 - m22), rounded(2 * m12), rounded(2 * m21)
+        u, v = d + s, s - d
         if u.modulus() < v.modulus():
             x1, x2 = two_m12 / v, -v / two_m21
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0

@@ -242,14 +242,15 @@ class TestEigenSplit:
             exact = as_complexfloat(quadext(F(5, 2), F(sign, 2), 5), 256)
             assert (lam - exact).modulus() < 2.0**-250
 
-
     @pytest.mark.parametrize("prec", [64, 128, 256])
     def test_float_split_keeps_the_working_precision(self, prec):
         # integer period matrices in the complex tower against their exact split,
         # in the same order; named: tr = 0 (D > 0 and D < 0), D = 0, m12 = 0,
-        # m12 = D = 0 (a double fixed point at 0) and m21 = 0
+        # m12 = D = 0 (a double fixed point at 0), m21 = 0, and m11 - m22 +- s
+        # cancelling in x1's sum and then in x2's
         rng = random.Random(20261019)
-        cases = [(0, 1, 1, 0), (0, -1, 1, 0), (2, -1, 1, 0), (1, 0, 3, 2), (5, 0, 7, 5), (2, 1, 0, 3)]
+        cases = [(0, 1, 1, 0), (0, -1, 1, 0), (2, -1, 1, 0), (1, 0, 3, 2), (5, 0, 7, 5), (2, 1, 0, 3),
+                 (1, 1, 1, 10**6), (10**6, 1, 1, 1)]
         for _ in range(150):
             p = rng.randint(1, 4)
             pcf = PeriodicCF(a_block=tuple(rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(p)),
