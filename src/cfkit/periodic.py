@@ -220,9 +220,11 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
         return _split_integer(exact)
     disc = tr * tr - 4 * det
     rounded, relation = partial(as_complexfloat, prec=prec), _modulus_relation(tr, disc)
-    t, s = rounded(tr), rounded(disc).sqrt()
+    t = rounded(tr)
     if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
         s = t * rounded(scalar_div(disc, tr * tr)).sqrt()
+    else:
+        s = rounded(disc).sqrt()
     lam1 = (t + s) / 2  # Re(s conj(t)) >= 0 (0 at equal moduli): t + s does not cancel
     x1 = x2 = None
     if not is_zero(m21):
@@ -282,7 +284,8 @@ def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdic
     # square, which makes x2 a Fraction; complex input is always scanned
     if isinstance(eigen.x2, (ComplexFloat, Fraction)):
         m11, m12, m21, m22 = _exact_entries(matrix)
-        tr, disc = m11 + m22, (m11 - m22) ** 2 + 4 * m12 * m21
+        tr, d = m11 + m22, m11 - m22
+        disc = d * d + 4 * m12 * m21
         a_block, b_block = _exact_blocks(pcf, matrix.prec)
         pairs = recurrence(b_block[0], zip(a_block, b_block[1:]))  # q = 0 .. p - 1
         for q, (num, den) in enumerate(islice(pairs, pcf.period - 1)):

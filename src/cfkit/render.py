@@ -112,8 +112,11 @@ def format_exact(x, int_text: Callable[[int], str] | None = None) -> str:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-_SURD_CORE_RE = re.compile(
-    r"^(?:(?P<p>[+-]?\d+(?:/\d+)?)(?P<op>[+-]))?(?P<q>[+-]?\d*)√(?P<d>-?\d+)$"
+# [(][p(+|-)][q]√d[)][/r] without spaces, the parentheses paired; r divides
+# the whole value, as in "1/2+√5/3" = (1/2 + √5)/3
+_SURD_RE = re.compile(
+    r"(?P<open>\()?(?:(?P<p>[+-]?\d+(?:/\d+)?)(?P<op>[+-]))?(?P<q>[+-]?\d*)"
+    r"√(?P<d>-?\d+)(?(open)\))(?:/(?P<r>\d+))?"
 )
 
 
@@ -124,42 +127,16 @@ def parse_exact(text: str):
         if not _RATIONAL_RE.match(s):
             raise SpecFileError(f"not an exact number literal: {text!r}")
         return _text_rational(s)
-    compact = s.replace(" ", "")
-    r = 1
-    if compact.startswith("("):
-        close = compact.rfind(")")
-        if close < 0:
-            raise SpecFileError(f"unbalanced parentheses in {text!r}")
-        core, rest = compact[1:close], compact[close + 1 :]
-        if rest:
-            if not rest.startswith("/") or not rest[1:].isdecimal():
-                raise SpecFileError(f"bad denominator in {text!r}")
-            r = _text_int(rest[1:])
-    else:
-        root = compact.rindex("√")
-        slash = compact.find("/", root)
-        if slash >= 0:
-            core, denom = compact[:slash], compact[slash + 1 :]
-            if not denom.isdecimal():
-                raise SpecFileError(f"bad denominator in {text!r}")
-            r = _text_int(denom)
-        else:
-            core = compact
-    match = _SURD_CORE_RE.match(core)
-    if not match or r == 0:
+    match = _SURD_RE.fullmatch(s.replace(" ", ""))
+    if not match:
         raise SpecFileError(f"not an exact number literal: {text!r}")
-    p = _text_rational(match["p"]) if match["p"] else Fraction(0)
-    q_text = match["q"]
-    if q_text in ("", "+"):
-        q = Fraction(1)
-    elif q_text == "-":
-        q = Fraction(-1)
-    else:
-        q = _text_rational(q_text)
-    if match["op"] == "-":
-        q = -q
-    d = _text_int(match["d"])
-    return quadext(p / r, q / r, d)
+    try:
+        p, r = _text_rational(match["p"] or "0"), Fraction(1, _text_int(match["r"] or "1"))
+    except ZeroDivisionError:
+        raise SpecFileError(f"zero denominator in {text!r}") from None
+    q = match["q"]
+    q = _text_int(q + "1" if q in ("", "+", "-") else q)
+    return quadext(p * r, (-q if match["op"] == "-" else q) * r, _text_int(match["d"]))
 
 
 def format_float(x, prec_bits: int = 128) -> str:

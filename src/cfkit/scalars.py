@@ -220,10 +220,10 @@ class QuadExt:
         return _quadext_trusted(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + -other
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         parts = self._lift(other)
@@ -255,7 +255,7 @@ class QuadExt:
         return self * _quadext_trusted(oa, ob, self.d)._inverse()
 
     def __rtruediv__(self, other):
-        return self._inverse() * other
+        return self._inverse().__mul__(other)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -5,14 +5,17 @@ Schema (UTF-8 JSON object; unknown keys are rejected):
     mode            "finite" | "periodic" | "generator"
     a, b            lists of number literals (finite/periodic modes)
     period          integer, required for periodic mode (= |a| = |b|)
-    generator       {"name": str, "params": {...}} for generator mode
+    generator       {"name": str, "params": {str: list of number literals}}
+                    for generator mode
     tower           "rational" | "quadext" | "complex" (optional, inferred)
     precision_bits  integer >= 64 for the complex tower (default 128)
 
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), bare JSON integers, or {"re": ..., "im": ...} objects
 for the complex tower.  Floats are accepted only in the complex tower so
-that rational parsing stays exact, and only finite ones.
+that rational parsing stays exact, and only finite ones.  The a and b lists,
+or a generator's params, are read in one tower: the declared one, or else
+the lowest tower that holds all of their literals.
 """
 
 from __future__ import annotations
@@ -38,25 +41,18 @@ _TOWERS = ("rational", "quadext", "complex")
 
 
 def _literal_kind(token) -> str:
-    if isinstance(token, bool):
-        raise SpecFileError(f"not a number literal: {token!r}")
-    if isinstance(token, int):
-        return "rational"
-    if isinstance(token, float):
-        return "complex"
-    if isinstance(token, dict):
+    if isinstance(token, (float, dict)):
         return "complex"
     if isinstance(token, str):
         return "quadext" if "√" in token else "rational"
+    if isinstance(token, int) and not isinstance(token, bool):
+        return "rational"
     raise SpecFileError(f"not a number literal: {token!r}")
 
 
 def _parse_literal(token, tower: str, prec: int):
-    kind = _literal_kind(token)
-    if tower == "rational" and kind != "rational":
-        raise SpecFileError(f"literal {token!r} does not fit the rational tower")
-    if tower == "quadext" and kind == "complex":
-        raise SpecFileError(f"literal {token!r} does not fit the quadext tower")
+    if _TOWERS.index(_literal_kind(token)) > _TOWERS.index(tower):
+        raise SpecFileError(f"literal {token!r} does not fit the {tower} tower")
     if isinstance(token, int):
         value = token
     elif isinstance(token, str):
@@ -79,12 +75,7 @@ def _parse_literal(token, tower: str, prec: int):
 
 
 def _infer_tower(tokens) -> str:
-    kinds = {_literal_kind(t) for t in tokens}
-    if "complex" in kinds:
-        return "complex"
-    if "quadext" in kinds:
-        return "quadext"
-    return "rational"
+    return max(map(_literal_kind, tokens), key=_TOWERS.index, default="rational")
 
 
 def format_literal(value):
@@ -119,14 +110,15 @@ class SpecFile:
                 return FiniteCF(a_list=self.a, b_list=self.b)
             if self.mode == "periodic":
                 return PeriodicCF(a_block=self.a, b_block=self.b)
-            return make_generator(self.generator["name"], self.generator.get("params"))
+            return make_generator(self.generator["name"], self.generator["params"])
         except InvalidSpec as exc:
             raise SpecFileError(str(exc)) from exc
 
     def to_json_dict(self) -> dict:
         out: dict = {"mode": self.mode}
         if self.mode == "generator":
-            out["generator"] = self.generator
+            params = {k: [format_literal(x) for x in v] for k, v in self.generator["params"].items()}
+            out["generator"] = {"name": self.generator["name"], "params": params}
         else:
             out["a"] = [format_literal(x) for x in self.a]
             out["b"] = [format_literal(x) for x in self.b]
@@ -156,28 +148,35 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
 
     if mode == "generator":
         gen = data.get("generator")
-        if not isinstance(gen, dict) or "name" not in gen:
+        if not isinstance(gen, dict) or not isinstance(gen.get("name"), str):
             raise SpecFileError("generator mode needs {\"name\": ..., \"params\": ...}")
         if "a" in data or "b" in data:
             raise SpecFileError("generator mode does not take a/b lists")
-        tower = data.get("tower", "rational")
-        if tower not in _TOWERS:
-            raise SpecFileError(f"unknown tower {tower!r}")
-        return SpecFile(
-            mode=mode, a=(), b=(), period=None,
-            generator={"name": gen["name"], "params": gen.get("params", {})},
-            tower=tower, precision_bits=prec,
-        )
-
-    raw_a = data.get("a")
-    raw_b = data.get("b")
-    if not isinstance(raw_a, list) or not isinstance(raw_b, list):
-        raise SpecFileError(f"{mode} mode needs a and b lists")
-    tower = data.get("tower") or _infer_tower(raw_a + raw_b)
+        lists = gen.get("params", {})
+        if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
+            raise SpecFileError(f"generator params must map names to lists, got {lists!r}")
+    else:
+        lists = {"a": data.get("a"), "b": data.get("b")}
+        if not all(isinstance(v, list) for v in lists.values()):
+            raise SpecFileError(f"{mode} mode needs a and b lists")
+    tower = data.get("tower") or _infer_tower(t for v in lists.values() for t in v)
     if tower not in _TOWERS:
         raise SpecFileError(f"unknown tower {tower!r}")
-    a = tuple(_parse_literal(t, tower, prec) for t in raw_a)
-    b = tuple(_parse_literal(t, tower, prec) for t in raw_b)
+    lists = {k: tuple(_parse_literal(t, tower, prec) for t in v) for k, v in lists.items()}
+    if tower == "quadext":
+        radicands = [x.d for v in lists.values() for x in v if isinstance(x, QuadExt)]
+        for d in radicands[1:]:
+            if radicand_ratio(d, radicands[0]) is None:
+                raise SpecFileError(
+                    "quadext literals must share one radicand up to a square "
+                    f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
+                )
+    if mode == "generator":
+        return SpecFile(
+            mode=mode, a=(), b=(), period=None, generator={"name": gen["name"], "params": lists},
+            tower=tower, precision_bits=prec,
+        )
+    a, b = lists["a"], lists["b"]
 
     period = data.get("period")
     if mode == "periodic":
@@ -190,15 +189,6 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
             )
     elif period is not None:
         raise SpecFileError("period is only meaningful in periodic mode")
-
-    if tower == "quadext":
-        radicands = [x.d for x in (*a, *b) if isinstance(x, QuadExt)]
-        for d in radicands[1:]:
-            if radicand_ratio(d, radicands[0]) is None:
-                raise SpecFileError(
-                    "quadext literals must share one radicand up to a square "
-                    f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
-                )
     return SpecFile(
         mode=mode, a=a, b=b, period=period, generator=None,
         tower=tower, precision_bits=prec,

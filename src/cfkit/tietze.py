@@ -101,7 +101,6 @@ def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
         return Violation(n, "a_not_unit")
     if b_n < 1:
         return Violation(n, "b_below_one")
-    return None
 
 
 def _semiregular_terms(spec: CFSpec):

@@ -375,6 +375,37 @@ class TestPowerIter:
         assert main(["power-iter"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["continuant", "--b", "1/0+√2"],
+    ["power-iter", "--matrix", "1,1,1,0", "--u0", "1/0+√5"],
+    ["eval", "SPEC", "-n", "0"],
+], ids=["continuant", "power-iter", "spec"])
+def test_zero_denominator_in_a_literal_exits_2(capsys, tmp_path, argv):
+    spec = write_spec(tmp_path, {"mode": "finite", "a": [], "b": ["1/0+√2"]})
+    code = main([spec if arg == "SPEC" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "SpecFileError: zero denominator" in captured.err
+
+
+@pytest.mark.parametrize("generator, same_as", [
+    ({"name": [1]}, None),
+    ({"name": "regular", "params": {"b": 5}}, None),
+    ({"name": "regular", "params": [1]}, None),
+    ({"name": "regular", "params": {"b": ["x", "y"]}}, None),
+    ({"name": "regular", "params": {"b": ["1/2", "3"]}}, {"mode": "finite", "a": [1], "b": ["1/2", 3]}),
+], ids=["name-list", "param-int", "params-list", "param-junk", "param-fractions"])
+def test_generator_params_are_read_as_literals(capsys, tmp_path, generator, same_as):
+    spec = write_spec(tmp_path, {"mode": "generator", "generator": generator})
+    code = main(["eval", spec, "-n", "1"])
+    captured = capsys.readouterr()
+    if same_as is None:
+        assert code == 2 and "SpecFileError" in captured.err
+    else:
+        assert main(["eval", write_spec(tmp_path, same_as, "same.json"), "-n", "1"]) == code == 0
+        assert capsys.readouterr().out == captured.out
+
+
 REPORT_KEYS = {
     "eval": (["n"], ["A", "B", "value"], ["A", "B", "value"]),
     "continuant": (

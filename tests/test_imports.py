@@ -1,5 +1,6 @@
 """Every module in src/cfkit uses each name it imports (the package
-__init__ re-exports by importing, so it is left out), and neither importing
+__init__ re-exports by importing, so it is left out), every module-level
+private name is referenced somewhere in the package, and neither importing
 the package nor a CLI run on exact input loads mpmath."""
 
 import ast
@@ -38,6 +39,40 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Names with one leading underscore that a module defines at its top
+    level and that no source reads, imports or reaches as an attribute."""
+    defined, used = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(n for n in defined - used if n.startswith("_") and not n.startswith("__"))
+
+
+def test_guard_sees_an_unreferenced_private_name():
+    sources = [
+        "_A, _B = 1, 2\n_c: int = _A\ndef _d(): pass\nclass _E: pass\n__all__ = []\n",
+        "from m import _E\n",
+    ]
+    assert _unreferenced_private_names(sources) == ["_B", "_c", "_d"]
+
+
+def test_every_private_name_is_referenced():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced_private_names(sources) == []
 
 
 def test_import_leaves_mpmath_unloaded():

@@ -82,6 +82,29 @@ class TestParse:
         assert parse_exact("√-3") == quadext(0, 1, -3)
         assert parse_exact("3√2/2") == quadext(0, F(3, 2), 2)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1/2+√5/3", quadext(F(1, 6), F(1, 3), 5)),  # the trailing /r divides p too
+        ("(√5)/2", quadext(0, F(1, 2), 5)),
+        ("+4+√2", quadext(4, 1, 2)),
+        ("(1+√5)/02", quadext(F(1, 2), F(1, 2), 5)),
+        (" - √2 ", quadext(0, -1, 2)),
+        ("1/05+√2", quadext(F(1, 5), 1, 2)),
+    ])
+    def test_surd_grammar_accepts(self, text, value):
+        assert parse_exact(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "(1+√5", "(1+√5)x", "1+√5/x", "√5)", "((1+√5))/2", "1+√5+√2",
+    ])
+    def test_surd_grammar_refuses(self, text):
+        with pytest.raises(SpecFileError):
+            parse_exact(text)
+
+    @pytest.mark.parametrize("text", ["1/0+√2", "(1+√5)/0", "√5/00", "(1/0 - √3)/2"])
+    def test_zero_denominator_refused(self, text):
+        with pytest.raises(SpecFileError, match="zero denominator"):
+            parse_exact(text)
+
     def test_square_radicand_collapses(self):
         assert parse_exact("(1 + √4)/2") == F(3, 2)
 

@@ -93,6 +93,14 @@ class TestQuadExtArithmetic:
         assert quadext(1, 1, 2) != F(1)
         assert not (quadext(1, 1, 2) == 1)
 
+    @pytest.mark.parametrize("expr, op", [
+        (lambda x: 1.5 - x, "-"), (lambda x: x - 1.5, "-"), (lambda x: 1.5 / x, "/"),
+    ], ids=["1.5 - x", "x - 1.5", "1.5 / x"])
+    def test_unsupported_operand_names_the_operator(self, expr, op):
+        # the derived operators hand NotImplemented back to Python
+        with pytest.raises(TypeError, match=f"for {op}: "):
+            expr(quadext(0, 1, 2))
+
 
 class TestRadicandIdentity:
     """Equal values are equal whatever form their radicand was written in."""

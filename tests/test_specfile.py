@@ -126,6 +126,19 @@ class TestStructure:
         cf = spec.to_cfspec()
         assert cf.a(1) == 1
 
+    def test_generator_params_read_in_the_spec_tower(self):
+        def gen(tower, b):
+            return {"mode": "generator", "tower": tower,
+                    "generator": {"name": "regular", "params": {"b": b}}}
+
+        spec = parse_spec_dict(gen("complex", [1, "1/2"]))
+        assert all(isinstance(x, ComplexFloat) for x in spec.generator["params"]["b"])
+        inferred = parse_spec_dict(gen(None, [1, "2/4", "√2"]))
+        assert inferred.tower == "quadext"
+        assert inferred.to_json_dict()["generator"]["params"] == {"b": [1, "1/2", "√2"]}
+        with pytest.raises(SpecFileError, match="does not fit the rational tower"):
+            parse_spec_dict(gen("rational", ["√2"]))
+
     def test_precision_bounds(self):
         with pytest.raises(SpecFileError):
             parse_spec_dict(
