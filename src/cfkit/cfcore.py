@@ -156,17 +156,15 @@ class RuleCF(CFSpec):
         return zip(map(self.a_rule, count(first)), map(self.b_rule, count(first)))
 
 
-def _make_regular(params: dict) -> CFSpec:
-    b = params["b"]
+def _make_regular(*, b) -> CFSpec:
     return FiniteCF(a_list=(1,) * (len(b) - 1), b_list=tuple(b))
 
 
-def _make_negative(params: dict) -> CFSpec:
-    b = params["b"]
+def _make_negative(*, b) -> CFSpec:
     return FiniteCF(a_list=(-1,) * (len(b) - 1), b_list=tuple(b))
 
 
-def _make_sqrt2(params: dict) -> CFSpec:
+def _make_sqrt2() -> CFSpec:
     return RuleCF(
         a_rule=lambda n: 1,
         b_rule=lambda n: 1 if n == 0 else 2,
@@ -174,12 +172,13 @@ def _make_sqrt2(params: dict) -> CFSpec:
     )
 
 
-def _make_golden(params: dict) -> CFSpec:
+def _make_golden() -> CFSpec:
     return PeriodicCF(a_block=(1,), b_block=(1,))
 
 
-#: fixed registry of named coefficient generators usable from spec files
-GENERATORS: dict[str, Callable[[dict], CFSpec]] = {
+#: fixed registry of named coefficient generators usable from spec files; each
+#: factory takes its params as keyword-only arguments and nothing else
+GENERATORS: dict[str, Callable[..., CFSpec]] = {
     "regular": _make_regular,
     "negative": _make_negative,
     "sqrt2": _make_sqrt2,
@@ -192,10 +191,15 @@ def make_generator(name: str, params: dict | None = None) -> CFSpec:
         raise InvalidSpec(
             f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}"
         )
-    try:
-        return GENERATORS[name](params or {})
-    except KeyError as exc:
-        raise InvalidSpec(f"generator {name!r} is missing parameter {exc}") from None
+    factory, params = GENERATORS[name], params or {}
+    takes = factory.__code__.co_varnames[:factory.__code__.co_kwonlyargcount]
+    for key in params:
+        if key not in takes:
+            raise InvalidSpec(f"generator {name!r} does not take parameter {key!r}")
+    for key in takes:
+        if key not in params:
+            raise InvalidSpec(f"generator {name!r} is missing parameter {key!r}")
+    return factory(**params)
 
 
 # -- the three-term recurrence ------------------------------------------------

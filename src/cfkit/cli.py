@@ -31,7 +31,7 @@ from .periodic import (
     reverse_period,
 )
 from .render import format_exact, format_float, int_texts, parse_exact
-from .scalars import DEFAULT_PRECISION_BITS, is_exact
+from .scalars import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
 from .tietze import NotSemiRegular, evaluate_tietze
 
@@ -44,8 +44,8 @@ EXIT_NOT_PERIODIC = 6
 EXIT_MODULE_ERROR = 7
 
 MAX_INDEX = 1_000_000  # exact entries grow exponentially in bit size
-# power-iter keeps and renders every step, so its memory grows with the
-# square of the step count
+# power-iter keeps every exact step and the text of every row, so its memory
+# and output grow with the square of the step count
 MAX_STEPS = 10_000
 
 
@@ -58,9 +58,7 @@ def _exact_or_none(value, int_text=None) -> str | None:
 
 
 def _float_or_none(value, prec: int) -> str | None:
-    if value is None:
-        return None
-    return format_float(value, prec)
+    return None if value is None else format_float(value, prec)
 
 
 def _report(command: str, echo: dict, result: dict, values: dict, prec: int,
@@ -86,7 +84,8 @@ def _emit(report: dict, as_json: bool):
     for line in report["diagnostics"]:
         _diag(line)
     if as_json:
-        print(json.dumps(report, indent=2, ensure_ascii=False))
+        json.dump(report, sys.stdout, indent=2, ensure_ascii=False)
+        sys.stdout.write("\n")
         return
     print(f"command: {report['command']}")
     for section in ("result", "exact_values", "float_values"):
@@ -139,10 +138,9 @@ def _bounded_steps(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    return value
 
 
 def _literal_list(text: str) -> list:
@@ -285,12 +283,11 @@ def cmd_power_iter(args) -> int:
         echo = _echo(args, spec_file)
     else:
         raise SpecFileError("power-iter needs a spec file or --matrix")
-    u0 = parse_exact(args.u0)
-    v0 = parse_exact(args.v0)
-    trajectory = power_iterate(matrix, u0, v0, args.steps)
+    trajectory = power_iterate(matrix, parse_exact(args.u0), parse_exact(args.v0), args.steps)
+    int_text = int_texts()
 
     def text(value):
-        return _exact_or_none(value) or _float_or_none(value, prec)
+        return _exact_or_none(value, int_text) or _float_or_none(value, prec)
 
     rows = [
         {"n": step.n, "u": text(step.u), "v": text(step.v), "ratio": text(step.ratio)}
@@ -309,79 +306,63 @@ def cmd_power_iter(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the global flags, taken before and after the subcommand; `main` supplies
+    # their defaults, as every parser shares these action objects
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", action="store_true", help="emit a JSON report")
+    flags.add_argument("--precision", type=int, metavar="BITS", help="working precision for the "
+                       f"complex tower (>= {MIN_PRECISION_BITS}, default {DEFAULT_PRECISION_BITS})")
     parser = argparse.ArgumentParser(
-        prog="cfkit",
+        prog="cfkit", parents=[flags],
         description="Exact continued-fraction analysis: convergents, continuants, "
         "certified semi-regular evaluation, and classification of periodic CFs.",
     )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--precision", type=int, metavar="BITS",
-        help="working precision for the complex tower (>= 64, default 128)",
-    )
-    # the global flags are also accepted after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument(
-        "--precision", type=int, metavar="BITS", default=argparse.SUPPRESS
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one convergent A(n)/B(n)")
-    p_eval.add_argument("spec", help="path to a JSON spec file")
-    p_eval.add_argument("-n", type=_bounded_index, required=True, help="convergent index")
-    p_eval.set_defaults(func=cmd_eval)
+    def command(name, func, help, spec=True):
+        """Declare a subcommand; `spec` is False for no spec file, "?" for an optional one."""
+        p = sub.add_parser(name, parents=[flags], help=help)
+        p.set_defaults(func=func)
+        if spec:
+            p.add_argument("spec", nargs="?" if spec == "?" else None,
+                           help="path to a JSON spec file")
+        return p
 
-    p_cont = sub.add_parser("continuant", parents=[common], help="evaluate a continuant")
+    command("eval", cmd_eval, "evaluate one convergent A(n)/B(n)").add_argument(
+        "-n", type=_bounded_index, required=True, help="convergent index")
+
+    p_cont = command("continuant", cmd_continuant, "evaluate a continuant", spec=False)
     p_cont.add_argument("--a", type=_literal_list, default=[], metavar="LIST",
                         help="comma-separated a-coefficients (may be empty)")
     p_cont.add_argument("--b", type=_literal_list, required=True, metavar="LIST",
                         help="comma-separated b-coefficients, one more than a")
     p_cont.add_argument("--oracle", action="store_true",
                         help="also run the cofactor-expansion determinant")
-    p_cont.set_defaults(func=cmd_continuant)
 
-    p_tietze = sub.add_parser("tietze", parents=[common], help="validate and evaluate a semi-regular CF")
-    p_tietze.add_argument("spec", help="path to a JSON spec file")
-    p_tietze.add_argument("--eps", type=_fraction, required=True,
-                          help="target accuracy (rational, e.g. 1/1000 or 1e-6)")
-    p_tietze.set_defaults(func=cmd_tietze)
+    command("tietze", cmd_tietze, "validate and evaluate a semi-regular CF").add_argument(
+        "--eps", type=_fraction, required=True,
+        help="target accuracy (rational, e.g. 1/1000 or 1e-6)")
 
-    p_classify = sub.add_parser("classify", parents=[common], help="classify a purely periodic CF")
-    p_classify.add_argument("spec", help="path to a JSON spec file")
-    p_classify.set_defaults(func=cmd_classify)
+    command("classify", cmd_classify, "classify a purely periodic CF")
+    command("reverse", cmd_reverse, "emit the reversed-period spec file")
+    command("galois", cmd_galois, "classify a CF and its reversed period")
 
-    p_reverse = sub.add_parser("reverse", parents=[common], help="emit the reversed-period spec file")
-    p_reverse.add_argument("spec", help="path to a JSON spec file")
-    p_reverse.set_defaults(func=cmd_reverse)
-
-    p_galois = sub.add_parser("galois", parents=[common], help="classify a CF and its reversed period")
-    p_galois.add_argument("spec", help="path to a JSON spec file")
-    p_galois.set_defaults(func=cmd_galois)
-
-    p_power = sub.add_parser("power-iter", parents=[common], help="iterate (u, v) under the period matrix")
-    p_power.add_argument("spec", nargs="?", help="path to a JSON spec file")
+    p_power = command("power-iter", cmd_power_iter, "iterate (u, v) under the period matrix", spec="?")
     p_power.add_argument("--matrix", metavar="M11,M12,M21,M22",
                          help="explicit matrix entries instead of a spec file")
     p_power.add_argument("--u0", default="1", help="start numerator (default 1)")
     p_power.add_argument("--v0", default="0", help="start denominator (default 0)")
     p_power.add_argument("--steps", type=_bounded_steps, default=30,
                          help="number of iterations (default 30)")
-    p_power.set_defaults(func=cmd_power_iter)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SpecFileError as exc:
-        _diag(f"SpecFileError: {exc}")
-        return EXIT_PARSE
-    if args.precision is not None and args.precision < 64:
-        _diag("precision must be >= 64 bits")
-        return EXIT_PARSE
-    try:
+        args = build_parser().parse_args(argv, argparse.Namespace(json=False, precision=None))
+        if args.precision is not None and args.precision < MIN_PRECISION_BITS:
+            _diag(f"precision must be >= {MIN_PRECISION_BITS} bits")
+            return EXIT_PARSE
         return args.func(args)
     except _NotPeriodic as exc:
         _diag(str(exc))

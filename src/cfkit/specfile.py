@@ -1,14 +1,14 @@
 """JSON spec files describing a continued fraction.
 
-Schema (UTF-8 JSON object; unknown keys are rejected):
+Schema (UTF-8 JSON object).  Each mode takes these keys and no others:
 
-    mode            "finite" | "periodic" | "generator"
-    a, b            lists of number literals (finite/periodic modes)
-    period          integer, required for periodic mode (= |a| = |b|)
-    generator       {"name": str, "params": {str: list of number literals}}
-                    for generator mode
-    tower           "rational" | "quadext" | "complex" (optional, inferred)
-    precision_bits  integer >= 64 for the complex tower (default 128)
+    finite          a, b: lists of number literals
+    periodic        a, b and period: an integer = |a| = |b| (default |a|)
+    generator       generator: {"name": str, "params": {str: list of number
+                    literals}}, params holding only names the generator takes
+    every mode      mode: "finite" | "periodic" | "generator"
+                    tower: "rational" | "quadext" | "complex" (null: inferred)
+                    precision_bits: integer >= 64, complex tower (default 128)
 
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), bare JSON integers, or {"re": ..., "im": ...} objects
@@ -29,6 +29,7 @@ from .errors import InvalidSpec, SpecFileError
 from .render import format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    MIN_PRECISION_BITS,
     ComplexFloat,
     QuadExt,
     _ctx,
@@ -36,7 +37,8 @@ from .scalars import (
     radicand_ratio,
 )
 
-_ALLOWED_KEYS = {"mode", "a", "b", "period", "generator", "tower", "precision_bits"}
+_COMMON_KEYS = {"mode", "tower", "precision_bits"}
+_MODE_KEYS = {"finite": {"a", "b"}, "periodic": {"a", "b", "period"}, "generator": {"generator"}}
 _TOWERS = ("rational", "quadext", "complex")
 
 
@@ -130,28 +132,31 @@ class SpecFile:
         return out
 
 
+def _check_keys(obj: dict, allowed: set, what: str):
+    unknown = set(obj) - allowed
+    if unknown:
+        raise SpecFileError(f"unknown {what} fields: {', '.join(sorted(unknown))}")
+
+
 def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFile:
     if not isinstance(data, dict):
         raise SpecFileError("spec file must hold a JSON object")
-    unknown = set(data) - _ALLOWED_KEYS
-    if unknown:
-        raise SpecFileError(f"unknown spec fields: {', '.join(sorted(unknown))}")
     mode = data.get("mode")
-    if mode not in ("finite", "periodic", "generator"):
+    if not isinstance(mode, str) or mode not in _MODE_KEYS:
         raise SpecFileError(f"mode must be finite, periodic or generator, got {mode!r}")
+    _check_keys(data, _COMMON_KEYS | _MODE_KEYS[mode], f"{mode} spec")
 
     prec = data.get("precision_bits", DEFAULT_PRECISION_BITS)
     if precision_override is not None:
         prec = precision_override
-    if not isinstance(prec, int) or prec < 64:
-        raise SpecFileError(f"precision_bits must be an integer >= 64, got {prec!r}")
+    if not isinstance(prec, int) or prec < MIN_PRECISION_BITS:
+        raise SpecFileError(f"precision_bits must be an integer >= {MIN_PRECISION_BITS}, got {prec!r}")
 
     if mode == "generator":
         gen = data.get("generator")
         if not isinstance(gen, dict) or not isinstance(gen.get("name"), str):
             raise SpecFileError("generator mode needs {\"name\": ..., \"params\": ...}")
-        if "a" in data or "b" in data:
-            raise SpecFileError("generator mode does not take a/b lists")
+        _check_keys(gen, {"name", "params"}, "generator")
         lists = gen.get("params", {})
         if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
             raise SpecFileError(f"generator params must map names to lists, got {lists!r}")
@@ -159,8 +164,10 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
         lists = {"a": data.get("a"), "b": data.get("b")}
         if not all(isinstance(v, list) for v in lists.values()):
             raise SpecFileError(f"{mode} mode needs a and b lists")
-    tower = data.get("tower") or _infer_tower(t for v in lists.values() for t in v)
-    if tower not in _TOWERS:
+    tower = data.get("tower")
+    if tower is None:
+        tower = _infer_tower(t for v in lists.values() for t in v)
+    elif tower not in _TOWERS:
         raise SpecFileError(f"unknown tower {tower!r}")
     lists = {k: tuple(_parse_literal(t, tower, prec) for t in v) for k, v in lists.items()}
     if tower == "quadext":
@@ -171,26 +178,18 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
                     "quadext literals must share one radicand up to a square "
                     f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
                 )
-    if mode == "generator":
-        return SpecFile(
-            mode=mode, a=(), b=(), period=None, generator={"name": gen["name"], "params": lists},
-            tower=tower, precision_bits=prec,
-        )
-    a, b = lists["a"], lists["b"]
-
-    period = data.get("period")
+    generator = {"name": gen["name"], "params": lists} if mode == "generator" else None
+    a, b = ((), ()) if generator else (lists["a"], lists["b"])
+    period = None
     if mode == "periodic":
-        if period is None:
-            period = len(a)
-        if period != len(a) or len(a) != len(b):
+        period = len(a) if data.get("period") is None else data["period"]
+        if type(period) is not int or not period == len(a) == len(b):
             raise SpecFileError(
                 f"periodic mode needs |a| = |b| = period, got |a| = {len(a)}, "
-                f"|b| = {len(b)}, period = {period}"
+                f"|b| = {len(b)}, period = {period!r}"
             )
-    elif period is not None:
-        raise SpecFileError("period is only meaningful in periodic mode")
     return SpecFile(
-        mode=mode, a=a, b=b, period=period, generator=None,
+        mode=mode, a=a, b=b, period=period, generator=generator,
         tower=tower, precision_bits=prec,
     )
 

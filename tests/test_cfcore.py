@@ -282,6 +282,16 @@ class TestGenerators:
         with pytest.raises(InvalidSpec):
             make_generator("regular", {})
 
+    @pytest.mark.parametrize("name, params, unknown", [
+        ("golden", {"b": [5]}, "b"),
+        ("sqrt2", {"b": [1]}, "b"),
+        ("regular", {"b": [1, 2], "c": [3]}, "c"),
+        ("negative", {"a": [1], "b": [2, 2]}, "a"),
+    ])
+    def test_unknown_params(self, name, params, unknown):
+        with pytest.raises(InvalidSpec, match=f"{name!r} does not take parameter {unknown!r}"):
+            make_generator(name, params)
+
 
 def test_coefficient_product(rng):
     spec = random_finite(rng, 6)

@@ -374,6 +374,28 @@ class TestPowerIter:
     def test_requires_input(self, capsys):
         assert main(["power-iter"]) == 2
 
+    def test_each_big_integer_rendered_once(self, capsys, monkeypatch):
+        # F(n) is u at step n - 1, v at step n and a term of two ratios
+        rendered = []
+        int_text = render._int_text
+
+        def counted(n):
+            rendered.append(n)
+            return int_text(n)
+
+        monkeypatch.setattr(render, "_int_text", counted)
+        code, report = run_json(capsys, ["power-iter", "--matrix", "1,1,1,0", "--steps", "200"])
+        assert code == 0
+        big = [n for n in rendered if n.bit_length() > 64]
+        assert big and len(big) == len(set(big))
+        fib = [0, 1]
+        while len(fib) < 202:
+            fib.append(fib[-1] + fib[-2])
+        last = report["result"]["trajectory"][200]
+        assert (last["u"], last["v"], last["ratio"]) == (
+            str(fib[201]), str(fib[200]), f"{fib[201]}/{fib[200]}"
+        )
+
 
 @pytest.mark.parametrize("argv", [
     ["continuant", "--b", "1/0+√2"],
@@ -404,6 +426,33 @@ def test_generator_params_are_read_as_literals(capsys, tmp_path, generator, same
     else:
         assert main(["eval", write_spec(tmp_path, same_as, "same.json"), "-n", "1"]) == code == 0
         assert capsys.readouterr().out == captured.out
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"mode": "finite", "a": [1], "b": [1, 1], "generator": {"name": "golden"}},
+     "unknown finite spec fields: generator"),
+    ({"mode": "periodic", "a": [1], "b": [1], "generator": {"name": "golden"}},
+     "unknown periodic spec fields: generator"),
+    ({"mode": "generator", "generator": {"name": "golden"}, "period": 7},
+     "unknown generator spec fields: period"),
+    *(({"mode": "periodic", "a": [1], "b": [1], "tower": tower}, "unknown tower")
+      for tower in (False, 0, [], {}, "")),
+    ({"mode": "generator", "generator": {"name": "golden", "label": "phi"}},
+     "unknown generator fields: label"),
+    ({"mode": "periodic", "a": [1], "b": [1], "period": True}, "period = True"),
+    ({"mode": "periodic", "a": [1], "b": [1], "period": 1.0}, "period = 1.0"),
+    ({"mode": "generator", "generator": {"name": "golden", "params": {"b": [5]}}},
+     "generator 'golden' does not take parameter 'b'"),
+    ({"mode": "generator", "generator": {"name": "regular", "params": {"b": [1, 2], "c": [3]}}},
+     "generator 'regular' does not take parameter 'c'"),
+], ids=["finite-generator", "periodic-generator", "generator-period", "tower-false",
+        "tower-0", "tower-list", "tower-dict", "tower-empty", "generator-label",
+        "period-bool", "period-float", "golden-params", "regular-extra-param"])
+def test_malformed_spec_exits_2(capsys, tmp_path, data, message):
+    code = main(["eval", write_spec(tmp_path, data), "-n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("SpecFileError: ") and message in captured.err
 
 
 REPORT_KEYS = {
@@ -487,6 +536,23 @@ class TestReportHygiene:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["exact_values"]["limit"] == "(1 + √5)/2"
+
+    @pytest.mark.parametrize("argv", [
+        ["--json", "classify", "SPEC", "--precision", "256"],
+        ["--precision", "256", "classify", "SPEC", "--json"],
+    ], ids=["json-first", "precision-first"])
+    def test_global_flags_on_either_side_of_the_subcommand(self, capsys, golden_spec, argv):
+        _, coarse = run_json(capsys, ["classify", golden_spec])
+        code = main([golden_spec if arg == "SPEC" else arg for arg in argv])
+        fine = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(fine["float_values"]["limit"]) > len(coarse["float_values"]["limit"])
+
+    def test_subcommand_help_describes_global_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert "emit a JSON report" in capsys.readouterr().out
 
     def test_exact_values_round_trip_through_parser(self, capsys, golden_spec, thiele_spec, footnote_spec):
         from cfkit import parse_exact, format_exact

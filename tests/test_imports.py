@@ -1,7 +1,8 @@
 """Every module in src/cfkit uses each name it imports (the package
-__init__ re-exports by importing, so it is left out), every module-level
-private name is referenced somewhere in the package, and neither importing
-the package nor a CLI run on exact input loads mpmath."""
+__init__ re-exports by importing, so it is left out), holds no assert
+statement, and every module-level private name is referenced somewhere in
+the package; neither importing the package nor a CLI run on exact input
+loads mpmath."""
 
 import ast
 import json
@@ -39,6 +40,20 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_guard_sees_an_assert():
+    assert _assert_lines("x = 1\nif x:\n    assert x, 'never under -O'\n") == [3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # self-checks raise, so they survive python -O
+    assert _assert_lines(path.read_text()) == []
 
 
 def _unreferenced_private_names(sources: list[str]) -> list[str]:
