@@ -18,11 +18,10 @@ produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator
 
-from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator
+from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator, record
 from .scalars import Scalar, is_zero, scalar_div
 
 
@@ -60,7 +59,7 @@ def _check_index(n: int, low: int, name: str = "n"):
         raise ValueError(f"{name} must be >= {low}, got {n}")
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCF(CFSpec):
     """Finite coefficient lists: a holds indices 1..N, b holds 0..N."""
 
@@ -93,7 +92,7 @@ class FiniteCF(CFSpec):
         return self.b_list[n]
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicCF(CFSpec):
     """Purely periodic coefficients: a repeats 1..p, b repeats 0..p-1.
 
@@ -135,7 +134,7 @@ class PeriodicCF(CFSpec):
         return self.b_block[n % self.period]
 
 
-@dataclass(frozen=True)
+@record
 class RuleCF(CFSpec):
     """Unbounded coefficients produced by explicit index rules."""
 
@@ -233,7 +232,7 @@ def coefficient_lists(spec: CFSpec, n: int) -> tuple[tuple, tuple]:
     return tuple(a for a, _ in head), (spec.b(0), *(b for _, b in head))
 
 
-@dataclass(frozen=True)
+@record
 class ConvergentPair:
     """Pair (A(n), B(n)) at index n >= -1, or (A(k,n), B(k,n)) in a shifted table."""
 

@@ -319,13 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    spec_help = "path to a JSON spec file"
+
     def command(name, func, help, spec=True):
-        """Declare a subcommand; `spec` is False for no spec file, "?" for an optional one."""
+        """Declare a subcommand, with a spec file positional unless `spec` is False."""
         p = sub.add_parser(name, parents=[flags], help=help)
         p.set_defaults(func=func)
         if spec:
-            p.add_argument("spec", nargs="?" if spec == "?" else None,
-                           help="path to a JSON spec file")
+            p.add_argument("spec", help=spec_help)
         return p
 
     command("eval", cmd_eval, "evaluate one convergent A(n)/B(n)").add_argument(
@@ -347,9 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     command("reverse", cmd_reverse, "emit the reversed-period spec file")
     command("galois", cmd_galois, "classify a CF and its reversed period")
 
-    p_power = command("power-iter", cmd_power_iter, "iterate (u, v) under the period matrix", spec="?")
-    p_power.add_argument("--matrix", metavar="M11,M12,M21,M22",
-                         help="explicit matrix entries instead of a spec file")
+    p_power = command("power-iter", cmd_power_iter, "iterate (u, v) under the period matrix", spec=False)
+    source = p_power.add_mutually_exclusive_group()
+    source.add_argument("spec", nargs="?", help=spec_help)
+    source.add_argument("--matrix", metavar="M11,M12,M21,M22",
+                        help="explicit matrix entries instead of a spec file")
     p_power.add_argument("--u0", default="1", help="start numerator (default 1)")
     p_power.add_argument("--v0", default="0", help="start denominator (default 0)")
     p_power.add_argument("--steps", type=_bounded_steps, default=30,

@@ -11,16 +11,14 @@ share no code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfcore import CFSpec, ConvergentPair, FiniteCF, _check_index, coefficient_lists, pair_at
-from .errors import InvalidSpec, SizeLimit
+from .errors import InvalidSpec, SizeLimit, record
 from .scalars import Scalar
 
 ORACLE_MAX_TERMS = 12
 
 
-@dataclass(frozen=True)
+@record
 class ContinuantArgs:
     """Coefficient lists for one continuant; needs |b| = |a| + 1 >= 1."""
 
@@ -94,7 +92,7 @@ def reversed_args(args: ContinuantArgs) -> ContinuantArgs:
     return ContinuantArgs(a=args.a[::-1], b=args.b[::-1])
 
 
-@dataclass(frozen=True)
+@record
 class ReversedConvergents:
     """Last two convergent pairs of the reversed finite CF b(n) + a(n)/b(n-1) + ..."""
 

@@ -1,6 +1,49 @@
-"""Exception hierarchy shared by all cfkit modules."""
+"""Exception hierarchy and the frozen value record shared by all cfkit modules."""
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+def _eq(self, other):
+    return self._values(self) == self._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._compared])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
+
+
+_SHARED = {"__eq__": _eq, "__hash__": lambda self: hash(self._values(self)), "__repr__": _repr,
+           "__setattr__": _frozen, "__delattr__": _frozen}
+
+
+def record(cls=None, /, *, hidden=()):
+    """Make `cls` a frozen value record, as `dataclass(frozen=True)` would: the
+    names annotated in its body are the fields, in order, with class attributes
+    as defaults.  `__init__` takes them by position or keyword, then calls
+    `__post_init__`.  ==, hash and repr use the fields not in `hidden`, unless
+    the class defines its own."""
+    if cls is None:
+        return lambda cls: record(cls, hidden=hidden)
+    names = tuple(cls.__annotations__)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+    cls.__init__, cls.__match_args__ = namespace["__init__"], names
+    cls.__init__.__defaults__ = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+    cls._compared = tuple(name for name in names if name not in hidden)
+    cls._values = attrgetter(*cls._compared)  # a tuple for two or more fields
+    for name, func in _SHARED.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, func)
+    return cls
 
 
 class CFKitError(Exception):

@@ -20,7 +20,6 @@ fixed-point (Thiele) scan; the Galois and conjugate checks compare its results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -33,6 +32,7 @@ from .errors import (
     SelfCheckFailure,
     TowerMismatch,
     ZeroStart,
+    record,
 )
 from .scalars import (
     ComplexFloat,
@@ -60,7 +60,7 @@ EQUAL_MODULUS = "equal_modulus"
 REPEATED = "repeated"
 
 
-@dataclass(frozen=True)
+@record(hidden=("exact",))
 class PeriodMatrix:
     """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det;
     `exact` holds the entries unrounded when `build_period_matrix` made M."""
@@ -69,7 +69,7 @@ class PeriodMatrix:
     m12: Scalar
     m21: Scalar
     m22: Scalar
-    exact: tuple | None = field(default=None, repr=False, compare=False)
+    exact: tuple | None = None
 
     @property
     def trace(self) -> Scalar:
@@ -89,7 +89,7 @@ class PeriodMatrix:
         return max((m.prec for m in entries if isinstance(m, ComplexFloat)), default=0)
 
 
-@dataclass(frozen=True)
+@record
 class EigenSplit:
     """Eigenvalues ordered by modulus, with the fixed points when defined."""
 
@@ -100,7 +100,7 @@ class EigenSplit:
     x2: Scalar | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     kind: str
     limit: Scalar | None = None
@@ -113,14 +113,14 @@ class Verdict:
         return self.kind == CONVERGENT
 
 
-@dataclass(frozen=True)
+@record
 class StolzReport:
     matrix: PeriodMatrix
     eigen: EigenSplit
     verdict: Verdict
 
 
-@dataclass(frozen=True)
+@record
 class TrajectoryStep:
     n: int
     u: Scalar
@@ -128,7 +128,7 @@ class TrajectoryStep:
     ratio: Scalar | None
 
 
-@dataclass(frozen=True)
+@record
 class PowerIterTrajectory:
     steps: list[TrajectoryStep]
     mu1: Scalar
@@ -345,7 +345,7 @@ def reverse_period(pcf: PeriodicCF) -> PeriodicCF:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GaloisReport:
     alpha: StolzReport
     alpha_prime: StolzReport
@@ -382,7 +382,7 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     return GaloisReport(alpha, alpha_prime, holds)
 
 
-@dataclass(frozen=True)
+@record
 class ConjugateReport:
     is_quadratic: bool
     alpha: Scalar

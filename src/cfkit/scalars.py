@@ -13,12 +13,11 @@ and only the printed form reduces d to its squarefree part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .errors import TowerMismatch
+from .errors import TowerMismatch, record
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 128
@@ -134,7 +133,7 @@ def _quadext_trusted(a: Fraction, b: Fraction, d: int) -> "Scalar":
     return value
 
 
-@dataclass(frozen=True)
+@record
 class QuadExt:
     """Exact number a + b*sqrt(d) with rational a, b != 0 and integer d.
 
@@ -344,7 +343,7 @@ def _ctx(prec_bits: int):
     return ctx
 
 
-@dataclass(frozen=True)
+@record
 class ComplexFloat:
     """Complex value at an explicit binary precision (>= 64 bits)."""
 

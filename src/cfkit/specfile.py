@@ -21,11 +21,10 @@ the lowest tower that holds all of their literals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
-from .errors import InvalidSpec, SpecFileError
+from .errors import InvalidSpec, SpecFileError, record
 from .render import format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -94,7 +93,7 @@ def format_literal(value):
     raise TypeError(f"no literal form for {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class SpecFile:
     """Parsed spec file; `to_cfspec` builds the live coefficient source."""
 

@@ -24,7 +24,6 @@ loop that applies the conditions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, islice, tee
@@ -37,6 +36,7 @@ from .errors import (
     InvalidSpec,
     IterationCap,
     TowerMismatch,
+    record,
 )
 from .scalars import RATIONAL_TYPES, Scalar, is_rational, scalar_div
 
@@ -45,27 +45,27 @@ DEFAULT_ITERATION_CAP = 1_000_000
 ViolationKind = Literal["a_not_unit", "b_below_one", "sum_below_one"]
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     n: int
     which: ViolationKind
 
 
-@dataclass(frozen=True)
+@record
 class SemiRegularReport:
     valid: bool
     first_violation: Violation | None
     checked_up_to: int
 
 
-@dataclass(frozen=True)
+@record
 class BoundRecord:
     k: int
     bound_type: Literal["plus_case", "minus_case"]
     bound: int
 
 
-@dataclass(frozen=True)
+@record
 class BoundedValue:
     """Certified evaluation: |true limit - value| <= error_bound."""
 

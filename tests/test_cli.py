@@ -374,6 +374,18 @@ class TestPowerIter:
     def test_requires_input(self, capsys):
         assert main(["power-iter"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["/nonexistent.json", "--matrix", "1,1,1,0"],
+        ["--matrix", "1,1,1,0", "SPEC"],
+    ], ids=["missing-spec-first", "spec-after-matrix"])
+    def test_spec_and_matrix_exclude_each_other(self, capsys, golden_spec, argv):
+        argv = [golden_spec if arg == "SPEC" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["power-iter", *argv, "--steps", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     def test_each_big_integer_rendered_once(self, capsys, monkeypatch):
         # F(n) is u at step n - 1, v at step n and a term of two ratios
         rendered = []
