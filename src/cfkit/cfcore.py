@@ -11,9 +11,13 @@ n >= 0.  Convergent numerators and denominators follow
 the tables and the scans that need every index.  A single pair is a product
 of 2x2 step matrices instead: `pair_at` multiplies them as a balanced tree,
 or by powers of the period matrix for a periodic CF, which costs
-O(M(n) log n) bit operations where streaming costs O(n^2).  Every operation
-here is exact: values never leave the tower of the coefficients that
-produced them.
+O(M(n) log n) bit operations where streaming costs O(n^2); a square takes
+five big products, a general product eight.  Every operation here is
+exact: values never leave the tower of the coefficients that produced them.
+
+A(n)B(n-1) - A(n-1)B(n) = (-1)^(n-1) a(1)...a(n), so integer b(n) and
+a(n) = ±1 leave A(n) and B(n) coprime: `convergent_value` then builds
+A(n)/B(n) without Fraction's gcd.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import chain, count, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator, record
-from .scalars import Scalar, is_zero, scalar_div
+from .scalars import Scalar, coprime_fraction, is_zero, scalar_div
 
 
 class CFSpec:
@@ -288,10 +292,14 @@ def _tree_product(matrices: Iterable[Matrix]) -> Matrix:
 
 
 def _power(m: Matrix, e: int) -> Matrix:
-    """m**e for e >= 1 by repeated squaring."""
+    """m**e for e >= 1 by repeated squaring.  A square takes five products,
+    [[a² + bc, b(a + d)], [c(a + d), d² + bc]], where `_mat_mul` takes
+    eight; each multiply-by-m step is a `_mat_mul`."""
     result = m
     for bit in bin(e)[3:]:
-        result = _mat_mul(result, result)
+        a, b, c, d = result
+        bc, trace = b * c, a + d
+        result = a * a + bc, b * trace, c * trace, d * d + bc
         if bit == "1":
             result = _mat_mul(result, m)
     return result
@@ -330,9 +338,24 @@ def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
     return pair_at(spec, 0, n)[1]
 
 
+def convergent_value(spec: CFSpec, pair: ConvergentPair) -> Scalar:
+    """Value A(n)/B(n) of the pair (A(n), B(n)) of spec, n >= 0; exact in
+    exact towers.  When b(0..n) are ints and each a(1..n) is 1 or -1, the
+    cross determinant ±1 makes A(n) and B(n) coprime, so the Fraction is
+    built without a gcd; a periodic spec is read for one period at most."""
+    n = min(pair.n, spec.period) if isinstance(spec, PeriodicCF) else pair.n
+    coprime = type(spec.b(0)) is int and all(
+        type(a) is int and type(b) is int and a in (1, -1)
+        for a, b in islice(spec.terms(1), n)
+    )
+    if not coprime or pair.den == 0:
+        return pair.value()
+    return coprime_fraction(pair.num, pair.den)
+
+
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
     """Value A(n)/B(n) of the n-th convergent; exact in exact towers."""
-    return convergent_pair(spec, n).value()
+    return convergent_value(spec, convergent_pair(spec, n))
 
 
 def coefficient_product(spec: CFSpec, n: int) -> Scalar:

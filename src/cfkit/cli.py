@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cfcore import CFSpec, PeriodicCF, convergent_pair
+from .cfcore import CFSpec, PeriodicCF, convergent_pair, convergent_value
 from .continuants import ContinuantArgs, continuant, continuant_oracle
 from .errors import CFKitError, InvalidSpec, SpecFileError, ZeroDenominator
 from .periodic import (
@@ -154,7 +154,7 @@ def cmd_eval(args) -> int:
     spec_file, spec, prec = _load(args)
     pair = convergent_pair(spec, args.n)
     try:
-        value = pair.value()
+        value = convergent_value(spec, pair)
     except ZeroDenominator as exc:
         _diag(f"ZeroDenominator: convergent undefined at index {exc.index}")
         return EXIT_ZERO_DENOMINATOR

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from typing import Callable
 
@@ -50,16 +50,55 @@ def _surd_parts(x: QuadExt) -> tuple[int, int, int, int]:
 
 # Decimal converts ints in both directions without the interpreter's limit on
 # int/str conversions (4300 digits by default since Python 3.11), which
-# convergents of a few thousand terms already pass.
+# convergents of a few thousand terms already pass.  Its own conversion is
+# quadratic, so an int of more than _SPLIT_BITS bits is split as
+# n = hi·2^h + lo, h about half its bits, and the parts are joined exactly in
+# _EXACT.  Floor division keeps n = hi·2^h + lo for negative n, and divmod's
+# truncation keeps it for negative Decimals.
+
+_SPLIT_BITS = 4096
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
 
 
 def _int_text(n: int) -> str:
-    return str(Decimal(n))
+    return str(_to_decimal(n, n.bit_length(), {}))
 
 
 def _text_int(text: str) -> int:
     """int of a string of decimal digits with an optional sign."""
-    return int(Decimal(text))
+    d = Decimal(text)
+    # k digits hold less than 2^(3.322 k), as log2(10) < 3.322
+    return _to_int(d, (d.adjusted() + 1) * 3322 // 1000 + 1, {})
+
+
+def _power2(h: int, powers: dict) -> Decimal:
+    """2^h, computed once per conversion."""
+    if h not in powers:
+        low = h >> 1
+        powers[h] = Decimal(1 << h) if h <= _SPLIT_BITS else _EXACT.multiply(
+            _power2(low, powers), _power2(h - low, powers)
+        )
+    return powers[h]
+
+
+def _to_decimal(n: int, bits: int, powers: dict) -> Decimal:
+    """Decimal of an int n of about `bits` bits."""
+    if bits <= _SPLIT_BITS:
+        return Decimal(n)
+    h = bits >> 1
+    hi = n >> h
+    return _EXACT.fma(
+        _to_decimal(hi, bits - h, powers), _power2(h, powers), _to_decimal(n - (hi << h), h, powers)
+    )
+
+
+def _to_int(d: Decimal, bits: int, powers: dict) -> int:
+    """int of an integral Decimal d of about `bits` bits."""
+    if bits <= _SPLIT_BITS:
+        return int(d)
+    h = bits >> 1
+    hi, lo = _EXACT.divmod(d, _power2(h, powers))
+    return (_to_int(hi, bits - h, powers) << h) + _to_int(lo, h, powers)
 
 
 def _text_rational(text: str) -> Fraction:

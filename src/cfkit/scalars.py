@@ -481,3 +481,14 @@ def scalar_div(num, den):
     if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
     return num / den
+
+
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime ints and den != 0, without Fraction's gcd: the
+    sign moves to num and the two slots are set directly, as CPython's own
+    `Fraction._from_coprime_ints` does from 3.12 on."""
+    if den < 0:
+        num, den = -num, -den
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,3 +66,18 @@ def random_semiregular(rng, length, b_hi=4):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def gcd_bits(monkeypatch):
+    """The bit length of the widest argument of each math.gcd call made
+    while the test runs; Fraction reduces through math.gcd."""
+    widest = []
+    gcd = math.gcd
+
+    def counted(*args):
+        widest.append(max((abs(x).bit_length() for x in args), default=0))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    return widest

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -16,12 +17,13 @@ from cfkit import (
     shifted_table,
     successive_difference,
 )
+from cfkit import cfcore
 from cfkit.errors import (
     CoefficientUnavailable,
     InvalidSpec,
     ZeroDenominator,
 )
-from cfkit.cfcore import convergent_pair
+from cfkit.cfcore import convergent_pair, convergent_value
 from conftest import footnote_cf, golden_cf, random_finite
 
 
@@ -299,3 +301,85 @@ def test_coefficient_product(rng):
     for n in range(1, 7):
         expected *= spec.a(n)
     assert coefficient_product(spec, 6) == expected
+
+
+def _unit_specs(seed):
+    """A PeriodicCF, a FiniteCF and a RuleCF with every a(n) = ±1 and integer
+    b(n) of both signs, drawn from seed."""
+    rng = random.Random(seed)
+    units = [rng.choice((1, -1)) for _ in range(31)]
+    ints = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(31)]
+    p = rng.randint(1, 4)
+    return [
+        PeriodicCF(a_block=tuple(units[:p]), b_block=tuple(ints[:p])),
+        FiniteCF(a_list=tuple(units[1:]), b_list=tuple(ints)),
+        RuleCF(a_rule=units.__getitem__, b_rule=ints.__getitem__),
+    ]
+
+
+class TestConvergentValue:
+    """`convergent_value` skips the gcd when the coefficients prove A(n) and
+    B(n) coprime, and must then give the very Fraction(A(n), B(n))."""
+
+    @pytest.fixture
+    def gcd_free(self, monkeypatch):
+        built = []
+        coprime_fraction = cfcore.coprime_fraction
+        monkeypatch.setattr(
+            cfcore, "coprime_fraction", lambda num, den: built.append(den) or coprime_fraction(num, den)
+        )
+        return built
+
+    def test_unit_numerators_match_fraction(self, gcd_free):
+        signs = set()
+        for seed in range(40):
+            for spec in _unit_specs(seed):
+                for n in range(31):
+                    pair = convergent_pair(spec, n)
+                    signs.add((pair.den > 0) - (pair.den < 0))
+                    if pair.den == 0:
+                        with pytest.raises(ZeroDenominator) as before:
+                            pair.value()
+                        with pytest.raises(ZeroDenominator) as after:
+                            convergent_value(spec, pair)
+                        assert after.value.index == before.value.index == n
+                        assert str(after.value) == str(before.value)
+                        continue
+                    built = len(gcd_free)
+                    value, expected = convergent_value(spec, pair), Fraction(pair.num, pair.den)
+                    assert len(gcd_free) == built + 1
+                    assert type(value) is Fraction and value == expected
+                    assert hash(value) == hash(expected) and str(value) == str(expected)
+                    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(PeriodicCF(a_block=(1, 2), b_block=(3, -1)), id="non-unit-a"),
+        pytest.param(PeriodicCF(a_block=(1, Fraction(-1)), b_block=(3, -1)), id="fraction-a"),
+        pytest.param(FiniteCF(a_list=(1,) * 9, b_list=(2,) * 5 + (Fraction(3),) * 5), id="fraction-b"),
+        pytest.param(RuleCF(a_rule=lambda n: 1 if n < 7 else 3, b_rule=lambda n: 2), id="late-non-unit"),
+    ])
+    def test_other_coefficients_take_the_gcd_path(self, gcd_free, spec):
+        pair = convergent_pair(spec, 9)
+        value = convergent_value(spec, pair)
+        assert gcd_free == []
+        assert value == Fraction(pair.num, pair.den) == pair.value()
+
+    def test_periodic_spec_reads_one_period(self, gcd_free):
+        reads = []
+
+        class Counted(PeriodicCF):
+            def terms(self, first=1):
+                return (reads.append(term) or term for term in super().terms(first))
+
+        spec = Counted(a_block=(1, -1, 1), b_block=(2, 5, -3))
+        pair = convergent_pair(spec, 1000)
+        reads.clear()
+        convergent_value(spec, pair)
+        assert len(gcd_free) == 1 and len(reads) == 3
+
+    def test_golden_takes_no_big_gcd(self, gcd_bits):
+        value = evaluate_convergent(golden_cf(), 10**4)
+        assert max(gcd_bits, default=0) <= 1000
+        f_next, f_next2 = fibonacci_pair(10**4 + 1)
+        assert (value.numerator, value.denominator) == (f_next2, f_next)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,46 @@ class TestEval:
             fib.append(fib[-1] + fib[-2])
         assert parse_exact(report["exact_values"]["value"]) == Fraction(fib[21002], fib[21001])
         assert parse_exact(report["exact_values"]["A"]) == fib[21002]
+
+    def test_golden_value_takes_no_big_gcd(self, capsys, golden_spec, gcd_bits):
+        # a(n) = 1 and integer b(n) make A and B coprime: no gcd on them
+        code, report = run_json(capsys, ["eval", golden_spec, "-n", "10000"])
+        assert code == 0
+        assert max(gcd_bits, default=0) <= 1000
+        assert report["exact_values"]["value"] == f"{report['exact_values']['A']}/{report['exact_values']['B']}"
+
+    @pytest.mark.parametrize("generator", ["golden", "sqrt2"])
+    def test_deep_digits_match_closed_forms(self, capsys, tmp_path, generator):
+        # golden: A(n) = F(n+2), B(n) = F(n+1) by fast doubling; sqrt2:
+        # [[1, 2], [1, 1]]^(n+1) = [[A(n), 2 B(n)], [B(n), A(n)]] (Pell
+        # numbers) by repeated squaring.  The digits are read as integers
+        # by decimal, apart from cfkit.
+        n = 10**5
+        if generator == "golden":
+            f, g = 0, 1  # F(j), F(j+1)
+            for bit in bin(n + 1)[2:]:
+                f, g = f * (2 * g - f), f * f + g * g
+                if bit == "1":
+                    f, g = g, f + g
+            num, den = g, f
+        else:
+            def mul(x, y):
+                return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+                        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+            power, base, e = (1, 0, 0, 1), (1, 2, 1, 1), n + 1
+            while e:
+                if e & 1:
+                    power = mul(power, base)
+                base, e = mul(base, base), e >> 1
+            num, den = power[0], power[2]
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": generator}})
+        code, report = run_json(capsys, ["eval", spec, "-n", str(n)])
+        assert code == 0
+        exact = report["exact_values"]
+        assert (int(Decimal(exact["A"])), int(Decimal(exact["B"]))) == (num, den)
+        value_num, _, value_den = exact["value"].partition("/")
+        assert (int(Decimal(value_num)), int(Decimal(value_den))) == (num, den)
 
     def test_each_big_integer_rendered_once(self, capsys, golden_spec, monkeypatch):
         # value = A/B in lowest terms: its digits are A's and B's, not a third

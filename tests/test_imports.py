@@ -1,8 +1,9 @@
 """Every module in src/cfkit uses each name it imports (the package
 __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
-the package; neither importing the package nor a CLI run on exact input
-loads mpmath, dataclasses or inspect."""
+the package; one function alone touches Fraction's private slots; neither
+importing the package nor a CLI run on exact input loads mpmath,
+dataclasses or inspect."""
 
 import ast
 import json
@@ -88,6 +89,38 @@ def test_guard_sees_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert _unreferenced_private_names(sources) == []
+
+
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def _fraction_slot_users(sources: dict[str, str]) -> list[str]:
+    """module.name of each top-level statement that names a Fraction slot,
+    as an attribute or as a string."""
+    users = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if any(
+                (isinstance(n, ast.Attribute) and n.attr in FRACTION_SLOTS)
+                or (isinstance(n, ast.Constant) and n.value in FRACTION_SLOTS)
+                for n in ast.walk(node)
+            ):
+                users.append(f"{module}.{getattr(node, 'name', node.lineno)}")
+    return users
+
+
+def test_guard_sees_a_fraction_slot():
+    sources = {
+        "m": "def f(x):\n    x._numerator = 1\ndef g(x):\n    return getattr(x, '_denominator')\n"
+             "def h(x):\n    return x.numerator\nY = Z._denominator\n",
+    }
+    assert _fraction_slot_users(sources) == ["m.f", "m.g", "m.7"]
+
+
+def test_one_function_touches_fraction_slots():
+    # scalars.coprime_fraction builds a Fraction without its gcd
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _fraction_slot_users(sources) == ["scalars.coprime_fraction"]
 
 
 #: only the complex tower needs mpmath, which scalars._ctx imports on first

@@ -1,5 +1,6 @@
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_DOWN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+import math
 import time
 
 import mpmath
@@ -143,6 +144,47 @@ class TestParse:
         for _ in range(100):
             value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
             assert parse_exact(format_exact(value)) == value
+
+
+def _split_cases():
+    """0, ints at the split threshold and one bit on each side of it, and
+    10^k and 10^k - 1 for the largest 10^k below the threshold and the
+    smallest above it; each with both signs."""
+    bits = render._SPLIT_BITS
+    k = math.floor(bits * math.log10(2))  # 10^k < 2^bits < 10^(k + 1)
+    cases = {"0": 0, "1": 1}
+    for b in (bits - 1, bits, bits + 1):
+        cases[f"2^{b - 1}"], cases[f"2^{b}-1"] = 1 << (b - 1), (1 << b) - 1
+    for j in (k, k + 1):
+        cases[f"10^{j}"], cases[f"10^{j}-1"] = 10**j, 10**j - 1
+    cases.update({f"-({name})": -n for name, n in cases.items() if n})
+    return [pytest.param(n, id=name) for name, n in cases.items()]
+
+
+class TestSplitConversion:
+    @pytest.mark.parametrize("n", _split_cases())
+    def test_agrees_with_decimal_at_the_threshold(self, n):
+        text = str(Decimal(n))
+        assert render._int_text(n) == text
+        assert render._text_int(text) == int(Decimal(text)) == n
+
+    @pytest.mark.parametrize("split_bits", [1, 64])
+    def test_deep_splits_agree_with_decimal(self, monkeypatch, rng, split_bits):
+        # a small threshold takes every int through many levels of splits
+        monkeypatch.setattr(render, "_SPLIT_BITS", split_bits)
+        for _ in range(100):
+            n = rng.getrandbits(rng.randint(0, 2000)) * rng.choice((1, -1))
+            text = str(Decimal(n))
+            assert render._int_text(n) == text
+            assert render._text_int(text) == n
+            assert render._text_int("+" + text.lstrip("-")) == abs(n)
+            assert render._text_int("-000" + text.lstrip("-")) == -abs(n)
+
+    def test_far_past_the_threshold(self, rng):
+        n = rng.getrandbits(200_000) | 1 << 199_999
+        text = render._int_text(n)
+        assert text == str(Decimal(n))
+        assert render._text_int(text) == n and render._text_int("-" + text) == -n
 
 
 def _digits(prec_bits):

@@ -4,7 +4,7 @@ import pytest
 
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, abs_lt, is_zero, scalar_div, sign_of
+from cfkit.scalars import _ctx, abs_lt, coprime_fraction, is_zero, scalar_div, sign_of
 
 
 def F(n, d=1):
@@ -277,3 +277,17 @@ def test_division_by_zero_raises_in_every_tower(divide):
     # and TestComplexFloat::test_division_by_zero (ComplexFloat / ComplexFloat0)
     with pytest.raises(ZeroDivisionError):
         divide()
+
+
+@pytest.mark.parametrize("num, den", [
+    (0, 1), (0, -1), (1, 1), (-1, 1), (3, -2), (-3, -2), (7, 10**30 + 1),
+    (-(2**89 - 1), 2**61 - 1), (2**127 - 1, -(3**80)),
+])
+def test_coprime_fraction_is_the_reduced_fraction(num, den):
+    value, expected = coprime_fraction(num, den), Fraction(num, den)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert value == expected and hash(value) == hash(expected)
+    assert str(value) == str(expected) and repr(value) == repr(expected)
+    assert value + F(1, 3) == expected + F(1, 3) and value * value == expected * expected
+    assert value < expected + 1 and -value == -expected
