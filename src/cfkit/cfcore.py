@@ -22,7 +22,8 @@ A(n)/B(n) without Fraction's gcd.
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
+import math
+from itertools import chain, count, cycle, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator, record
@@ -47,10 +48,8 @@ class CFSpec:
         it is set; first >= 1."""
         _check_index(first, 1, "first")
         last = self.max_index
-        if last is None:
-            return zip(map(self.a, count(first)), map(self.b, count(first)))
-        indices = range(first, last + 1)
-        return zip(map(self.a, indices), map(self.b, indices))
+        indices = count(first) if last is None else range(first, last + 1)
+        return ((self.a(n), self.b(n)) for n in indices)
 
     def require(self, n: int) -> None:
         """Fail fast when coefficients up to index n are not available."""
@@ -95,6 +94,10 @@ class FiniteCF(CFSpec):
             raise CoefficientUnavailable(n, "partial denominator b")
         return self.b_list[n]
 
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        _check_index(first, 1, "first")
+        return zip(self.a_list[first - 1:], self.b_list[first:])
+
 
 @record
 class PeriodicCF(CFSpec):
@@ -118,12 +121,10 @@ class PeriodicCF(CFSpec):
                 f"period blocks must have equal length, got "
                 f"|a| = {len(self.a_block)}, |b| = {len(self.b_block)}"
             )
-        for i, value in enumerate(self.a_block):
-            if is_zero(value):
-                raise InvalidSpec(f"a[{i + 1}] = 0 is not allowed in a periodic CF")
-        for i, value in enumerate(self.b_block):
-            if is_zero(value):
-                raise InvalidSpec(f"b[{i}] = 0 is not allowed in a periodic CF")
+        for name, block, first in (("a", self.a_block, 1), ("b", self.b_block, 0)):
+            for i, value in enumerate(block, first):
+                if is_zero(value):
+                    raise InvalidSpec(f"{name}[{i}] = 0 is not allowed in a periodic CF")
 
     @property
     def period(self) -> int:
@@ -136,6 +137,12 @@ class PeriodicCF(CFSpec):
     def b(self, n: int) -> Scalar:
         _check_index(n, 0)
         return self.b_block[n % self.period]
+
+    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
+        _check_index(first, 1, "first")
+        a, b, p = self.a_block, self.b_block, self.period
+        i, j = (first - 1) % p, first % p  # a(first) = a[i], b(first) = b[j]
+        return zip(cycle(a[i:] + a[:i]), cycle(b[j:] + b[:j]))
 
 
 @record
@@ -360,10 +367,7 @@ def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
 
 def coefficient_product(spec: CFSpec, n: int) -> Scalar:
     """Product a(1) a(2) ... a(n)."""
-    product: Scalar = 1
-    for i in range(1, n + 1):
-        product = product * spec.a(i)
-    return product
+    return math.prod(spec.a(i) for i in range(1, n + 1))
 
 
 def cross_determinant(spec: CFSpec, n: int) -> Scalar:

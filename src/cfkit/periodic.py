@@ -38,6 +38,7 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     Scalar,
+    _exact,
     _quadext_trusted,
     as_complexfloat,
     is_rational,
@@ -134,25 +135,6 @@ class PowerIterTrajectory:
     mu1: Scalar
     mu2: Scalar
     case: str
-
-
-def _dyadic(value) -> int | Fraction:
-    sign, man, exp, _ = value._mpf_  # value = (-1)^sign man 2^exp
-    if not man and exp:  # mpmath's +-inf and nan
-        raise InvalidSpec(f"{value} is not a finite number")
-    man = -man if sign else man
-    return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _exact(x, prec: int = 0):
-    """x as an exact scalar, promoted into the complex tower first when prec is
-    set: a ComplexFloat's dyadic parts give re, or re + im*sqrt(-1) as a QuadExt."""
-    if prec:
-        x = as_complexfloat(x, prec)
-    if not isinstance(x, ComplexFloat):
-        return x
-    re, im = _dyadic(x.re), _dyadic(x.im)
-    return _quadext_trusted(Fraction(re), Fraction(im), -1) if im else re
 
 
 def _exact_blocks(pcf: PeriodicCF, prec: int) -> tuple[tuple, tuple]:

@@ -3,7 +3,8 @@
 A computation normally stays inside one tower.  Promotion only goes up:
 ints and Fractions embed into QuadExt (same radicand) and into ComplexFloat;
 QuadExt embeds into ComplexFloat by evaluating its square root numerically
-at the target precision.
+at the target precision.  ComplexFloat arithmetic runs on the raw mpf tuples
+with mpmath's libmp kernels, bit for bit as mpmath's own mpc operators round.
 
 A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
 built and never factored: arithmetic trusts it, equality compares values,
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .errors import TowerMismatch, record
+from .errors import InvalidSpec, TowerMismatch, record
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 128
@@ -334,68 +335,83 @@ def abs_lt(x, bound: RationalLike) -> bool:
 
 @cache
 def _ctx(prec_bits: int):
-    """Shared mpmath context per precision; never mutated after creation, so
-    two threads racing on a first call at worst build two equal contexts.
-    mpmath is imported here, on first use, so exact work never loads it."""
+    """Shared mpmath context per precision (>= 64 bits), which only wraps
+    values; never mutated after creation, so two threads racing on a first
+    call at worst build two equal contexts.  mpmath is imported on first use."""
+    if prec_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
     from mpmath.ctx_mp import MPContext
     ctx = MPContext()
     ctx.prec = prec_bits
     return ctx
 
 
+@cache
+def _libmp():
+    """mpmath's kernels on raw (sign, man, exp, bc) tuples, imported on first use."""
+    from mpmath import libmp
+    return libmp
+
+
+def _complexfloat_trusted(re: tuple, im: tuple, prec: int) -> "ComplexFloat":
+    """re + im*i from raw mpf tuples already rounded to prec bits, without
+    ComplexFloat's conversions, as `_quadext_trusted` skips QuadExt's checks."""
+    value, make_mpf = _new_object(ComplexFloat), _ctx(prec).make_mpf
+    _set_field(value, "re", make_mpf(re))
+    _set_field(value, "im", make_mpf(im))
+    _set_field(value, "prec", prec)
+    return value
+
+
 @record
 class ComplexFloat:
-    """Complex value at an explicit binary precision (>= 64 bits)."""
+    """Complex value at an explicit binary precision (>= 64 bits); each
+    operation rounds to nearest at the larger operand precision."""
 
     re: object
     im: object
     prec: int = DEFAULT_PRECISION_BITS
 
     def __post_init__(self):
-        if self.prec < MIN_PRECISION_BITS:
-            raise ValueError(f"precision must be >= {MIN_PRECISION_BITS} bits")
         ctx = _ctx(self.prec)
         object.__setattr__(self, "re", ctx.mpf(self.re))
         object.__setattr__(self, "im", ctx.mpf(self.im))
 
-    def _binary(self, other, op, reverse=False):
+    def _binary(self, other, kernel: str, reverse=False):
         try:
-            other_cf = as_complexfloat(other, self.prec)
+            other = as_complexfloat(other, self.prec)
         except TypeError:
             return NotImplemented
-        prec = max(self.prec, other_cf.prec)
-        ctx = _ctx(prec)
-        lhs = ctx.mpc(self.re, self.im)
-        rhs = ctx.mpc(other_cf.re, other_cf.im)
-        if reverse:
-            lhs, rhs = rhs, lhs
-        value = op(lhs, rhs)
-        return ComplexFloat(value.real, value.imag, prec)
+        prec = max(self.prec, other.prec)
+        x, y = (other, self) if reverse else (self, other)
+        z = getattr(_libmp(), kernel)((x.re._mpf_, x.im._mpf_), (y.re._mpf_, y.im._mpf_), prec, "n")
+        return _complexfloat_trusted(*z, prec)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, "mpc_add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, "mpc_sub")
 
     def __rsub__(self, other):
-        return self._binary(other, lambda a, b: a - b, reverse=True)
+        return self._binary(other, "mpc_sub", reverse=True)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        return self._binary(other, "mpc_mul")
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
+    def __truediv__(self, other):  # mpc_div even for a real divisor, as mpc / mpc rounds
+        return self._binary(other, "mpc_div")
 
     def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: a / b, reverse=True)
+        return self._binary(other, "mpc_div", reverse=True)
 
     def __neg__(self):
-        return ComplexFloat(-self.re, -self.im, self.prec)
+        neg = _libmp().mpf_neg
+        return _complexfloat_trusted(neg(self.re._mpf_), neg(self.im._mpf_), self.prec)
 
     def __eq__(self, other):
         if isinstance(other, ComplexFloat):
@@ -413,16 +429,15 @@ class ComplexFloat:
         return self.re == 0 and self.im == 0
 
     def modulus(self):
-        ctx = _ctx(self.prec)
-        return ctx.fabs(ctx.mpc(self.re, self.im))
+        value = _libmp().mpc_abs((self.re._mpf_, self.im._mpf_), self.prec, "n")
+        return _ctx(self.prec).make_mpf(value)
 
     def conjugate(self) -> "ComplexFloat":
-        return ComplexFloat(self.re, -self.im, self.prec)
+        return _complexfloat_trusted(self.re._mpf_, _libmp().mpf_neg(self.im._mpf_), self.prec)
 
     def sqrt(self) -> "ComplexFloat":
-        ctx = _ctx(self.prec)
-        value = ctx.sqrt(ctx.mpc(self.re, self.im))
-        return ComplexFloat(value.real, value.imag, self.prec)
+        value = _libmp().mpc_sqrt((self.re._mpf_, self.im._mpf_), self.prec, "n")
+        return _complexfloat_trusted(*value, self.prec)
 
     def __repr__(self):
         return f"ComplexFloat({self.re!r}, {self.im!r}, prec={self.prec})"
@@ -432,14 +447,14 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     """Promote any scalar into the complex floating tower at `prec` bits."""
     if isinstance(x, ComplexFloat):
         return x
-    ctx = _ctx(prec)
+    ctx, libmp = _ctx(prec), _libmp()
     if isinstance(x, int):
-        return ComplexFloat(ctx.mpf(x), 0, prec)
+        return _complexfloat_trusted(libmp.from_int(x, prec, "n"), libmp.fzero, prec)
     if isinstance(x, Fraction):
-        return ComplexFloat(ctx.fdiv(x.numerator, x.denominator), 0, prec)
+        re = libmp.from_rational(x.numerator, x.denominator, prec, "n")
+        return _complexfloat_trusted(re, libmp.fzero, prec)
     if isinstance(x, QuadExt):
-        a = ctx.fdiv(x.a.numerator, x.a.denominator)
-        b = ctx.fdiv(x.b.numerator, x.b.denominator)
+        a, b = (ctx.fdiv(q.numerator, q.denominator) for q in (x.a, x.b))
         root = ctx.sqrt(ctx.mpf(abs(x.d)))
         if x.d < 0:
             return ComplexFloat(a, b * root, prec)
@@ -452,6 +467,25 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     except (TypeError, ValueError):
         raise TypeError(f"cannot promote {type(x).__name__} to ComplexFloat") from None
     return ComplexFloat(value.real, value.imag, prec)
+
+
+def _dyadic(value) -> int | Fraction:
+    sign, man, exp, _ = value._mpf_  # value = (-1)^sign man 2^exp
+    if not man and exp:  # mpmath's +-inf and nan
+        raise InvalidSpec(f"{value} is not a finite number")
+    man = -man if sign else man
+    return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _exact(x, prec: int = 0):
+    """x as an exact scalar, promoted into the complex tower first when prec is
+    set: a ComplexFloat's dyadic parts give re, or re + im*sqrt(-1) as a QuadExt."""
+    if prec:
+        x = as_complexfloat(x, prec)
+    if not isinstance(x, ComplexFloat):
+        return x
+    re, im = _dyadic(x.re), _dyadic(x.im)
+    return _quadext_trusted(Fraction(re), Fraction(im), -1) if im else re
 
 
 Scalar = Union[int, Fraction, QuadExt, ComplexFloat]

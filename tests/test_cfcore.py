@@ -207,9 +207,9 @@ class TestSpecs:
             FiniteCF(a_list=(1, 1), b_list=(1, 1))
 
     def test_periodic_rejects_zero_coefficients(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=r"^a\[1\] = 0 "):
             PeriodicCF(a_block=(0,), b_block=(1,))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=r"^b\[1\] = 0 "):
             PeriodicCF(a_block=(1, 1), b_block=(1, 0))
 
     def test_periodic_wraparound(self):
@@ -249,8 +249,10 @@ class _Indexed(CFSpec):
     ids=["finite", "periodic", "rule", "rule_squares", "default"],
 )
 def test_terms_stream_matches_indexed_coefficients(spec):
-    end = spec.max_index if spec.max_index is not None else 40
-    for first in (1, 2, 3, 4, 5, 6, 7, 8, 11):
+    # 6 and 8 are one past the last index of the finite and default specs, and
+    # 10**6 + 2 is far past them; 29 and 10**6 + 2 are periods into the periodic spec
+    for first in (1, 2, 3, 4, 5, 6, 7, 8, 11, 29, 10**6 + 2):
+        end = spec.max_index if spec.max_index is not None else first + 39
         expected = [(spec.a(n), spec.b(n)) for n in range(first, end + 1)][:20]
         assert list(islice(spec.terms(first), 20)) == expected
     with pytest.raises(ValueError):

@@ -92,21 +92,27 @@ def test_every_private_name_is_referenced():
 
 
 FRACTION_SLOTS = {"_numerator", "_denominator"}
+#: mpmath's raw values: the (sign, man, exp, bc) tuple of an mpf, and a pair of them
+MPMATH_SLOTS = {"_mpf_", "_mpc_"}
 
 
-def _fraction_slot_users(sources: dict[str, str]) -> list[str]:
-    """module.name of each top-level statement that names a Fraction slot,
+def _slot_users(sources: dict[str, str], slots: set[str]) -> list[str]:
+    """module.name of each top-level statement that names one of the slots,
     as an attribute or as a string."""
     users = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if any(
-                (isinstance(n, ast.Attribute) and n.attr in FRACTION_SLOTS)
-                or (isinstance(n, ast.Constant) and n.value in FRACTION_SLOTS)
+                (isinstance(n, ast.Attribute) and n.attr in slots)
+                or (isinstance(n, ast.Constant) and n.value in slots)
                 for n in ast.walk(node)
             ):
                 users.append(f"{module}.{getattr(node, 'name', node.lineno)}")
     return users
+
+
+def _fraction_slot_users(sources: dict[str, str]) -> list[str]:
+    return _slot_users(sources, FRACTION_SLOTS)
 
 
 def test_guard_sees_a_fraction_slot():
@@ -121,6 +127,23 @@ def test_one_function_touches_fraction_slots():
     # scalars.coprime_fraction builds a Fraction without its gcd
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _fraction_slot_users(sources) == ["scalars.coprime_fraction"]
+
+
+def test_guard_sees_an_mpmath_slot():
+    sources = {
+        "m": "def f(z):\n    return z.re._mpf_\ndef g(z):\n    return getattr(z, '_mpc_')\n"
+             "def h(z):\n    return z.real\nclass C:\n    x = property(lambda s: s.v._mpf_)\n",
+    }
+    assert _slot_users(sources, MPMATH_SLOTS) == ["m.f", "m.g", "m.C"]
+
+
+def test_only_scalars_and_the_literal_writer_read_mpmath_slots():
+    # the complex tower's libmp arithmetic and its exact view live in scalars;
+    # specfile.format_literal writes each part's digits from its raw tuple
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    users = _slot_users(sources, MPMATH_SLOTS)
+    assert [u for u in users if not u.startswith("scalars.")] == ["specfile.format_literal"]
+    assert "scalars._dyadic" in users
 
 
 #: only the complex tower needs mpmath, which scalars._ctx imports on first

@@ -218,6 +218,17 @@ class TestComplexFloat:
         with pytest.raises(ZeroDivisionError):
             ComplexFloat(1, 0) / ComplexFloat(0, 0)
 
+    def test_division_by_a_real_number_rounds_as_complex_division(self):
+        # mpmath's shortcut for a real divisor rounds this quotient differently
+        # from mpc / mpc, which ComplexFloat division follows
+        ctx = _ctx(64)
+        a, c = ctx.mpf((0xE04F311DF4AE3E15, -64)), 0xCA6E324C81BA9EFF
+        expected = ctx.mpc(a, a) / ctx.mpc(c)
+        assert expected._mpc_ != (ctx.mpc(a, a) / ctx.mpf(c))._mpc_
+        for divisor in (c, F(c), ComplexFloat(c, 0, 64)):
+            q = ComplexFloat(a, a, 64) / divisor
+            assert (q.re._mpf_, q.im._mpf_) == expected._mpc_
+
     def test_mixed_promotion_in_expressions(self):
         z = ComplexFloat(1, 1)
         w = z + F(1, 2)
@@ -234,6 +245,85 @@ class TestComplexFloat:
         lo = ComplexFloat(1, 0, 64)
         hi = ComplexFloat(1, 0, 256)
         assert (lo + hi).prec == 256
+
+
+def _gaussian_dyadic(rng, prec):
+    """ComplexFloat with random dyadic parts of up to prec + 40 bits, rounded
+    by the public constructor; a part is 0 one time in eight."""
+    def part():
+        if rng.random() < 0.125:
+            return 0
+        man = rng.getrandbits(rng.randint(1, prec + 40)) or 1
+        return (-man if rng.random() < 0.5 else man, rng.randint(-2 * prec, prec))
+    return ComplexFloat(part(), part(), prec)
+
+
+def _oracle(x, prec, wide):
+    """x promoted at prec bits as mpmath's own context does it (int by
+    ctx.mpf, Fraction by ctx.fdiv, a QuadExt's parts from as_complexfloat),
+    then held unrounded by an mpc of the context at wide bits."""
+    ctx = _ctx(prec)
+    if isinstance(x, int):
+        x = ctx.mpf(x)
+    elif isinstance(x, Fraction):
+        x = ctx.fdiv(x.numerator, x.denominator)
+    elif isinstance(x, QuadExt):
+        x = as_complexfloat(x, prec)
+    value = _ctx(x.prec).mpc(x.re, x.im) if isinstance(x, ComplexFloat) else ctx.mpc(x)
+    return _ctx(wide).mpc(value)
+
+
+#: operator, and the ComplexFloat method that computes `other op self`
+_OPERATORS = {
+    "+": (lambda x, y: x + y, "__radd__"), "-": (lambda x, y: x - y, "__rsub__"),
+    "*": (lambda x, y: x * y, "__rmul__"), "/": (lambda x, y: x / y, "__rtruediv__"),
+}
+
+_OTHER_OPERANDS = {
+    "ComplexFloat": lambda rng: _gaussian_dyadic(rng, rng.choice((64, 128, 200, 256))),
+    "int": lambda rng: rng.randint(-(2**300), 2**300),
+    "small int": lambda rng: rng.randint(-9, 9),
+    "Fraction": lambda rng: Fraction(rng.randint(-(2**200), 2**200), rng.randint(1, 2**150)),
+    "QuadExt d > 0": lambda rng: quadext(F(rng.randint(-99, 99), rng.randint(1, 99)),
+                                         rng.randint(1, 9), rng.choice((2, 3, 12))),
+    "QuadExt d < 0": lambda rng: quadext(F(rng.randint(-99, 99), rng.randint(1, 99)),
+                                         rng.randint(1, 9), rng.choice((-1, -3))),
+    "float": lambda rng: rng.uniform(-1e6, 1e6),
+}
+
+
+@pytest.mark.parametrize("prec", [64, 128, 200, 256])
+def test_complex_kernels_match_mpmath_bit_for_bit(rng, prec):
+    # each ComplexFloat operation against the same operation on mpmath's own
+    # mpc objects: the same raw parts, at the larger operand precision
+    def raw(z):
+        return z.re._mpf_, z.im._mpf_, z.prec
+
+    for _ in range(12):
+        z = _gaussian_dyadic(rng, prec)
+        for kind, make in _OTHER_OPERANDS.items():
+            other = make(rng)
+            wide = max(prec, getattr(other, "prec", prec))
+            mz, mo = _oracle(z, prec, wide), _oracle(other, prec, wide)
+            for name, (op, reflected) in _OPERATORS.items():
+                if not (name == "/" and mo == 0):
+                    assert raw(op(z, other)) == (*op(mz, mo)._mpc_, wide), (kind, name)
+                if not (name == "/" and mz == 0):
+                    value = getattr(z, reflected)(other)
+                    assert raw(value) == (*op(mo, mz)._mpc_, wide), (kind, reflected)
+                    if kind != "ComplexFloat":
+                        assert raw(op(other, z)) == raw(value), (kind, name)
+        mz = _oracle(z, prec, prec)
+        assert raw(-z) == (*(-mz)._mpc_, prec)
+        assert raw(z.conjugate()) == (*mz.conjugate()._mpc_, prec)
+        assert raw(z.sqrt()) == (*_ctx(prec).sqrt(mz)._mpc_, prec)
+        assert z.modulus()._mpf_ == abs(mz)._mpf_
+    with pytest.raises(ZeroDivisionError):
+        _gaussian_dyadic(rng, prec) / ComplexFloat(0, 0, prec)
+    with pytest.raises(ZeroDivisionError):
+        F(1, 3) / ComplexFloat(0, 0, prec)
+    with pytest.raises(TypeError):
+        ComplexFloat(1, 0, prec) + "x"
 
 
 class TestHelpers:
