@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 
 from .cfcore import PeriodicCF, _check_index, recurrence
 from .errors import (
@@ -61,16 +60,18 @@ EQUAL_MODULUS = "equal_modulus"
 REPEATED = "repeated"
 
 
-@record(hidden=("exact",))
+@record(hidden=("exact", "pairs"))
 class PeriodMatrix:
-    """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det;
-    `exact` holds the entries unrounded when `build_period_matrix` made M."""
+    """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det.
+    When `build_period_matrix` made M, `exact` holds the entries unrounded and
+    `pairs` the exact (A(q), B(q)) for q = 0 .. p-2."""
 
     m11: Scalar
     m12: Scalar
     m21: Scalar
     m22: Scalar
     exact: tuple | None = None
+    pairs: tuple = ()
 
     @property
     def trace(self) -> Scalar:
@@ -137,10 +138,6 @@ class PowerIterTrajectory:
     case: str
 
 
-def _exact_blocks(pcf: PeriodicCF, prec: int) -> tuple[tuple, tuple]:
-    return tuple(_exact(x, prec) for x in pcf.a_block), tuple(_exact(x, prec) for x in pcf.b_block)
-
-
 def _exact_entries(matrix: PeriodMatrix) -> tuple:
     entries = (matrix.m11, matrix.m12, matrix.m21, matrix.m22)
     return matrix.exact or tuple(_exact(m, matrix.prec) for m in entries)
@@ -152,9 +149,9 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     Gaussian dyadic rationals and the entries rounded once, to the largest
     coefficient precision."""
     p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
-    precs = [x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)]
-    if precs:
-        a_block, b_block = _exact_blocks(pcf, max(precs))
+    prec = max((x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)), default=0)
+    if prec:
+        a_block, b_block = (tuple(_exact(x, prec) for x in block) for block in (a_block, b_block))
     a_p, b0 = a_block[-1], b_block[0]
     # pairs[n + 1] = (A(n), B(n)) for n = -1 .. p, from the terms (a(n), b(n)), n = 1 .. p
     pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + (b0,)))]
@@ -168,8 +165,8 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     for identity, holds in checks:
         if not holds:
             raise SelfCheckFailure(f"period matrix violates {identity}")
-    entries = [as_complexfloat(m, max(precs)) for m in exact] if precs else exact
-    return PeriodMatrix(*entries, exact)
+    entries = [as_complexfloat(m, prec) for m in exact] if prec else exact
+    return PeriodMatrix(*entries, exact, tuple(pairs[1:p]))
 
 
 def _modulus_relation(tr, disc) -> str:
@@ -252,10 +249,10 @@ def classify(pcf: PeriodicCF) -> StolzReport:
     """
     matrix = build_period_matrix(pcf)
     eigen = eigen_split(matrix)
-    return StolzReport(matrix, eigen, _verdict(pcf, matrix, eigen))
+    return StolzReport(matrix, eigen, _verdict(matrix, eigen))
 
 
-def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
+def _verdict(matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
     if is_zero(matrix.m21):
         return Verdict(kind=DIVERGENT_ZERO_DENOMINATOR)
     if eigen.modulus_relation == EQUAL_REPEATED:
@@ -265,12 +262,10 @@ def _verdict(pcf: PeriodicCF, matrix: PeriodMatrix, eigen: EigenSplit) -> Verdic
     # strict dominance: a rational convergent can sit on x2 only when D is a
     # square, which makes x2 a Fraction; complex input is always scanned
     if isinstance(eigen.x2, (ComplexFloat, Fraction)):
-        m11, m12, m21, m22 = _exact_entries(matrix)
+        m11, m12, m21, m22 = matrix.exact
         tr, d = m11 + m22, m11 - m22
         disc = d * d + 4 * m12 * m21
-        a_block, b_block = _exact_blocks(pcf, matrix.prec)
-        pairs = recurrence(b_block[0], zip(a_block, b_block[1:]))  # q = 0 .. p - 1
-        for q, (num, den) in enumerate(islice(pairs, pcf.period - 1)):
+        for q, (num, den) in enumerate(matrix.pairs):
             # A(q) = x2 B(q) makes w = -sqrt(disc) B(q) with the dominant root's sign
             w = 2 * m21 * num - (tr - 2 * m22) * den
             r = -tr * w.conjugate() * den

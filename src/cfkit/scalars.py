@@ -145,8 +145,7 @@ class QuadExt:
     hash equal, and mix freely in arithmetic, which rescales the other
     operand onto this operand's radicand.  Radicands of different fields
     (sqrt(2) and sqrt(3)) do not mix: that raises TowerMismatch.  d < 0
-    represents the complex value a + b*i*sqrt(|d|); such values are exact but
-    not order-comparable.
+    represents the complex value a + b*i*sqrt(|d|).
     """
 
     a: Fraction
@@ -189,21 +188,6 @@ class QuadExt:
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (product with the conjugate)."""
         return self.a * self.a - self.b * self.b * self.d
-
-    def sign(self) -> int:
-        """Exact sign of the real value (requires d > 0)."""
-        if self.d < 0:
-            raise TowerMismatch("complex quadratic values are not ordered")
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        t = a * a - b * b * self.d
-        s = 1 if t > 0 else (-1 if t < 0 else 0)
-        return s if a > 0 else -s
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -257,15 +241,7 @@ class QuadExt:
     def __rtruediv__(self, other):
         return self._inverse().__mul__(other)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result: Scalar = Fraction(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    # -- comparisons ----------------------------------------------------------
+    # -- equality ------------------------------------------------------------
 
     def _value_key(self) -> tuple:
         """(a, b^2 d, sign of b): the same for every form of one value."""
@@ -283,52 +259,10 @@ class QuadExt:
     def __hash__(self):
         return hash(self._value_key())
 
-    def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return 0 if diff == 0 else (1 if diff > 0 else -1)
-        return diff.sign()
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __repr__(self):
         a, b = (f"Fraction({_int_label(q.numerator)}, {_int_label(q.denominator)})"
                 for q in (self.a, self.b))
         return f"QuadExt({a} + {b}*sqrt({_int_label(self.d)}))"
-
-
-# -- exact comparison helpers ----------------------------------------------
-
-
-def sign_of(x) -> int:
-    """Exact sign of a real exact scalar (int, Fraction, real QuadExt)."""
-    if isinstance(x, (int, Fraction)):
-        return 0 if x == 0 else (1 if x > 0 else -1)
-    if isinstance(x, QuadExt):
-        return x.sign()
-    raise TowerMismatch(f"no exact sign for {type(x).__name__}")
-
-
-def abs_lt(x, bound: RationalLike) -> bool:
-    """Exact test |x| < bound for rational bound and exact scalar x."""
-    bound = _as_fraction(bound)
-    if isinstance(x, (int, Fraction)):
-        return -bound < x < bound
-    if isinstance(x, QuadExt):
-        if x.d < 0:
-            return x.norm() < bound * bound  # a^2 - b^2 d = |x|^2 for d < 0
-        return sign_of(bound - x) > 0 and sign_of(bound + x) > 0
-    raise TowerMismatch(f"no exact comparison for {type(x).__name__}")
 
 
 # -- complex floating tower ---------------------------------------------------

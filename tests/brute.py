@@ -19,6 +19,13 @@ Complex-tower input is simulated exactly too: each ComplexFloat coefficient
 holds dyadic rationals, which become a `Gaussian` here through mpmath's own
 `to_rational`, and the trajectory runs over Q(i).  Its claimed limits are
 floats at the working precision, so they are matched within TOL_CONV.
+
+A claimed irrational limit a + b*sqrt(d) is judged by `surd_sign`, the exact
+sign of such a value worked out from its rational parts with Fractions alone.
+It uses none of cfkit's arithmetic (and cfkit's QuadExt defines no order), so
+a limit is checked by code that shares nothing with the code that computed
+it.  `sign_of` and `abs_lt` lift it to ints, Fractions and QuadExt values
+for the tests.
 """
 
 import math
@@ -27,10 +34,55 @@ from itertools import combinations
 
 from mpmath.libmp import to_rational
 
-from cfkit.scalars import ComplexFloat, QuadExt, abs_lt
+from cfkit.scalars import ComplexFloat, QuadExt
 
 TOL_CONV = Fraction(1, 10**6)
 TOL_SPLIT = Fraction(1, 10**3)
+
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def surd_sign(a, b, d):
+    """Exact sign of a + b*sqrt(d) for rational a, b and an integer d >= 0.
+
+    With a and b of one sign, or either of them zero, the sign shows at once;
+    otherwise the value takes a's sign exactly when a^2 > b^2 d."""
+    sa, sb = _sgn(a), _sgn(b) if d else 0
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * _sgn(a * a - b * b * d)
+
+
+def surd_abs_lt(a, b, d, bound):
+    """Exact test |a + b*sqrt(d)| < bound; a complex value when d < 0."""
+    if d < 0:  # |a + b i sqrt(-d)|^2 = a^2 - b^2 d
+        return bound > 0 and a * a - b * b * d < bound * bound
+    return surd_sign(bound - a, -b, d) > 0 and surd_sign(bound + a, b, d) > 0
+
+
+def _parts(x):
+    """(a, b, d) with x = a + b*sqrt(d), for an int, a Fraction or a QuadExt."""
+    if isinstance(x, QuadExt):
+        return x.a, x.b, x.d
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), 0, 0
+    raise TypeError(f"no exact value for {type(x).__name__}")
+
+
+def sign_of(x):
+    """Exact sign of an int, a Fraction or a real QuadExt."""
+    a, b, d = _parts(x)
+    if d < 0:
+        raise TypeError("complex quadratic values are not ordered")
+    return surd_sign(a, b, d)
+
+
+def abs_lt(x, bound):
+    """Exact test |x| < bound for a rational bound and an int, a Fraction or a
+    QuadExt x, complex when its d < 0."""
+    return surd_abs_lt(*_parts(x), Fraction(bound))
 
 
 def raw_table(spec, n_max):
@@ -122,7 +174,7 @@ def ratio(num, den):
 def within(num, den, x, tol):
     """Exact test |num/den - x| < tol (den != 0)."""
     if isinstance(x, QuadExt):
-        return abs_lt(Fraction(num, den) - x, tol)
+        return surd_abs_lt(Fraction(num, den) - x.a, -x.b, x.d, tol)
     if isinstance(x, (Gaussian, ComplexFloat)) or isinstance(num, Gaussian):
         gap = Gaussian.of(num) - Gaussian.of(x) * den
         return gap.norm() < tol * tol * Gaussian.of(den).norm()

@@ -44,9 +44,8 @@ from cfkit.periodic import (
     EQUAL_MODULUS,
     REPEATED,
 )
-from cfkit.scalars import abs_lt
 
-from brute import Simulation, matched_verdict
+from brute import Simulation, abs_lt, matched_verdict
 from conftest import (
     equal_modulus_cf,
     footnote_cf,

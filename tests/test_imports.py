@@ -1,8 +1,9 @@
 """Every module in src/cfkit uses each name it imports (the package
 __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
-the package; one function alone touches Fraction's private slots; neither
-importing the package nor a CLI run on exact input loads mpmath,
+the package; one function alone touches Fraction's private slots; the test
+oracle brute.py takes only type names from cfkit, and QuadExt has no order;
+neither importing the package nor a CLI run on exact input loads mpmath,
 dataclasses or inspect."""
 
 import ast
@@ -144,6 +145,55 @@ def test_only_scalars_and_the_literal_writer_read_mpmath_slots():
     users = _slot_users(sources, MPMATH_SLOTS)
     assert [u for u in users if not u.startswith("scalars.")] == ["specfile.format_literal"]
     assert "scalars._dyadic" in users
+
+
+BRUTE = Path(__file__).resolve().parent / "brute.py"
+#: the value types whose parts the oracle reads; everything else it computes itself
+ORACLE_TYPES = ["ComplexFloat", "QuadExt"]
+
+
+def _cfkit_imports(source: str) -> list[str]:
+    """Each name a source imports from cfkit or one of its modules, and each
+    cfkit module it imports whole."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cfkit":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.split(".")[0] == "cfkit"]
+    return names
+
+
+def test_guard_sees_a_cfkit_import():
+    source = BRUTE.read_text() + "import cfkit.periodic\ndef f():\n    from cfkit.scalars import abs_lt\n"
+    assert _cfkit_imports(source) == [*ORACLE_TYPES, "cfkit.periodic", "abs_lt"]
+
+
+def test_oracle_imports_only_cfkit_type_names():
+    # brute.py judges cfkit's verdicts, so it shares none of cfkit's arithmetic
+    assert _cfkit_imports(BRUTE.read_text()) == ORACLE_TYPES
+
+
+def _order_dunders(cls) -> list[str]:
+    return sorted({"__lt__", "__le__", "__gt__", "__ge__", "__pow__"} & set(vars(cls)))
+
+
+def test_guard_sees_an_order_dunder():
+    class Ordered:
+        def __lt__(self, other):
+            return False
+
+        def __pow__(self, n):
+            return self
+
+    assert _order_dunders(Ordered) == ["__lt__", "__pow__"]
+
+
+def test_quadext_defines_no_order_and_no_power():
+    # exact order is decided only in the test oracle (brute.sign_of)
+    from cfkit.scalars import QuadExt
+
+    assert _order_dunders(QuadExt) == []
 
 
 #: only the complex tower needs mpmath, which scalars._ctx imports on first

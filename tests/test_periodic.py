@@ -41,7 +41,7 @@ from cfkit.periodic import (
     REPEATED,
     STRICTLY_DOMINANT,
 )
-from cfkit.scalars import abs_lt
+from brute import abs_lt
 from conftest import (
     equal_modulus_cf,
     footnote_cf,

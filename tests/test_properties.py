@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pytest
-from brute import Simulation, decided, matched_verdict, raw_table
+from brute import Simulation, decided, matched_verdict, raw_table, sign_of
 from cfkit import (
     ComplexFloat,
     ContinuantArgs,
@@ -36,7 +36,7 @@ from cfkit import (
     tail_combination,
 )
 from cfkit.errors import ZeroDenominator
-from cfkit.scalars import scalar_div, sign_of
+from cfkit.scalars import scalar_div
 
 # plain Fraction arithmetic: no example is slow, but a loaded host can be
 no_deadline = settings(deadline=None)

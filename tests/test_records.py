@@ -44,8 +44,9 @@ RECORDS = [
     (ContinuantArgs, {"a": (1,), "b": (2, 3)}, "(a, b)", ()),
     (ReversedConvergents, {"num_n": 1, "den_n": 2, "num_prev": 3, "den_prev": 4},
      "(num_n, den_n, num_prev, den_prev)", ()),
-    (PeriodMatrix, {"m11": 1, "m12": 1, "m21": 1, "m22": 0, "exact": (1, 1, 1, 0)},
-     "(m11, m12, m21, m22, exact=None)", ("exact",)),
+    (PeriodMatrix, {"m11": 1, "m12": 1, "m21": 1, "m22": 0, "exact": (1, 1, 1, 0),
+                    "pairs": ((1, 1),)},
+     "(m11, m12, m21, m22, exact=None, pairs=())", ("exact", "pairs")),
     (EigenSplit, {"lambda1": 2, "lambda2": 1, "modulus_relation": "strictly_dominant",
                   "x1": Fraction(1, 2), "x2": None},
      "(lambda1, lambda2, modulus_relation, x1=None, x2=None)", ()),

@@ -1,14 +1,34 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, abs_lt, coprime_fraction, is_zero, scalar_div, sign_of
+from cfkit.scalars import _ctx, coprime_fraction, is_zero, scalar_div
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def _late_convergents(d, past):
+    """The first two convergents p/q of sqrt(d) with q > past, by the
+    integer recurrence of sqrt(d)'s continued fraction."""
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    found = []
+    while len(found) < 2:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p, q_prev, q = p, a * p + p_prev, q, a * q + q_prev
+        if q > past:
+            found.append((p, q))
+    return found
 
 
 class TestQuadExtConstruction:
@@ -85,9 +105,20 @@ class TestQuadExtArithmetic:
         assert quadext(0, 1, F(1, 2)) * quadext(0, 1, 2) == F(1)
 
     def test_power(self):
+        # powers are repeated products: phi^n = Fib(n) phi + Fib(n - 1)
         phi = quadext(F(1, 2), F(1, 2), 5)
-        assert phi**2 == phi + 1
-        assert phi**0 == F(1)
+        power, fib, fib_prev = phi, 1, 0
+        for _ in range(40):
+            assert power == fib * phi + fib_prev
+            power, fib, fib_prev = power * phi, fib + fib_prev, fib
+
+    @pytest.mark.parametrize("expr", [
+        lambda x: x < 2, lambda x: 1 <= x, lambda x: x > x, lambda x: x**2,
+    ], ids=["x < 2", "1 <= x", "x > x", "x**2"])
+    def test_no_order_and_no_power(self, expr):
+        # exact order lives in the test oracle (brute.sign_of), not in cfkit
+        with pytest.raises(TypeError):
+            expr(quadext(0, 1, 2))
 
     def test_equality_with_rationals_is_false(self):
         assert quadext(1, 1, 2) != F(1)
@@ -142,11 +173,12 @@ class TestQuadExtComparisons:
 
     def test_ordering(self):
         root2 = quadext(0, 1, 2)
-        assert F(1) < root2 < F(3, 2)
-        assert root2 > 1 and root2 < 2
+        assert sign_of(root2 - 1) == 1 and sign_of(root2 - F(3, 2)) == -1
+        assert sign_of(root2 - 2) == -1 and sign_of(2 - root2) == 1
+        assert sign_of(root2 - root2) == 0 and sign_of(F(-1, 3)) == -1
 
     def test_complex_not_ordered(self):
-        with pytest.raises(TowerMismatch):
+        with pytest.raises(TypeError, match="not ordered"):
             sign_of(quadext(1, 1, -3))
 
     def test_abs_lt(self):
@@ -172,6 +204,25 @@ class TestQuadExtComparisons:
             approx = float(a) + float(b) * d**0.5
             if abs(approx) > 1e-9:
                 assert sign_of(value) == (1 if approx > 0 else -1)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 94])
+    def test_pell_values_against_decimal(self, d):
+        # p - q sqrt(d) for late convergents p/q of sqrt(d): |x| < 1/q, so the
+        # sign rests on the last of some 60 digits; the two neighbours differ in sign
+        root, seen = quadext(0, 1, d), set()
+        for p, q in _late_convergents(d, 10**30):
+            x = quadext(p, -q, d)
+            with localcontext() as ctx:
+                ctx.prec = 200
+                approx = Decimal(p) - Decimal(q) * Decimal(d).sqrt()
+                size = Fraction(abs(approx))  # |x| to some 130 significant digits
+            assert 0 < size < F(1, q)
+            assert sign_of(x) == (approx > 0) - (approx < 0) == -sign_of(-x)
+            seen.add(sign_of(x))
+            above, below = size * (1 + F(1, 10**60)), size * (1 - F(1, 10**60))
+            assert abs_lt(x, above) and not abs_lt(x, below)
+            assert within(p, q, root, above / q) and not within(p, q, root, below / q)
+        assert seen == {-1, 1}
 
 
 class TestComplexFloat:
