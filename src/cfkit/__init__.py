@@ -13,27 +13,21 @@ from .cfcore import (
     GENERATORS,
     PeriodicCF,
     RuleCF,
-    coefficient_product,
     convergent_table,
-    cross_determinant,
     evaluate_convergent,
     make_generator,
     pair_at,
     recurrence,
     shifted_table,
-    successive_difference,
 )
 from .continuants import (
     ContinuantArgs,
     ReversedConvergents,
     continuant,
-    continuant_of_convergent,
     continuant_oracle,
     first_column_expansion,
-    generalized_cross_determinant,
     reverse_relations,
     reversed_args,
-    tail_combination,
 )
 from .errors import (
     CFKitError,

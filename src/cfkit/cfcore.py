@@ -22,7 +22,6 @@ A(n)/B(n) without Fraction's gcd.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, count, cycle, islice
 from typing import Callable, Iterable, Iterator
 
@@ -363,27 +362,6 @@ def convergent_value(spec: CFSpec, pair: ConvergentPair) -> Scalar:
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
     """Value A(n)/B(n) of the n-th convergent; exact in exact towers."""
     return convergent_value(spec, convergent_pair(spec, n))
-
-
-def coefficient_product(spec: CFSpec, n: int) -> Scalar:
-    """Product a(1) a(2) ... a(n)."""
-    return math.prod(spec.a(i) for i in range(1, n + 1))
-
-
-def cross_determinant(spec: CFSpec, n: int) -> Scalar:
-    """A(n)B(n-1) - A(n-1)B(n); equals (-1)^(n-1) a(1)...a(n) exactly."""
-    _check_index(n, 1)
-    prev, cur = pair_at(spec, 0, n)
-    return cur.num * prev.den - prev.num * cur.den
-
-
-def successive_difference(spec: CFSpec, n: int) -> Scalar:
-    """A(n)/B(n) - A(n-1)/B(n-1), defined only when both denominators are nonzero."""
-    _check_index(n, 1)
-    prev, cur = pair_at(spec, 0, n)
-    if is_zero(prev.den):
-        raise ZeroDenominator(n - 1)
-    return cur.value() - prev.value()
 
 
 def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:

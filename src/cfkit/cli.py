@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +48,8 @@ MAX_INDEX = 1_000_000  # exact entries grow exponentially in bit size
 # power-iter keeps every exact step and the text of every row, so its memory
 # and output grow with the square of the step count
 MAX_STEPS = 10_000
+#: flags whose value may start with "-", as "-1/2" does, which argparse reads as an option
+_VALUE_FLAGS = {"--a", "--b", "--matrix", "--u0", "--v0", "--eps"}
 
 
 def _diag(message: str):
@@ -361,6 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # `--a -1,2` as `--a=-1,2`
+        if argv[i - 1] in _VALUE_FLAGS and re.match(r"-[\d.(√]", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(json=False, precision=None))
         if args.precision is not None and args.precision < MIN_PRECISION_BITS:

@@ -11,7 +11,7 @@ share no code.
 
 from __future__ import annotations
 
-from .cfcore import CFSpec, ConvergentPair, FiniteCF, _check_index, coefficient_lists, pair_at
+from .cfcore import CFSpec, FiniteCF, _check_index, coefficient_lists, pair_at
 from .errors import InvalidSpec, SizeLimit, record
 from .scalars import Scalar
 
@@ -114,37 +114,3 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
     reversed_cf = FiniteCF(a_list=a[::-1], b_list=b[::-1])
     prev, cur = pair_at(reversed_cf, 0, n)
     return ReversedConvergents(cur.num, cur.den, prev.num, prev.den)
-
-
-def tail_combination(spec: CFSpec, n: int, k: int) -> ConvergentPair:
-    """Pair at index n+k assembled from the tail pair and the (n-1), (n-2) pairs:
-
-        A(n+k) = A(n,k) A(n-1) + a(n) B(n,k) A(n-2)
-        B(n+k) = A(n,k) B(n-1) + a(n) B(n,k) B(n-2)
-    """
-    _check_index(n, 1)
-    _check_index(k, 0, "k")
-    prev2, prev = pair_at(spec, 0, n - 1)
-    tail = pair_at(spec, n, k)[1]
-    an = spec.a(n)
-    num = tail.num * prev.num + an * tail.den * prev2.num
-    den = tail.num * prev.den + an * tail.den * prev2.den
-    return ConvergentPair(n + k, num, den)
-
-
-def generalized_cross_determinant(spec: CFSpec, n: int, k: int) -> Scalar:
-    """A(n+k)B(n-1) - A(n-1)B(n+k); equals (-1)^(n-1) a(1)..a(n) B(n,k)."""
-    _check_index(n, 1)
-    _check_index(k, 0, "k")
-    far = pair_at(spec, 0, n + k)[1]
-    prev = pair_at(spec, 0, n - 1)[1]
-    return far.num * prev.den - prev.num * far.den
-
-
-def continuant_of_convergent(spec: CFSpec, n: int) -> tuple[Scalar, Scalar]:
-    """(A(n), B(n)) recomputed as continuants of the coefficient slices."""
-    _check_index(n, 0)
-    a, b = coefficient_lists(spec, n)
-    num = continuant(ContinuantArgs(a=a, b=b))
-    den = continuant(ContinuantArgs(a=a[1:], b=b[1:])) if n >= 1 else 1
-    return num, den

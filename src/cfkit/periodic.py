@@ -132,7 +132,7 @@ class TrajectoryStep:
 
 @record
 class PowerIterTrajectory:
-    steps: list[TrajectoryStep]
+    steps: tuple[TrajectoryStep, ...]
     mu1: Scalar
     mu2: Scalar
     case: str
@@ -309,7 +309,7 @@ def power_iterate(
         steps.append(TrajectoryStep(n, u, v, ratio))
         if n < n_steps:
             u, v = matrix.apply(u, v)
-    return PowerIterTrajectory(steps=steps, mu1=mu1, mu2=mu2, case=case)
+    return PowerIterTrajectory(steps=tuple(steps), mu1=mu1, mu2=mu2, case=case)
 
 
 def reverse_period(pcf: PeriodicCF) -> PeriodicCF:

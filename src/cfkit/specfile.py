@@ -11,21 +11,22 @@ Schema (UTF-8 JSON object).  Each mode takes these keys and no others:
                     precision_bits: integer >= 64, complex tower (default 128)
 
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
-(quadext tower only), bare JSON integers, or {"re": ..., "im": ...} objects
-for the complex tower.  Floats are accepted only in the complex tower so
-that rational parsing stays exact, and only finite ones.  The a and b lists,
-or a generator's params, are read in one tower: the declared one, or else
-the lowest tower that holds all of their literals.
+(quadext tower only), JSON integers of any size, or {"re": ..., "im": ...}
+objects for the complex tower.  Floats are accepted only in the complex
+tower so that rational parsing stays exact, and only finite ones.  The a and
+b lists, or a generator's params, are read in one tower: the declared one,
+or else the lowest tower that holds all of their literals.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
 from .errors import InvalidSpec, SpecFileError, record
-from .render import format_exact, parse_exact
+from .render import _text_int, format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     MIN_PRECISION_BITS,
@@ -80,11 +81,14 @@ def _infer_tower(tokens) -> str:
 
 
 def format_literal(value):
-    """Literal in canonical spec-file form (ints stay bare JSON numbers)."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
+    """Literal in canonical spec-file form: an integer is a bare JSON number,
+    or a decimal string when it is past the interpreter's int/str limit."""
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
+        try:
+            str(value.numerator)
+        except ValueError:
+            return format_exact(value)
+        return value.numerator
     if isinstance(value, (Fraction, QuadExt)):
         return format_exact(value)
     if isinstance(value, ComplexFloat):  # with enough digits to read back the same parts
@@ -101,7 +105,7 @@ class SpecFile:
     a: tuple
     b: tuple
     period: int | None
-    generator: dict | None
+    generator: MappingProxyType | None  # read-only: name, and params of tuples
     tower: str
     precision_bits: int
 
@@ -177,7 +181,8 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
                     "quadext literals must share one radicand up to a square "
                     f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
                 )
-    generator = {"name": gen["name"], "params": lists} if mode == "generator" else None
+    generator = (MappingProxyType({"name": gen["name"], "params": MappingProxyType(lists)})
+                 if mode == "generator" else None)
     a, b = ((), ()) if generator else (lists["a"], lists["b"])
     period = None
     if mode == "periodic":
@@ -196,7 +201,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
 def load_specfile(path: str, precision_override: int | None = None) -> SpecFile:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_text_int)  # of any size
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:

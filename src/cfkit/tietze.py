@@ -142,7 +142,7 @@ def _chain_sample(n_max: int) -> list[tuple[int, int]]:
             continue
         span = n_max - k
         ns = sorted({0, 1, span // 3, 2 * span // 3, span})
-        pairs.extend((k, n) for n in ns if n >= 0)
+        pairs.extend((k, n) for n in ns if n <= span)
     return pairs
 
 

@@ -9,13 +9,11 @@ from cfkit import (
     FiniteCF,
     PeriodicCF,
     RuleCF,
-    coefficient_product,
     convergent_table,
-    cross_determinant,
     evaluate_convergent,
     make_generator,
+    pair_at,
     shifted_table,
-    successive_difference,
 )
 from cfkit import cfcore
 from cfkit.errors import (
@@ -98,19 +96,33 @@ class TestEvaluateConvergent:
         assert value.denominator > 0
 
 
+def cross(spec, n):
+    """A(n)B(n-1) - A(n-1)B(n) from the two pairs that one `pair_at` call returns."""
+    prev, cur = pair_at(spec, 0, n)
+    return cur.num * prev.den - prev.num * cur.den
+
+
+def difference(spec, n):
+    """A(n)/B(n) - A(n-1)/B(n-1); each `value` raises ZeroDenominator at its own index."""
+    prev, cur = pair_at(spec, 0, n)
+    before = prev.value()
+    return cur.value() - before
+
+
 class TestCrossDeterminant:
+    # A(n)B(n-1) - A(n-1)B(n) = (-1)^(n-1) a(1)...a(n)
     def test_n1_is_first_numerator(self, rng):
         for _ in range(10):
             spec = random_finite(rng, 2)
-            assert cross_determinant(spec, 1) == spec.a(1)
+            assert cross(spec, 1) == spec.a(1)
 
     def test_golden_n3(self):
         # A3*B2 - A2*B3 = 5*2 - 3*3 = 1 = (-1)^2 * 1
-        assert cross_determinant(golden_cf(), 3) == 1
+        assert cross(golden_cf(), 3) == 1
 
     def test_footnote_n4(self):
         # 6*4 - 5*5 = -1 = (-1)^3 * (-1)^4
-        assert cross_determinant(footnote_cf(), 4) == -1
+        assert cross(footnote_cf(), 4) == -1
 
     def test_product_formula_randomized(self, rng):
         for _ in range(30):
@@ -118,30 +130,30 @@ class TestCrossDeterminant:
             product = 1
             for n in range(1, 51):
                 product *= spec.a(n)
-                assert cross_determinant(spec, n) == (-1) ** (n - 1) * product
+                assert cross(spec, n) == (-1) ** (n - 1) * product
 
 
 class TestSuccessiveDifference:
     def test_golden_n2(self):
-        assert successive_difference(golden_cf(), 2) == Fraction(-1, 2)
+        assert difference(golden_cf(), 2) == Fraction(-1, 2)
 
     def test_n1_direct_expansion(self, rng):
         for _ in range(10):
             spec = random_finite(rng, 2)
             if spec.b(1) == 0:
                 continue
-            assert successive_difference(spec, 1) == Fraction(spec.a(1), spec.b(1))
+            assert difference(spec, 1) == Fraction(spec.a(1), spec.b(1))
 
     def test_footnote_n3(self):
-        assert successive_difference(footnote_cf(), 3) == Fraction(-1, 12)
+        assert difference(footnote_cf(), 3) == Fraction(-1, 12)
 
     def test_identifies_vanishing_denominator(self):
         spec = PeriodicCF(a_block=(-1,), b_block=(1,))
         with pytest.raises(ZeroDenominator) as err:
-            successive_difference(spec, 2)  # B(2) = 0
+            difference(spec, 2)  # B(2) = 0
         assert err.value.index == 2
         with pytest.raises(ZeroDenominator) as err:
-            successive_difference(spec, 3)  # B(2) = 0 again, as the earlier index
+            difference(spec, 3)  # B(2) = 0 again, as the earlier index
         assert err.value.index == 2
 
     def test_agrees_with_evaluations(self, rng):
@@ -152,7 +164,7 @@ class TestSuccessiveDifference:
                     lhs = evaluate_convergent(spec, n) - evaluate_convergent(spec, n - 1)
                 except ZeroDenominator:
                     continue
-                assert successive_difference(spec, n) == lhs
+                assert difference(spec, n) == lhs
 
 
 class TestShiftedTables:
@@ -205,6 +217,17 @@ class TestSpecs:
     def test_finite_arity_enforced(self):
         with pytest.raises(InvalidSpec):
             FiniteCF(a_list=(1, 1), b_list=(1, 1))
+
+    def test_finite_coefficients_end_at_the_last_index(self):
+        spec = FiniteCF(a_list=(1, 2), b_list=(1, 2, 3))
+        for kind, read in (("partial numerator a", spec.a), ("partial denominator b", spec.b)):
+            with pytest.raises(CoefficientUnavailable, match=f"^{kind} at index 3 ") as err:
+                read(3)
+            assert err.value.index == 3
+
+    def test_periodic_blocks_of_equal_length(self):
+        with pytest.raises(InvalidSpec, match=r"^period blocks must have equal length"):
+            PeriodicCF(a_block=(1, 2), b_block=(1,))
 
     def test_periodic_rejects_zero_coefficients(self):
         with pytest.raises(InvalidSpec, match=r"^a\[1\] = 0 "):
@@ -295,14 +318,6 @@ class TestGenerators:
     def test_unknown_params(self, name, params, unknown):
         with pytest.raises(InvalidSpec, match=f"{name!r} does not take parameter {unknown!r}"):
             make_generator(name, params)
-
-
-def test_coefficient_product(rng):
-    spec = random_finite(rng, 6)
-    expected = 1
-    for n in range(1, 7):
-        expected *= spec.a(n)
-    assert coefficient_product(spec, 6) == expected
 
 
 def _unit_specs(seed):

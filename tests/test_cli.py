@@ -335,6 +335,24 @@ class TestReverse:
         spec = write_spec(tmp_path, {"mode": "finite", "a": [1], "b": [1, 1]})
         assert main(["reverse", spec]) == 6
 
+    def test_integers_past_the_int_string_limit(self, capsys, tmp_path):
+        # 5000 digits: json's int() and str() refuse them past 4300 digits
+        digits = "1" + "2" * 4999
+        text = '{"mode": "periodic", "a": [1, -2, 3], "b": [%s, 5, 6], "period": 3}'
+        bare, quoted = tmp_path / "bare.json", tmp_path / "quoted.json"
+        bare.write_text(text % digits, encoding="utf-8")
+        quoted.write_text(text % f'"{digits}"', encoding="utf-8")
+        outputs = []
+        for path in (bare, quoted):
+            assert main(["eval", str(path), "-n", "0"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and f"\nA = {digits}\n" in outputs[0]
+        assert main(["reverse", str(bare)]) == 0
+        reversed_path = tmp_path / "rev.json"
+        reversed_path.write_text(capsys.readouterr().out, encoding="utf-8")
+        expected = reverse_period(load_specfile(str(quoted)).to_cfspec())
+        assert load_specfile(str(reversed_path)).to_cfspec() == expected
+
     @pytest.mark.parametrize("prec", [64, 128, 256, 1000])
     def test_complex_literals_read_back_exactly(self, capsys, tmp_path, prec):
         # literals with more digits than the precision holds round to full-width
@@ -463,6 +481,45 @@ def test_zero_denominator_in_a_literal_exits_2(capsys, tmp_path, argv):
     assert "SpecFileError: zero denominator" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, code", [
+    (["continuant", "--b", "1,1,1"], ["--a", "-1,2"], 0),
+    (["continuant", "--a", "1"], ["--b", "-1,2"], 0),
+    (["power-iter", "--steps", "2"], ["--matrix", "-1,1,1,0"], 0),
+    (["power-iter", "--matrix", "1,1,1,0", "--steps", "2"], ["--u0", "-1/2"], 0),
+    (["power-iter", "--matrix", "1,1,1,0", "--steps", "2"], ["--v0", "-√5/2"], 0),
+    (["tietze", "SPEC"], ["--eps", "-1/2"], 2),
+], ids=["a", "b", "matrix", "u0", "v0", "eps"])
+def test_negative_value_after_a_space(capsys, tmp_path, argv, flag, code):
+    # argparse alone takes "-1/2" for an option; the --flag=VALUE form always worked
+    spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "sqrt2"}})
+    argv = [spec if arg == "SPEC" else arg for arg in argv]
+    assert main([*argv, *flag]) == code
+    spaced = capsys.readouterr()
+    assert main([*argv, "=".join(flag)]) == code
+    assert capsys.readouterr() == spaced
+    if code:
+        assert spaced.err == "invalid argument: epsilon must be positive\n"
+    else:
+        assert spaced.out.startswith("command: ") and spaced.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tietze", "SPEC", "--eps", "0"], "invalid argument: epsilon must be positive\n"),
+    (["tietze", "SPEC", "--eps", "1/0"], "argument --eps: not a rational: '1/0'\n"),
+    (["power-iter", "--matrix", "1,1,1"],
+     "SpecFileError: --matrix needs exactly four entries m11,m12,m21,m22\n"),
+], ids=["eps-zero", "eps-not-rational", "matrix-three-entries"])
+def test_refused_argument_exits_2(capsys, tmp_path, argv, message):
+    spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "sqrt2"}})
+    try:
+        code = main([spec if arg == "SPEC" else arg for arg in argv])
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith(message)
+
+
 @pytest.mark.parametrize("generator, same_as", [
     ({"name": [1]}, None),
     ({"name": "regular", "params": {"b": 5}}, None),
@@ -498,9 +555,15 @@ def test_generator_params_are_read_as_literals(capsys, tmp_path, generator, same
      "generator 'golden' does not take parameter 'b'"),
     ({"mode": "generator", "generator": {"name": "regular", "params": {"b": [1, 2], "c": [3]}}},
      "generator 'regular' does not take parameter 'c'"),
+    ([{"mode": "periodic", "a": [1], "b": [1]}], "spec file must hold a JSON object"),
+    ({"mode": "periodic", "a": [], "b": []}, "period must be >= 1"),
+    ({"mode": "finite", "a": 1, "b": [1, 1]}, "finite mode needs a and b lists"),
+    ({"mode": "periodic", "a": [1], "b": [{"re": 1, "im": 0, "abs": 1}]},
+     "complex literal needs exactly re and im"),
 ], ids=["finite-generator", "periodic-generator", "generator-period", "tower-false",
         "tower-0", "tower-list", "tower-dict", "tower-empty", "generator-label",
-        "period-bool", "period-float", "golden-params", "regular-extra-param"])
+        "period-bool", "period-float", "golden-params", "regular-extra-param",
+        "json-array", "empty-period", "a-not-a-list", "complex-third-key"])
 def test_malformed_spec_exits_2(capsys, tmp_path, data, message):
     code = main(["eval", write_spec(tmp_path, data), "-n", "1"])
     captured = capsys.readouterr()

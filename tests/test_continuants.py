@@ -7,19 +7,18 @@ from cfkit import (
     FiniteCF,
     build_period_matrix,
     continuant,
-    continuant_of_convergent,
     continuant_oracle,
     convergent_table,
     denominator_bounds_certificate,
     first_column_expansion,
-    generalized_cross_determinant,
+    pair_at,
     power_iterate,
     reverse_relations,
     reversed_args,
     shifted_table,
-    tail_combination,
     validate_semiregular,
 )
+from cfkit.cfcore import coefficient_lists
 from cfkit.errors import CoefficientUnavailable, InvalidSpec, SizeLimit
 from conftest import footnote_cf, golden_cf, nonzero_int, random_finite
 
@@ -29,6 +28,31 @@ def random_args(rng, n, lo=-5, hi=5):
         a=tuple(nonzero_int(rng, lo, hi) for _ in range(n)),
         b=tuple(nonzero_int(rng, lo, hi) for _ in range(n + 1)),
     )
+
+
+def convergent_continuants(spec, n):
+    """(A(n), B(n)) as the continuants K(a1..an; b0..bn) and K(a2..an; b1..bn)."""
+    a, b = coefficient_lists(spec, n)
+    den = continuant(ContinuantArgs(a=a[1:], b=b[1:])) if n >= 1 else 1
+    return continuant(ContinuantArgs(a=a, b=b)), den
+
+
+def tail_formula(spec, n, k):
+    """(A(n+k), B(n+k)) from the tail pair and the pairs at n - 1 and n - 2:
+    A(n+k) = A(n,k) A(n-1) + a(n) B(n,k) A(n-2), and B(n+k) likewise."""
+    prev2, prev = pair_at(spec, 0, n - 1)
+    tail = pair_at(spec, n, k)[1]
+    return (
+        tail.num * prev.num + spec.a(n) * tail.den * prev2.num,
+        tail.num * prev.den + spec.a(n) * tail.den * prev2.den,
+    )
+
+
+def far_cross(spec, n, k):
+    """A(n+k)B(n-1) - A(n-1)B(n+k) from two `pair_at` calls."""
+    far = pair_at(spec, 0, n + k)[1]
+    prev = pair_at(spec, 0, n - 1)[1]
+    return far.num * prev.den - prev.num * far.den
 
 
 class TestContinuantBasics:
@@ -111,14 +135,14 @@ class TestConvergentsAreContinuants:
             spec = random_finite(rng, 30)
             table = convergent_table(spec, 30)
             for n in range(0, 31):
-                num, den = continuant_of_convergent(spec, n)
+                num, den = convergent_continuants(spec, n)
                 assert (num, den) == (table[n + 1].num, table[n + 1].den)
 
     def test_past_a_finite_end_names_the_requested_index(self):
         # the same error `pair_at` and `reverse_relations` raise: index n, not N + 1
         spec = FiniteCF(a_list=(1, 1, 1), b_list=(1, 2, 3, 4))
         with pytest.raises(CoefficientUnavailable, match="^coefficient at index 6 is") as info:
-            continuant_of_convergent(spec, 6)
+            convergent_continuants(spec, 6)
         assert info.value.index == 6
 
 
@@ -160,22 +184,17 @@ class TestTailCombination:
             spec = random_finite(rng, 8)
             table = convergent_table(spec, 8)
             for n in range(1, 8):
-                pair = tail_combination(spec, n, 0)
-                assert (pair.num, pair.den) == (table[n + 1].num, table[n + 1].den)
+                assert tail_formula(spec, n, 0) == (table[n + 1].num, table[n + 1].den)
 
     def test_golden_n2_k3(self):
-        pair = tail_combination(golden_cf(), 2, 3)
-        assert pair.n == 5
-        assert pair.num == 13
-        assert pair.den == 8
+        assert tail_formula(golden_cf(), 2, 3) == (13, 8)
 
     def test_n1_any_k(self, rng):
         for _ in range(10):
             spec = random_finite(rng, 9)
             table = convergent_table(spec, 9)
             for k in range(0, 8):
-                pair = tail_combination(spec, 1, k)
-                assert (pair.num, pair.den) == (table[k + 2].num, table[k + 2].den)
+                assert tail_formula(spec, 1, k) == (table[k + 2].num, table[k + 2].den)
 
     def test_matches_direct_recursion(self, rng):
         for _ in range(25):
@@ -183,18 +202,16 @@ class TestTailCombination:
             table = convergent_table(spec, 30)
             n = rng.randint(1, 15)
             k = rng.randint(0, 15)
-            pair = tail_combination(spec, n, k)
-            assert (pair.num, pair.den) == (table[n + k + 1].num, table[n + k + 1].den)
+            assert tail_formula(spec, n, k) == (table[n + k + 1].num, table[n + k + 1].den)
 
 
 class TestGeneralizedCrossDeterminant:
     def test_k_zero_is_plain_cross_determinant(self, rng):
-        from cfkit import cross_determinant
-
         for _ in range(10):
             spec = random_finite(rng, 10)
             for n in range(1, 10):
-                assert generalized_cross_determinant(spec, n, 0) == cross_determinant(spec, n)
+                prev, cur = pair_at(spec, 0, n)
+                assert far_cross(spec, n, 0) == cur.num * prev.den - prev.num * cur.den
 
     def test_k_one_skip_formula(self, rng):
         # equals (-1)^(n-1) * prod(a) * b(n+1)
@@ -203,13 +220,13 @@ class TestGeneralizedCrossDeterminant:
             product = 1
             for n in range(1, 11):
                 product *= spec.a(n)
-                assert generalized_cross_determinant(spec, n, 1) == (
+                assert far_cross(spec, n, 1) == (
                     (-1) ** (n - 1) * product * spec.b(n + 1)
                 )
 
     def test_golden_n3_k2(self):
         spec = golden_cf()
-        assert generalized_cross_determinant(spec, 3, 2) == 2
+        assert far_cross(spec, 3, 2) == 2
         assert shifted_table(spec, 3, 2)[3].den == 2  # B(3,2) = 2
 
     def test_tail_factor_formula(self, rng):
@@ -221,7 +238,7 @@ class TestGeneralizedCrossDeterminant:
             for i in range(1, n + 1):
                 product *= spec.a(i)
             tail_den = shifted_table(spec, n, k)[k + 1].den
-            assert generalized_cross_determinant(spec, n, k) == (
+            assert far_cross(spec, n, k) == (
                 (-1) ** (n - 1) * product * tail_den
             )
 
@@ -251,25 +268,19 @@ def test_footnote_matrix_values_via_continuants():
     # A(n) = n + 2 and B(n) = n + 1 re-derived through determinant slices
     spec = footnote_cf()
     for n in range(0, 7):
-        num, den = continuant_of_convergent(spec, n)
+        num, den = convergent_continuants(spec, n)
         assert num == n + 2
         assert den == n + 1
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: reverse_relations(golden_cf(), 0), "n must be >= 1, got 0"),
-    (lambda: tail_combination(golden_cf(), 0, 2), "n must be >= 1, got 0"),
-    (lambda: tail_combination(golden_cf(), 1, -1), "k must be >= 0, got -1"),
-    (lambda: generalized_cross_determinant(golden_cf(), -3, 0), "n must be >= 1, got -3"),
-    (lambda: generalized_cross_determinant(golden_cf(), 2, -2), "k must be >= 0, got -2"),
-    (lambda: continuant_of_convergent(golden_cf(), -1), "n must be >= 0, got -1"),
     (lambda: validate_semiregular(golden_cf(), 0), "n_max must be >= 1, got 0"),
     (lambda: denominator_bounds_certificate(golden_cf(), 1), "n_max must be >= 2, got 1"),
     (lambda: power_iterate(build_period_matrix(golden_cf()), 1, 0, -1),
      "n_steps must be >= 0, got -1"),
-], ids=["reverse_relations", "tail_combination_n", "tail_combination_k", "cross_n",
-        "cross_k", "continuant_of_convergent", "validate_semiregular",
-        "denominator_bounds_certificate", "power_iterate"])
+], ids=["reverse_relations", "validate_semiregular", "denominator_bounds_certificate",
+        "power_iterate"])
 def test_index_range_checks_keep_their_messages(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

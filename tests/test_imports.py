@@ -1,10 +1,11 @@
 """Every module in src/cfkit uses each name it imports (the package
 __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
-the package; one function alone touches Fraction's private slots; the test
-oracle brute.py takes only type names from cfkit, and QuadExt has no order;
-neither importing the package nor a CLI run on exact input loads mpmath,
-dataclasses or inspect."""
+the package; every name the package re-exports is used by the library, the
+benchmark or the acceptance suite; one function alone touches Fraction's
+private slots; the test oracle brute.py takes only type names from cfkit,
+and QuadExt has no order; neither importing the package nor a CLI run on
+exact input loads mpmath, dataclasses or inspect."""
 
 import ast
 import json
@@ -90,6 +91,40 @@ def test_guard_sees_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert _unreferenced_private_names(sources) == []
+
+
+ROOT = PACKAGE.parent.parent
+#: the callers a public name must have: the library itself, the benchmark and
+#: the acceptance suite; the unit tests alone keep no name alive
+CALLERS = [*MODULES, *sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+
+
+def _uncalled_exports(init_source: str, sources: list[str]) -> list[str]:
+    """Names the package __init__ re-exports that no source uses as code
+    (an AST name or attribute; an import, docstring or comment is no use)."""
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set()
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return [name for name in exported if name not in used]
+
+
+def test_guard_sees_an_uncalled_export():
+    init = '"""f and g."""\nfrom .m import f, g, h as k\nfrom .n import j\n'
+    sources = ["from cfkit import g, j\nimport cfkit\n# g()\nprint(f(), cfkit.k)\n", "'j()'\n"]
+    assert _uncalled_exports(init, sources) == ["g", "j"]
+
+
+def test_every_export_has_a_caller():
+    sources = [path.read_text() for path in CALLERS]
+    assert _uncalled_exports((PACKAGE / "__init__.py").read_text(), sources) == []
 
 
 FRACTION_SLOTS = {"_numerator", "_denominator"}

@@ -471,6 +471,13 @@ class TestPowerIterate:
         with pytest.raises(DegenerateMatrix):
             power_iterate(PeriodMatrix(1, 1, 1, 1), 1, 0, 5)  # det = 0
 
+    def test_trajectory_is_immutable(self):
+        traj = power_iterate(build_period_matrix(golden_cf()), 1, 0, 3)
+        assert isinstance(traj.steps, tuple)
+        assert hash(traj) == hash(power_iterate(build_period_matrix(golden_cf()), 1, 0, 3))
+        with pytest.raises(AttributeError):
+            traj.steps.append(traj.steps[0])
+
     def test_exact_trajectory_matches_matrix_power(self, rng):
         pcf = random_periodic(rng, 2)
         m = build_period_matrix(pcf)

@@ -23,17 +23,13 @@ from cfkit import (
     classify,
     continuant,
     convergent_table,
-    cross_determinant,
     evaluate_convergent,
     evaluate_tietze,
     format_exact,
-    generalized_cross_determinant,
     pair_at,
     parse_exact,
     quadext,
     shifted_table,
-    successive_difference,
-    tail_combination,
 )
 from cfkit.errors import ZeroDenominator
 from cfkit.scalars import scalar_div
@@ -156,8 +152,9 @@ def test_recurrence_core_agrees_with_brute_loop(spec, data):
         else:
             assert evaluate_convergent(spec, n) == nums[n] / dens[n]
         if n >= 1:
+            prev, cur = pair_at(spec, 0, n)
             expected = nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
-            assert cross_determinant(spec, n) == expected
+            assert cur.num * prev.den - prev.num * cur.den == expected
 
 
 def shifted(spec, k):
@@ -215,19 +212,26 @@ def test_single_pairs_agree_with_brute_loop(case):
     n_total = k + n_max
     nums, dens = raw_table(spec, n_total)
     for n in range(1, n_total + 1):
-        assert cross_determinant(spec, n) == nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
-        if dens[n - 1] == 0 or dens[n] == 0:
-            with pytest.raises(ZeroDenominator) as err:
-                successive_difference(spec, n)
-            assert err.value.index == (n - 1 if dens[n - 1] == 0 else n)
-        else:
-            assert successive_difference(spec, n) == (
-                scalar_div(nums[n], dens[n]) - scalar_div(nums[n - 1], dens[n - 1])
-            )
+        prev, cur = pair_at(spec, 0, n)
+        assert cur.num * prev.den - prev.num * cur.den == (
+            nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
+        )
+        for pair in (prev, cur):
+            if dens[pair.n] == 0:
+                with pytest.raises(ZeroDenominator) as err:
+                    pair.value()
+                assert err.value.index == pair.n
+            else:
+                assert pair.value() == scalar_div(nums[pair.n], dens[pair.n])
+        # A(n+j) = A(n,j) A(n-1) + a(n) B(n,j) A(n-2), and B likewise
         j = n_total - n
-        pair = tail_combination(spec, n, j)
-        assert (pair.n, pair.num, pair.den) == (n_total, nums[n_total], dens[n_total])
-        assert generalized_cross_determinant(spec, n, j) == (
+        prev2, prev = pair_at(spec, 0, n - 1)
+        tail = pair_at(spec, n, j)[1]
+        an = spec.a(n)
+        assert tail.num * prev.num + an * tail.den * prev2.num == nums[n_total]
+        assert tail.num * prev.den + an * tail.den * prev2.den == dens[n_total]
+        far = pair_at(spec, 0, n_total)[1]
+        assert far.num * prev.den - prev.num * far.den == (
             nums[n_total] * dens[n - 1] - nums[n - 1] * dens[n_total]
         )
 

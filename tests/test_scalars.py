@@ -43,6 +43,10 @@ class TestQuadExtConstruction:
         with pytest.raises(ValueError):
             QuadExt(F(1), F(1), F(4))
 
+    def test_direct_constructor_rejects_non_integer_radicand(self):
+        with pytest.raises(ValueError, match="radicand 1/2 is not an integer"):
+            QuadExt(1, 1, F(1, 2))
+
     def test_direct_constructor_rejects_zero_b(self):
         with pytest.raises(ValueError):
             QuadExt(F(1), F(0), F(5))

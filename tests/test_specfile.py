@@ -139,6 +139,16 @@ class TestStructure:
         with pytest.raises(SpecFileError, match="does not fit the rational tower"):
             parse_spec_dict(gen("rational", ["√2"]))
 
+    def test_generator_is_read_only(self):
+        spec = parse_spec_dict(
+            {"mode": "generator", "generator": {"name": "regular", "params": {"b": [1, 2]}}}
+        )
+        for mapping, key in ((spec.generator, "name"), (spec.generator["params"], "b")):
+            with pytest.raises(TypeError):
+                mapping[key] = "golden"
+        assert spec.generator["params"]["b"] == (1, 2)
+        assert spec.to_cfspec() == FiniteCF(a_list=(1,), b_list=(1, 2))
+
     def test_precision_bounds(self):
         with pytest.raises(SpecFileError):
             parse_spec_dict(

@@ -87,6 +87,15 @@ class TestCertificate:
             records = denominator_bounds_certificate(spec, 60)
             assert len(records) == 59
 
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("name", ["sqrt2", "golden"])
+    def test_smallest_n_max(self, name, n_max):
+        # the chain sample keeps k + n <= n_max, and skips k = 3 past n_max = 2
+        records = denominator_bounds_certificate(make_generator(name), n_max)
+        assert [(r.k, r.bound_type, r.bound) for r in records] == [
+            (k, "plus_case", k + 1) for k in range(1, n_max)
+        ]
+
     def test_invalid_input_rejected(self):
         spec = PeriodicCF(a_block=(-1,), b_block=(Fraction(3, 2),))
         with pytest.raises(InvalidSpec):
