@@ -9,15 +9,16 @@ n >= 0.  Convergent numerators and denominators follow
 
 `recurrence` is the one loop that evaluates them, streaming the pairs for
 the tables and the scans that need every index.  A single pair is a product
-of 2x2 step matrices instead: `pair_at` multiplies them as a balanced tree,
-or by powers of the period matrix for a periodic CF, which costs
+of 2x2 step matrices instead: `pair_at` builds the product of each run of up
+to 64 steps with `recurrence` and multiplies the runs as a balanced tree, or
+by powers of the period matrix for a periodic CF, which costs
 O(M(n) log n) bit operations where streaming costs O(n^2); a square takes
 five big products, a general product eight.  Every operation here is
 exact: values never leave the tower of the coefficients that produced them.
 
-A(n)B(n-1) - A(n-1)B(n) = (-1)^(n-1) a(1)...a(n), so integer b(n) and
-a(n) = ±1 leave A(n) and B(n) coprime: `convergent_value` then builds
-A(n)/B(n) without Fraction's gcd.
+A(n)B(n-1) - A(n-1)B(n) = (-1)^(n-1) a(1)...a(n), so integer runs of
+determinant ±1 leave A(n) and B(n) coprime: `pair_at` marks such pairs, and
+`ConvergentPair.value` then builds A(n)/B(n) without Fraction's gcd.
 """
 
 from __future__ import annotations
@@ -242,18 +243,19 @@ def coefficient_lists(spec: CFSpec, n: int) -> tuple[tuple, tuple]:
     return tuple(a for a, _ in head), (spec.b(0), *(b for _, b in head))
 
 
-@record
+@record(hidden=("coprime",))
 class ConvergentPair:
     """Pair (A(n), B(n)) at index n >= -1, or (A(k,n), B(k,n)) in a shifted table."""
 
     n: int
     num: Scalar
     den: Scalar
+    coprime: bool = False  # set by `pair_at` when it proves num, den coprime ints
 
     def value(self) -> Scalar:
         if is_zero(self.den):
             raise ZeroDenominator(self.n)
-        return scalar_div(self.num, self.den)
+        return (coprime_fraction if self.coprime else scalar_div)(self.num, self.den)
 
 
 def _table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:
@@ -311,9 +313,19 @@ def _power(m: Matrix, e: int) -> Matrix:
     return result
 
 
-def _steps(spec: CFSpec, first: int, last: int) -> Iterator[Matrix]:
-    """Step matrices S(j) = [[b(j), 1], [a(j), 0]] for j = first .. last."""
-    return ((b, 1, a, 0) for a, b in islice(spec.terms(first), last - first + 1))
+_RUN = 64  # steps per leaf of `pair_at`'s product tree
+
+
+def _runs(spec: CFSpec, first: int, count: int, units: list[bool]) -> Iterator[Matrix]:
+    """S(j) ... S(j+L-1) = [[B(L), B(L-1)], [A(L), A(L-1)]] of `recurrence(0, run)`
+    for each run of L <= _RUN steps S(j) = [[b(j), 1], [a(j), 0]] from j = first
+    on, count steps in all; notes in `units` if each is an int matrix of det ±1."""
+    terms = islice(spec.terms(first), count)
+    for run in iter(lambda: tuple(islice(terms, _RUN)), ()):
+        *_, (num_prev, den_prev), (num, den) = recurrence(0, run)
+        det = den * num_prev - den_prev * num
+        units.append(type(det) is int and det in (1, -1))
+        yield den, den_prev, num, num_prev
 
 
 def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPair]:
@@ -323,20 +335,22 @@ def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPai
     [[b(k), 1], [1, 0]] S(k+1) ... S(k+n) = [[A(k,n), A(k,n-1)], [B(k,n), B(k,n-1)]].
     A periodic CF raises the product of one period to the q-th power and
     multiplies it by the first r steps, n = q p + r: the steps from k + 1 on
-    repeat with period p whatever k is.
+    repeat with period p whatever k is.  Both pairs are marked coprime when
+    b(k) is an int and every run's product an int matrix of determinant ±1.
     """
     _check_index(k, 0, "k")
     _check_index(n, 0)
     spec.require(k + n)
-    seed = (spec.b(k), 1, 1, 0)
+    seed, units = (spec.b(k), 1, 1, 0), []
     if isinstance(spec, PeriodicCF) and n >= spec.period:
         q, r = divmod(n, spec.period)
-        period = _tree_product(_steps(spec, k + 1, k + spec.period))
-        factors = chain([seed, _power(period, q)], _steps(spec, k + 1, k + r))
+        period = _tree_product(_runs(spec, k + 1, spec.period, units))
+        factors = chain([seed, _power(period, q)], _runs(spec, k + 1, r, units))
     else:
-        factors = chain([seed], _steps(spec, k + 1, k + n))
+        factors = chain([seed], _runs(spec, k + 1, n, units))
     num, num_prev, den, den_prev = _tree_product(factors)
-    return ConvergentPair(n - 1, num_prev, den_prev), ConvergentPair(n, num, den)
+    coprime = type(seed[0]) is int and all(units)
+    return ConvergentPair(n - 1, num_prev, den_prev, coprime), ConvergentPair(n, num, den, coprime)
 
 
 def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
@@ -344,24 +358,9 @@ def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
     return pair_at(spec, 0, n)[1]
 
 
-def convergent_value(spec: CFSpec, pair: ConvergentPair) -> Scalar:
-    """Value A(n)/B(n) of the pair (A(n), B(n)) of spec, n >= 0; exact in
-    exact towers.  When b(0..n) are ints and each a(1..n) is 1 or -1, the
-    cross determinant ±1 makes A(n) and B(n) coprime, so the Fraction is
-    built without a gcd; a periodic spec is read for one period at most."""
-    n = min(pair.n, spec.period) if isinstance(spec, PeriodicCF) else pair.n
-    coprime = type(spec.b(0)) is int and all(
-        type(a) is int and type(b) is int and a in (1, -1)
-        for a, b in islice(spec.terms(1), n)
-    )
-    if not coprime or pair.den == 0:
-        return pair.value()
-    return coprime_fraction(pair.num, pair.den)
-
-
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:
     """Value A(n)/B(n) of the n-th convergent; exact in exact towers."""
-    return convergent_value(spec, convergent_pair(spec, n))
+    return convergent_pair(spec, n).value()
 
 
 def shifted_table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:

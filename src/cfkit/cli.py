@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cfcore import CFSpec, PeriodicCF, convergent_pair, convergent_value
+from .cfcore import CFSpec, PeriodicCF, convergent_pair
 from .continuants import ContinuantArgs, continuant, continuant_oracle
 from .errors import CFKitError, InvalidSpec, SpecFileError, ZeroDenominator
 from .periodic import (
@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
     spec_file, spec, prec = _load(args)
     pair = convergent_pair(spec, args.n)
     try:
-        value = convergent_value(spec, pair)
+        value = pair.value()
     except ZeroDenominator as exc:
         _diag(f"ZeroDenominator: convergent undefined at index {exc.index}")
         return EXIT_ZERO_DENOMINATOR

@@ -151,10 +151,10 @@ def format_exact(x, int_text: Callable[[int], str] | None = None) -> str:
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-# [(][p(+|-)][q]√d[)][/r] without spaces, the parentheses paired; r divides
-# the whole value, as in "1/2+√5/3" = (1/2 + √5)/3
+# [[±](][p(+|-)][q]√d[)][/r] without spaces, the parentheses paired; a sign
+# before "(" and r apply to the whole value, as in "1/2+√5/3" = (1/2 + √5)/3
 _SURD_RE = re.compile(
-    r"(?P<open>\()?(?:(?P<p>[+-]?\d+(?:/\d+)?)(?P<op>[+-]))?(?P<q>[+-]?\d*)"
+    r"(?:(?P<sign>[+-])?(?P<open>\())?(?:(?P<p>[+-]?\d+(?:/\d+)?)(?P<op>[+-]))?(?P<q>[+-]?\d*)"
     r"√(?P<d>-?\d+)(?(open)\))(?:/(?P<r>\d+))?"
 )
 
@@ -170,7 +170,8 @@ def parse_exact(text: str):
     if not match:
         raise SpecFileError(f"not an exact number literal: {text!r}")
     try:
-        p, r = _text_rational(match["p"] or "0"), Fraction(1, _text_int(match["r"] or "1"))
+        p = _text_rational(match["p"] or "0")
+        r = Fraction(-1 if match["sign"] == "-" else 1, _text_int(match["r"] or "1"))
     except ZeroDivisionError:
         raise SpecFileError(f"zero denominator in {text!r}") from None
     q = match["q"]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from types import MappingProxyType
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
 from .errors import InvalidSpec, SpecFileError, record
@@ -105,7 +104,7 @@ class SpecFile:
     a: tuple
     b: tuple
     period: int | None
-    generator: MappingProxyType | None  # read-only: name, and params of tuples
+    generator: tuple | None  # (name, ((param, values), ...)), all tuples
     tower: str
     precision_bits: int
 
@@ -115,15 +114,17 @@ class SpecFile:
                 return FiniteCF(a_list=self.a, b_list=self.b)
             if self.mode == "periodic":
                 return PeriodicCF(a_block=self.a, b_block=self.b)
-            return make_generator(self.generator["name"], self.generator["params"])
+            name, params = self.generator
+            return make_generator(name, dict(params))
         except InvalidSpec as exc:
             raise SpecFileError(str(exc)) from exc
 
     def to_json_dict(self) -> dict:
         out: dict = {"mode": self.mode}
         if self.mode == "generator":
-            params = {k: [format_literal(x) for x in v] for k, v in self.generator["params"].items()}
-            out["generator"] = {"name": self.generator["name"], "params": params}
+            name, params = self.generator
+            params = {k: [format_literal(x) for x in v] for k, v in params}
+            out["generator"] = {"name": name, "params": params}
         else:
             out["a"] = [format_literal(x) for x in self.a]
             out["b"] = [format_literal(x) for x in self.b]
@@ -181,8 +182,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
                     "quadext literals must share one radicand up to a square "
                     f"factor, got √{format_exact(radicands[0])} and √{format_exact(d)}"
                 )
-    generator = (MappingProxyType({"name": gen["name"], "params": MappingProxyType(lists)})
-                 if mode == "generator" else None)
+    generator = (gen["name"], tuple(lists.items())) if mode == "generator" else None
     a, b = ((), ()) if generator else (lists["a"], lists["b"])
     period = None
     if mode == "periodic":

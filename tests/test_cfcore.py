@@ -21,7 +21,7 @@ from cfkit.errors import (
     InvalidSpec,
     ZeroDenominator,
 )
-from cfkit.cfcore import convergent_pair, convergent_value
+from cfkit.cfcore import convergent_pair
 from conftest import footnote_cf, golden_cf, random_finite
 
 
@@ -335,15 +335,18 @@ def _unit_specs(seed):
 
 
 class TestConvergentValue:
-    """`convergent_value` skips the gcd when the coefficients prove A(n) and
-    B(n) coprime, and must then give the very Fraction(A(n), B(n))."""
+    """`pair_at` marks a pair coprime when every run of steps it multiplies is
+    an integer matrix of determinant ±1; `ConvergentPair.value` then skips the
+    gcd, and must give the very Fraction(A(n), B(n))."""
 
     @pytest.fixture
     def gcd_free(self, monkeypatch):
+        # bit lengths, not the ints: a failing assert can print them at any size
         built = []
         coprime_fraction = cfcore.coprime_fraction
         monkeypatch.setattr(
-            cfcore, "coprime_fraction", lambda num, den: built.append(den) or coprime_fraction(num, den)
+            cfcore, "coprime_fraction",
+            lambda num, den: built.append(den.bit_length()) or coprime_fraction(num, den),
         )
         return built
 
@@ -353,17 +356,16 @@ class TestConvergentValue:
             for spec in _unit_specs(seed):
                 for n in range(31):
                     pair = convergent_pair(spec, n)
+                    assert pair.coprime
                     signs.add((pair.den > 0) - (pair.den < 0))
                     if pair.den == 0:
-                        with pytest.raises(ZeroDenominator) as before:
+                        with pytest.raises(ZeroDenominator) as err:
                             pair.value()
-                        with pytest.raises(ZeroDenominator) as after:
-                            convergent_value(spec, pair)
-                        assert after.value.index == before.value.index == n
-                        assert str(after.value) == str(before.value)
+                        assert err.value.index == n
+                        assert str(err.value) == f"denominator B_{n} is zero; convergent undefined"
                         continue
                     built = len(gcd_free)
-                    value, expected = convergent_value(spec, pair), Fraction(pair.num, pair.den)
+                    value, expected = pair.value(), Fraction(pair.num, pair.den)
                     assert len(gcd_free) == built + 1
                     assert type(value) is Fraction and value == expected
                     assert hash(value) == hash(expected) and str(value) == str(expected)
@@ -378,22 +380,73 @@ class TestConvergentValue:
     ])
     def test_other_coefficients_take_the_gcd_path(self, gcd_free, spec):
         pair = convergent_pair(spec, 9)
-        value = convergent_value(spec, pair)
+        value = pair.value()
+        assert gcd_free == [] and not pair.coprime
+        assert value == Fraction(pair.num, pair.den)
+
+    @pytest.mark.parametrize("kind", ["rule", "finite", "periodic"])
+    def test_each_term_is_read_once(self, gcd_free, kind):
+        # the pair and its coprimality come from one pass over the terms
+        reads, rng = [], random.Random(7)
+        units = [rng.choice((1, -1)) for _ in range(10**4 + 1)]
+        if kind == "rule":
+            spec, n = RuleCF(a_rule=lambda j: reads.append(j) or units[j], b_rule=lambda j: 3), 10**4
+        else:
+            cls = FiniteCF if kind == "finite" else PeriodicCF
+
+            class Counted(cls):
+                def terms(self, first=1):
+                    return (reads.append(term) or term for term in super().terms(first))
+
+            if kind == "finite":
+                spec, n = Counted(a_list=units[1:], b_list=(3,) * (10**4 + 1)), 10**4
+            else:  # p + r = 3 + 1 terms
+                spec, n = Counted(a_block=(1, -1, 1), b_block=(2, 5, -3)), 1000
+        value = evaluate_convergent(spec, n)
+        assert len(reads) == (4 if kind == "periodic" else 10**4)
+        assert len(gcd_free) == 1
+        table = convergent_table(spec, n)
+        assert value == Fraction(table[-1].num, table[-1].den)
+
+    def test_one_matrix_product_per_run(self, monkeypatch):
+        products = []
+        mat_mul = cfcore._mat_mul
+        monkeypatch.setattr(cfcore, "_mat_mul", lambda x, y: products.append(1) or mat_mul(x, y))
+        n = 10**4
+        prev, cur = pair_at(make_generator("sqrt2"), 0, n)
+        assert len(products) <= -(-n // 64) + 1
+        last = convergent_table(make_generator("sqrt2"), n)[-2:]
+        assert [prev, cur] == last and prev.coprime and cur.coprime
+
+    @pytest.mark.parametrize("period", [None, 63, 64, 65, 130])
+    def test_run_boundaries_match_the_recurrence(self, period):
+        rng = random.Random(period)
+        a = [rng.choice((1, -1)) for _ in range(400)]
+        b = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(400)]
+        if period is None:
+            spec = FiniteCF(a_list=a[1:], b_list=b)
+        else:
+            spec = PeriodicCF(a_block=tuple(a[:period]), b_block=tuple(b[:period]))
+        for k in (0, 5):
+            for n in (63, 64, 65, 128, 129, 259, 260):
+                pairs = pair_at(spec, k, n)
+                assert list(pairs) == shifted_table(spec, k, n)[-2:], (k, n)
+                assert all(pair.coprime for pair in pairs)
+
+    def test_non_unit_numerator_in_the_second_run(self, gcd_free):
+        spec = RuleCF(a_rule=lambda n: 3 if n == 100 else 1, b_rule=lambda n: 2)
+        assert convergent_pair(spec, 99).coprime
+        for n in (100, 129):
+            pair = convergent_pair(spec, n)
+            assert not pair.coprime and pair.value() == Fraction(pair.num, pair.den)
         assert gcd_free == []
-        assert value == Fraction(pair.num, pair.den) == pair.value()
 
-    def test_periodic_spec_reads_one_period(self, gcd_free):
-        reads = []
-
-        class Counted(PeriodicCF):
-            def terms(self, first=1):
-                return (reads.append(term) or term for term in super().terms(first))
-
-        spec = Counted(a_block=(1, -1, 1), b_block=(2, 5, -3))
-        pair = convergent_pair(spec, 1000)
-        reads.clear()
-        convergent_value(spec, pair)
-        assert len(gcd_free) == 1 and len(reads) == 3
+    def test_fraction_denominator_in_the_last_run(self, gcd_free):
+        spec = FiniteCF(a_list=(1,) * 129, b_list=(2,) * 129 + (Fraction(5, 2),))
+        assert convergent_pair(spec, 128).coprime
+        pair = convergent_pair(spec, 129)
+        assert not pair.coprime and pair.value() == Fraction(pair.num, pair.den)
+        assert gcd_free == []
 
     def test_golden_takes_no_big_gcd(self, gcd_bits):
         value = evaluate_convergent(golden_cf(), 10**4)

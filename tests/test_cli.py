@@ -487,8 +487,9 @@ def test_zero_denominator_in_a_literal_exits_2(capsys, tmp_path, argv):
     (["power-iter", "--steps", "2"], ["--matrix", "-1,1,1,0"], 0),
     (["power-iter", "--matrix", "1,1,1,0", "--steps", "2"], ["--u0", "-1/2"], 0),
     (["power-iter", "--matrix", "1,1,1,0", "--steps", "2"], ["--v0", "-√5/2"], 0),
+    (["power-iter", "--matrix", "1,1,1,0", "--steps", "2"], ["--v0", "-(1+√5)/2"], 0),
     (["tietze", "SPEC"], ["--eps", "-1/2"], 2),
-], ids=["a", "b", "matrix", "u0", "v0", "eps"])
+], ids=["a", "b", "matrix", "u0", "v0", "v0-signed-parenthesis", "eps"])
 def test_negative_value_after_a_space(capsys, tmp_path, argv, flag, code):
     # argparse alone takes "-1/2" for an option; the --flag=VALUE form always worked
     spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "sqrt2"}})

@@ -3,7 +3,7 @@ __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
 the package; every name the package re-exports is used by the library, the
 benchmark or the acceptance suite; one function alone touches Fraction's
-private slots; the test oracle brute.py takes only type names from cfkit,
+private slots, and one method alone calls it; the test oracle brute.py takes only type names from cfkit,
 and QuadExt has no order; neither importing the package nor a CLI run on
 exact input loads mpmath, dataclasses or inspect."""
 
@@ -163,6 +163,43 @@ def test_one_function_touches_fraction_slots():
     # scalars.coprime_fraction builds a Fraction without its gcd
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _fraction_slot_users(sources) == ["scalars.coprime_fraction"]
+
+
+def _users(sources: dict[str, str], name: str) -> list[str]:
+    """module.qualname of each function or class body that reads `name`, as a
+    bare name or as an attribute, to call it or to pass it on; an import or a
+    definition of `name` is no use."""
+    users = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, [*scope, child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                users.append(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, [])
+    return users
+
+
+def test_guard_sees_a_user():
+    sources = {
+        "m": "from n import g\ndef f(x):\n    return g(x)\nclass C:\n    def g(self):\n        return 0\n"
+             "    def h(self):\n        return (g if self else k)(1)\n    def v(self):\n        return s.g\n"
+             "def u():\n    g = 2\n    return 1\ny = [g]\n",
+    }
+    assert _users(sources, "g") == ["m.f", "m.C.h", "m.C.v", "m"]
+
+
+def test_one_caller_skips_the_gcd_of_a_convergent():
+    # only a pair that pair_at proved coprime builds its Fraction without a gcd
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _users(sources, "coprime_fraction") == ["cfcore.ConvergentPair.value"]
 
 
 def test_guard_sees_an_mpmath_slot():

@@ -40,7 +40,8 @@ RECORDS = [
     (FiniteCF, {"a_list": (1,), "b_list": (1, 2)}, "(a_list, b_list)", ()),
     (PeriodicCF, {"a_block": (1,), "b_block": (2,)}, "(a_block, b_block)", ()),
     (RuleCF, {"a_rule": _one, "b_rule": _one, "label": "ones"}, "(a_rule, b_rule, label='rule')", ()),
-    (ConvergentPair, {"n": 3, "num": 5, "den": 3}, "(n, num, den)", ()),
+    (ConvergentPair, {"n": 3, "num": 5, "den": 3, "coprime": False}, "(n, num, den, coprime=False)",
+     ("coprime",)),
     (ContinuantArgs, {"a": (1,), "b": (2, 3)}, "(a, b)", ()),
     (ReversedConvergents, {"num_n": 1, "den_n": 2, "num_prev": 3, "den_prev": 4},
      "(num_n, den_n, num_prev, den_prev)", ()),

@@ -94,8 +94,14 @@ class TestParse:
     def test_surd_grammar_accepts(self, text, value):
         assert parse_exact(text) == value
 
+    @pytest.mark.parametrize("signed, plain", [
+        ("-(1+√5)/2", "(-1-√5)/2"), ("- (1 - √5)", "-1+√5"), ("+(1+√5)/2", "(1+√5)/2"), ("-(√5)/2", "-√5/2"),
+    ])
+    def test_sign_before_the_parenthesis_applies_to_the_whole_value(self, signed, plain):
+        assert parse_exact(signed) == parse_exact(plain)
+
     @pytest.mark.parametrize("text", [
-        "(1+√5", "(1+√5)x", "1+√5/x", "√5)", "((1+√5))/2", "1+√5+√2",
+        "(1+√5", "(1+√5)x", "1+√5/x", "√5)", "((1+√5))/2", "1+√5+√2", "--(1+√5)", "-(1+√5", "-1-(√5)",
     ])
     def test_surd_grammar_refuses(self, text):
         with pytest.raises(SpecFileError):

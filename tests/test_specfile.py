@@ -132,7 +132,7 @@ class TestStructure:
                     "generator": {"name": "regular", "params": {"b": b}}}
 
         spec = parse_spec_dict(gen("complex", [1, "1/2"]))
-        assert all(isinstance(x, ComplexFloat) for x in spec.generator["params"]["b"])
+        assert all(isinstance(x, ComplexFloat) for x in dict(spec.generator[1])["b"])
         inferred = parse_spec_dict(gen(None, [1, "2/4", "√2"]))
         assert inferred.tower == "quadext"
         assert inferred.to_json_dict()["generator"]["params"] == {"b": [1, "1/2", "√2"]}
@@ -143,11 +143,24 @@ class TestStructure:
         spec = parse_spec_dict(
             {"mode": "generator", "generator": {"name": "regular", "params": {"b": [1, 2]}}}
         )
-        for mapping, key in ((spec.generator, "name"), (spec.generator["params"], "b")):
+        name, params = spec.generator
+        for held in (spec.generator, params, params[0], params[0][1]):
             with pytest.raises(TypeError):
-                mapping[key] = "golden"
-        assert spec.generator["params"]["b"] == (1, 2)
+                held[0] = "golden"
+        with pytest.raises(AttributeError):
+            spec.generator = ("golden", ())
+        assert spec.generator == ("regular", (("b", (1, 2)),))
         assert spec.to_cfspec() == FiniteCF(a_list=(1,), b_list=(1, 2))
+
+    @pytest.mark.parametrize("generator", [
+        {"name": "golden"},
+        {"name": "regular", "params": {"b": [1, "1/2", "√2"]}},
+        {"name": "regular", "params": {"b": [1, {"re": 1, "im": 2}]}},
+    ], ids=["golden", "quadext-params", "complex-params"])
+    def test_generator_spec_hashes_by_value(self, generator):
+        spec, twin = (parse_spec_dict({"mode": "generator", "generator": generator}) for _ in range(2))
+        assert spec == twin and hash(spec) == hash(twin)
+        assert len({spec, twin}) == 1
 
     def test_precision_bounds(self):
         with pytest.raises(SpecFileError):
