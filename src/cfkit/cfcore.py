@@ -243,14 +243,14 @@ def coefficient_lists(spec: CFSpec, n: int) -> tuple[tuple, tuple]:
     return tuple(a for a, _ in head), (spec.b(0), *(b for _, b in head))
 
 
-@record(hidden=("coprime",))
+@record
 class ConvergentPair:
     """Pair (A(n), B(n)) at index n >= -1, or (A(k,n), B(k,n)) in a shifted table."""
 
     n: int
     num: Scalar
     den: Scalar
-    coprime: bool = False  # set by `pair_at` when it proves num, den coprime ints
+    coprime = False  # set on a pair by `pair_at` alone, when it proves num, den coprime ints
 
     def value(self) -> Scalar:
         if is_zero(self.den):
@@ -349,8 +349,11 @@ def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPai
     else:
         factors = chain([seed], _runs(spec, k + 1, n, units))
     num, num_prev, den, den_prev = _tree_product(factors)
-    coprime = type(seed[0]) is int and all(units)
-    return ConvergentPair(n - 1, num_prev, den_prev, coprime), ConvergentPair(n, num, den, coprime)
+    pairs = ConvergentPair(n - 1, num_prev, den_prev), ConvergentPair(n, num, den)
+    if type(seed[0]) is int and all(units):
+        for pair in pairs:
+            object.__setattr__(pair, "coprime", True)
+    return pairs
 
 
 def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:

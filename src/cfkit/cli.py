@@ -48,6 +48,7 @@ MAX_INDEX = 1_000_000  # exact entries grow exponentially in bit size
 # power-iter keeps every exact step and the text of every row, so its memory
 # and output grow with the square of the step count
 MAX_STEPS = 10_000
+MAX_EXPONENT = 1_000_000  # Fraction("1e-k") computes 10**k before any check
 #: flags whose value may start with "-", as "-1/2" does, which argparse reads as an option
 _VALUE_FLAGS = {"--a", "--b", "--matrix", "--u0", "--v0", "--eps"}
 
@@ -141,6 +142,9 @@ def _bounded_steps(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
+        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"decimal exponent must be in -{MAX_EXPONENT}..{MAX_EXPONENT}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc

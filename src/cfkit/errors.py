@@ -10,7 +10,7 @@ def _eq(self, other):
 
 
 def _repr(self):
-    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._compared])
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
     return f"{self.__class__.__qualname__}({shown})"
 
 
@@ -22,14 +22,13 @@ _SHARED = {"__eq__": _eq, "__hash__": lambda self: hash(self._values(self)), "__
            "__setattr__": _frozen, "__delattr__": _frozen}
 
 
-def record(cls=None, /, *, hidden=()):
+def record(cls):
     """Make `cls` a frozen value record, as `dataclass(frozen=True)` would: the
     names annotated in its body are the fields, in order, with class attributes
     as defaults.  `__init__` takes them by position or keyword, then calls
-    `__post_init__`.  ==, hash and repr use the fields not in `hidden`, unless
-    the class defines its own."""
-    if cls is None:
-        return lambda cls: record(cls, hidden=hidden)
+    `__post_init__`.  ==, hash and repr use the fields, unless the class
+    defines its own.  Derived state is no field but a class attribute or
+    property, which only the code that proves it sets, by `object.__setattr__`."""
     names = tuple(cls.__annotations__)
     body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
     if hasattr(cls, "__post_init__"):
@@ -38,8 +37,7 @@ def record(cls=None, /, *, hidden=()):
     exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
     cls.__init__, cls.__match_args__ = namespace["__init__"], names
     cls.__init__.__defaults__ = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
-    cls._compared = tuple(name for name in names if name not in hidden)
-    cls._values = attrgetter(*cls._compared)  # a tuple for two or more fields
+    cls._values = attrgetter(*names)  # a tuple for two or more fields
     for name, func in _SHARED.items():
         if name not in cls.__dict__:
             setattr(cls, name, func)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from .cfcore import PeriodicCF, _check_index, recurrence
 from .errors import (
@@ -60,18 +60,22 @@ EQUAL_MODULUS = "equal_modulus"
 REPEATED = "repeated"
 
 
-@record(hidden=("exact", "pairs"))
+@record
 class PeriodMatrix:
     """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det.
-    When `build_period_matrix` made M, `exact` holds the entries unrounded and
-    `pairs` the exact (A(q), B(q)) for q = 0 .. p-2."""
+    `exact` holds the exact values of the entries; `build_period_matrix` sets
+    it to the entries unrounded, and `pairs` to the exact (A(q), B(q)) for
+    q = 0 .. p-2."""
 
     m11: Scalar
     m12: Scalar
     m21: Scalar
     m22: Scalar
-    exact: tuple | None = None
-    pairs: tuple = ()
+    pairs = ()
+
+    @cached_property
+    def exact(self) -> tuple:
+        return tuple(_exact(m, self.prec) for m in (self.m11, self.m12, self.m21, self.m22))
 
     @property
     def trace(self) -> Scalar:
@@ -138,11 +142,6 @@ class PowerIterTrajectory:
     case: str
 
 
-def _exact_entries(matrix: PeriodMatrix) -> tuple:
-    entries = (matrix.m11, matrix.m12, matrix.m21, matrix.m22)
-    return matrix.exact or tuple(_exact(m, matrix.prec) for m in entries)
-
-
 def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     """Period matrix from one exact pass over A(n), B(n) for n = 0 .. p,
     checked by three identities.  Complex coefficients are streamed as exact
@@ -165,8 +164,10 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     for identity, holds in checks:
         if not holds:
             raise SelfCheckFailure(f"period matrix violates {identity}")
-    entries = [as_complexfloat(m, prec) for m in exact] if prec else exact
-    return PeriodMatrix(*entries, exact, tuple(pairs[1:p]))
+    matrix = PeriodMatrix(*([as_complexfloat(m, prec) for m in exact] if prec else exact))
+    object.__setattr__(matrix, "exact", exact)
+    object.__setattr__(matrix, "pairs", tuple(pairs[1:p]))
+    return matrix
 
 
 def _modulus_relation(tr, disc) -> str:
@@ -190,7 +191,7 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     if any(isinstance(m, QuadExt) for m in (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
                             "need nested radicals; use the complex tower instead")
-    m11, m12, m21, m22 = exact = _exact_entries(matrix)
+    m11, m12, m21, m22 = exact = matrix.exact
     tr, det = m11 + m22, m11 * m22 - m12 * m21
     if is_zero(det):
         raise DegenerateMatrix("determinant is zero")
@@ -346,8 +347,8 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     alpha_prime = classify(reverse_period(pcf))
     if not alpha.verdict.is_convergent:
         return GaloisReport(alpha, alpha_prime, True)
-    m11, m12, m21, m22 = _exact_entries(alpha.matrix)
-    n11, n12, n21, n22 = _exact_entries(alpha_prime.matrix)
+    m11, m12, m21, m22 = alpha.matrix.exact
+    n11, n12, n21, n22 = alpha_prime.matrix.exact
     holds = (
         alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
         and alpha_prime.eigen.modulus_relation == alpha.eigen.modulus_relation

@@ -103,10 +103,13 @@ class SpecFile:
     mode: str
     a: tuple
     b: tuple
-    period: int | None
     generator: tuple | None  # (name, ((param, values), ...)), all tuples
     tower: str
     precision_bits: int
+
+    @property
+    def period(self) -> int | None:
+        return len(self.a) if self.mode == "periodic" else None
 
     def to_cfspec(self) -> CFSpec:
         try:
@@ -184,7 +187,6 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
                 )
     generator = (gen["name"], tuple(lists.items())) if mode == "generator" else None
     a, b = ((), ()) if generator else (lists["a"], lists["b"])
-    period = None
     if mode == "periodic":
         period = len(a) if data.get("period") is None else data["period"]
         if type(period) is not int or not period == len(a) == len(b):
@@ -192,10 +194,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
                 f"periodic mode needs |a| = |b| = period, got |a| = {len(a)}, "
                 f"|b| = {len(b)}, period = {period!r}"
             )
-    return SpecFile(
-        mode=mode, a=a, b=b, period=period, generator=generator,
-        tower=tower, precision_bits=prec,
-    )
+    return SpecFile(mode=mode, a=a, b=b, generator=generator, tower=tower, precision_bits=prec)
 
 
 def load_specfile(path: str, precision_override: int | None = None) -> SpecFile:
@@ -216,12 +215,4 @@ def specfile_from_periodic(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> SpecFile:
     """Spec file describing a periodic CF (used to emit reversed periods)."""
-    return SpecFile(
-        mode="periodic",
-        a=pcf.a_block,
-        b=pcf.b_block,
-        period=pcf.period,
-        generator=None,
-        tower=tower,
-        precision_bits=precision_bits,
-    )
+    return SpecFile("periodic", pcf.a_block, pcf.b_block, None, tower, precision_bits)

@@ -120,11 +120,11 @@ def _semiregular_terms(spec: CFSpec):
 def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     """Check the semi-regular conditions for 1 <= n <= n_max.
 
-    Reads coefficients up to index n_max + 1 and reports the first violated
-    condition, if any.
+    Reads coefficients up to index n_max + 1, or to a finite spec's last
+    index n_max, and reports the first violated condition, if any.
     """
     _check_index(n_max, 1, "n_max")
-    spec.require(n_max + 1)
+    spec.require(n_max)
     try:
         deque(islice(_semiregular_terms(spec), n_max + 1), maxlen=0)
     except NotSemiRegular as exc:

@@ -441,6 +441,18 @@ class TestConvergentValue:
             assert not pair.coprime and pair.value() == Fraction(pair.num, pair.den)
         assert gcd_free == []
 
+    @pytest.mark.parametrize("k, n", [(0, 1), (0, 200), (3, 70)])
+    def test_a_marked_pair_is_the_plain_record(self, k, n):
+        # the mark is no field: == and hash read (n, num, den) alone
+        for pair in pair_at(make_generator("sqrt2"), k, n):
+            plain = cfcore.ConvergentPair(pair.n, pair.num, pair.den)
+            assert pair.coprime and not plain.coprime
+            assert pair == plain and hash(pair) == hash(plain) and repr(pair) == repr(plain)
+
+    def test_an_unmarked_pair_takes_the_gcd(self, gcd_free):
+        value = cfcore.ConvergentPair(1, 4, 2).value()
+        assert gcd_free == [] and value == 2 and value.denominator == 1
+
     def test_fraction_denominator_in_the_last_run(self, gcd_free):
         spec = FiniteCF(a_list=(1,) * 129, b_list=(2,) * 129 + (Fraction(5, 2),))
         assert convergent_pair(spec, 128).coprime

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit import PeriodicCF, load_specfile, parse_exact, render, reverse_period
+from cfkit import PeriodicCF, cli, load_specfile, parse_exact, render, reverse_period
 from cfkit.cfcore import convergent_pair
-from cfkit.cli import MAX_STEPS, main
+from cfkit.cli import MAX_EXPONENT, MAX_STEPS, main
+from cfkit.continuants import continuant
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -200,6 +201,17 @@ class TestContinuant:
         assert report["exact_values"]["value"] == "3"
         assert report["result"]["agreement"] is True
 
+    def test_oracle_disagreement_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "continuant_oracle", lambda args: continuant(args) + 1)
+        code = main(["--json", "continuant", "--a", "1,1", "--b", "1,1,1", "--oracle"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "oracle disagreement: recurrence and determinant differ\n"
+        report = json.loads(captured.out)
+        assert report["result"]["agreement"] is False
+        assert report["exact_values"] == {"value": "3", "oracle_value": "4"}
+        assert report["diagnostics"] == [captured.err.strip()]
+
     def test_arity_mismatch_exits_2(self, capsys):
         code = main(["continuant", "--a", "1,1", "--b", "1,1"])
         assert code == 2
@@ -228,6 +240,22 @@ class TestTietze:
         assert code == 0
         assert parse_exact(report["input"]["eps"]) == Fraction(1, 10**4400)
         assert parse_exact(report["exact_values"]["error_bound"]) <= Fraction(1, 10**4400)
+
+    @pytest.mark.parametrize("eps", ["1e-1000000000", "1E+1_000_001", "2.5e-1000001"])
+    def test_eps_with_a_huge_exponent_is_refused_up_front(self, tmp_path, eps):
+        # Fraction("1e-k") would compute 10**k before anything could check it
+        spec = write_spec(tmp_path, {"mode": "generator", "generator": {"name": "sqrt2"}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfkit", "tietze", spec, "--eps", eps],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.endswith(
+            f"argument --eps: decimal exponent must be in -{MAX_EXPONENT}..{MAX_EXPONENT}\n"
+        )
+
+    def test_eps_at_the_exponent_bound_is_read(self):
+        assert cli._fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
 
     def test_footnote_closed_form(self, capsys, footnote_spec):
         code, report = run_json(capsys, ["tietze", footnote_spec, "--eps", "1/10"])

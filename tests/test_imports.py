@@ -3,7 +3,8 @@ __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
 the package; every name the package re-exports is used by the library, the
 benchmark or the acceptance suite; one function alone touches Fraction's
-private slots, and one method alone calls it; the test oracle brute.py takes only type names from cfkit,
+private slots, and one method alone calls it; only the code that proves a
+record's derived state writes past its read-only __setattr__; the test oracle brute.py takes only type names from cfkit,
 and QuadExt has no order; neither importing the package nor a CLI run on
 exact input loads mpmath, dataclasses or inspect."""
 
@@ -200,6 +201,30 @@ def test_one_caller_skips_the_gcd_of_a_convergent():
     # only a pair that pair_at proved coprime builds its Fraction without a gcd
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _users(sources, "coprime_fraction") == ["cfcore.ConvergentPair.value"]
+
+
+def _producers(sources: dict[str, str]) -> list[str]:
+    """Each user of `__setattr__` that is not a record's `__post_init__`: the
+    code that writes past a frozen record's read-only `__setattr__`."""
+    return sorted({user for user in _users(sources, "__setattr__") if not user.endswith(".__post_init__")})
+
+
+def test_guard_sees_a_producer():
+    sources = {
+        "m": "_put = object.__setattr__\nclass R:\n    def __post_init__(self):\n"
+             "        object.__setattr__(self, 'x', 1)\ndef make():\n    r = R()\n"
+             "    object.__setattr__(r, 'y', 2)\n    object.__setattr__(r, 'z', 3)\n    return r\n"
+             "def read(r):\n    return r.__setattr__\n",
+    }
+    assert _producers(sources) == ["m", "m.make", "m.read"]  # once each, __post_init__ left out
+
+
+def test_one_producer_for_derived_state():
+    # a record's derived state is set only where it is proved, never by a caller:
+    # the pair's coprime mark and the period matrix's exact entries and pairs;
+    # the decorator's __init__ sets the fields, scalars builds values unchecked
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _producers(sources) == ["cfcore.pair_at", "errors.record", "periodic.build_period_matrix", "scalars"]
 
 
 def test_guard_sees_an_mpmath_slot():

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import to_rational
 
 import cfkit.periodic
 from cfkit import (
@@ -135,6 +136,26 @@ class TestPeriodMatrix:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "refused"
+
+    def test_exact_holds_the_unrounded_entries(self):
+        # at 64 bits the products in m11 = b0 b1 + a1 and m12 = a2 b0 are rounded;
+        # a matrix built from the spec keeps them exact, a hand-built one has only
+        # the exact values of the rounded entries it was given
+        def gaussian(z):  # a ComplexFloat's exact value, re + im sqrt(-1)
+            re, im = (Fraction(*to_rational(part._mpf_)) for part in (z.re, z.im))
+            return quadext(re, im, -1)
+
+        pcf = complex_pcf([complex(1 / 3, 1 / 7), complex(2 / 9, -1 / 5)],
+                          [complex(3 / 11, 1 / 13), complex(5 / 17, 2 / 3)], prec=64)
+        (a1, a2), (b0, b1) = ([gaussian(z) for z in block] for block in (pcf.a_block, pcf.b_block))
+        unrounded = (b0 * b1 + a1, a2 * b0, b1, a2)
+        built = build_period_matrix(pcf)
+        assert built.exact == unrounded
+        rounded = (built.m11, built.m12, built.m21, built.m22)
+        assert rounded == tuple(as_complexfloat(m, 64) for m in unrounded)
+        by_hand = PeriodMatrix(*rounded)
+        assert by_hand == built and by_hand.pairs == ()
+        assert by_hand.exact == tuple(map(gaussian, rounded)) != unrounded
 
     def test_determinant_formula_randomized(self, rng):
         for _ in range(200):

@@ -88,6 +88,11 @@ class TestQuadExtArithmetic:
         with pytest.raises(TowerMismatch):
             quadext(0, 1, 2) + quadext(0, 1, 3)
 
+    def test_radicands_of_opposite_sign_are_rejected(self):
+        # 2 * -2 = -4 is minus a square: sqrt(-2) is no rational multiple of sqrt(2)
+        with pytest.raises(TowerMismatch, match=r"sqrt\(2\) and sqrt\(-2\)"):
+            quadext(0, 1, 2) + quadext(0, 1, -2)
+
     def test_mixed_radicand_past_the_int_string_limit(self):
         # 4401 digits: str() of it raises ValueError on Python >= 3.11
         with pytest.raises(TowerMismatch, match="bit integer"):

@@ -6,7 +6,7 @@ import pytest
 
 from cfkit import ComplexFloat, FiniteCF, PeriodicCF, quadext
 from cfkit.errors import SpecFileError
-from cfkit.specfile import load_specfile, parse_spec_dict, specfile_from_periodic
+from cfkit.specfile import SpecFile, load_specfile, parse_spec_dict, specfile_from_periodic
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -208,6 +208,12 @@ class TestRoundTrip:
         data = spec.to_json_dict()
         reparsed = parse_spec_dict(json.loads(json.dumps(data)))
         assert reparsed.to_cfspec() == pcf
+
+    @pytest.mark.parametrize("mode, b, period", [("periodic", (1, 2), 2), ("finite", (1, 2, 3), None)])
+    def test_period_is_read_from_the_blocks(self, mode, b, period):
+        spec = SpecFile(mode, (1, -1), b, None, "rational", 128)
+        assert spec.period == period
+        assert parse_spec_dict(spec.to_json_dict()) == spec
 
     def test_json_dict_is_canonical(self):
         pcf = PeriodicCF(a_block=(Fraction(2),), b_block=(Fraction(5, 1),))

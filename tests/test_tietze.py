@@ -15,7 +15,8 @@ from cfkit import (
     quadext,
     validate_semiregular,
 )
-from cfkit.errors import InvalidSpec, IterationCap, TowerMismatch
+from cfkit.errors import CoefficientUnavailable, InvalidSpec, IterationCap, TowerMismatch
+from cfkit.tietze import SemiRegularReport, Violation
 from brute import sign_of
 from conftest import footnote_cf, golden_cf, random_semiregular
 
@@ -63,6 +64,19 @@ class TestValidation:
         spec = PeriodicCF(a_block=(ComplexFloat(1, 0),), b_block=(ComplexFloat(2, 0),))
         with pytest.raises(TowerMismatch):
             validate_semiregular(spec, 3)
+
+    def test_finite_spec_is_checked_to_its_last_index(self):
+        # the sum condition at the last index N needs no a(N + 1)
+        spec = FiniteCF(a_list=(1, -1, 1), b_list=(0, 2, 2, 1))
+        assert validate_semiregular(spec, 3) == SemiRegularReport(True, None, 3)
+        assert [(r.k, r.bound_type, r.bound) for r in denominator_bounds_certificate(spec, 3)] == [
+            (1, "minus_case", 2), (2, "plus_case", 3),
+        ]
+        assert evaluate_tietze(spec, Fraction(1, 100)).checked_up_to == 3
+        bad = FiniteCF(a_list=(1, 1, 2), b_list=(1, 2, 2, 2))
+        assert validate_semiregular(bad, 3).first_violation == Violation(3, "a_not_unit")
+        with pytest.raises(CoefficientUnavailable):
+            validate_semiregular(spec, 4)
 
     def test_b0_unconstrained(self):
         spec = FiniteCF(a_list=(1, 1), b_list=(-7, 1, 1))
