@@ -27,7 +27,7 @@ from itertools import chain, count, cycle, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator, record
-from .scalars import Scalar, coprime_fraction, is_zero, scalar_div
+from .scalars import Scalar, coprime_fraction, scalar_div
 
 
 class CFSpec:
@@ -122,9 +122,8 @@ class PeriodicCF(CFSpec):
                 f"|a| = {len(self.a_block)}, |b| = {len(self.b_block)}"
             )
         for name, block, first in (("a", self.a_block, 1), ("b", self.b_block, 0)):
-            for i, value in enumerate(block, first):
-                if is_zero(value):
-                    raise InvalidSpec(f"{name}[{i}] = 0 is not allowed in a periodic CF")
+            if 0 in block:
+                raise InvalidSpec(f"{name}[{block.index(0) + first}] = 0 is not allowed in a periodic CF")
 
     @property
     def period(self) -> int:
@@ -253,7 +252,7 @@ class ConvergentPair:
     coprime = False  # set on a pair by `pair_at` alone, when it proves num, den coprime ints
 
     def value(self) -> Scalar:
-        if is_zero(self.den):
+        if self.den == 0:
             raise ZeroDenominator(self.n)
         return (coprime_fraction if self.coprime else scalar_div)(self.num, self.den)
 

@@ -12,9 +12,10 @@ Every decision is an exact identity in the entries, tr = m11 + m22 and
 D = tr^2 - 4 det: equal moduli exactly when D = 0 or tr^2 conj(D) is a real
 <= 0, and A(q) on x2 exactly when w = 2 m21 A(q) - (tr - 2 m22) B(q) has
 w^2 = D B(q)^2 and Re(-tr conj(w) B(q)) > 0.  A ComplexFloat holds dyadic
-rationals, so complex input is decided over the Gaussian rationals; only its
-values are rounded, to the working precision.  `classify` is the only
-fixed-point (Thiele) scan; the Galois and conjugate checks compare its results.
+rationals, so complex input is decided over the Gaussian rationals (in
+`eigen_split`, on the entries scaled to Gaussian integers by a power of two);
+only its values are rounded, each once.  `classify` is the only fixed-point
+(Thiele) scan; the Galois and conjugate checks compare its results.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .scalars import (
     Scalar,
     _exact,
     _quadext_trusted,
+    _rounded_ratio,
     as_complexfloat,
     is_rational,
-    is_zero,
     scalar_div,
 )
 
@@ -63,9 +64,9 @@ REPEATED = "repeated"
 @record
 class PeriodMatrix:
     """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det.
-    `exact` holds the exact values of the entries; `build_period_matrix` sets
-    it to the entries unrounded, and `pairs` to the exact (A(q), B(q)) for
-    q = 0 .. p-2."""
+    `build_period_matrix` sets `exact`, the entries unrounded, `prec`, the
+    largest ComplexFloat precision (0 when exact), and `pairs`, the exact
+    (A(q), B(q)) for q = 0 .. p-2."""
 
     m11: Scalar
     m12: Scalar
@@ -88,9 +89,8 @@ class PeriodMatrix:
     def apply(self, u: Scalar, v: Scalar) -> tuple[Scalar, Scalar]:
         return self.m11 * u + self.m12 * v, self.m21 * u + self.m22 * v
 
-    @property
+    @cached_property
     def prec(self) -> int:
-        """Largest precision of a ComplexFloat entry; 0 when the matrix is exact."""
         entries = (self.m11, self.m12, self.m21, self.m22)
         return max((m.prec for m in entries if isinstance(m, ComplexFloat)), default=0)
 
@@ -148,7 +148,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     Gaussian dyadic rationals and the entries rounded once, to the largest
     coefficient precision."""
     p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
-    prec = max((x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)), default=0)
+    prec = max([x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)], default=0)
     if prec:
         a_block, b_block = (tuple(_exact(x, prec) for x in block) for block in (a_block, b_block))
     a_p, b0 = a_block[-1], b_block[0]
@@ -166,6 +166,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
             raise SelfCheckFailure(f"period matrix violates {identity}")
     matrix = PeriodMatrix(*([as_complexfloat(m, prec) for m in exact] if prec else exact))
     object.__setattr__(matrix, "exact", exact)
+    object.__setattr__(matrix, "prec", prec)
     object.__setattr__(matrix, "pairs", tuple(pairs[1:p]))
     return matrix
 
@@ -185,44 +186,47 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     The modulus relation is decided exactly by `_modulus_relation`.  An
     exact matrix is scaled to integers, which give its eigenvalues and fixed
     points exactly.  A floating matrix is decided and ordered on its exact
-    entries, and its values come from them without cancellation, at the
-    largest entry precision.
+    entries, scaled by a power of two to Gaussian integers, and its values
+    come from them without cancellation, at the largest entry precision.
     """
-    if any(isinstance(m, QuadExt) for m in (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
+    if QuadExt in map(type, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
                             "need nested radicals; use the complex tower instead")
-    m11, m12, m21, m22 = exact = matrix.exact
-    tr, det = m11 + m22, m11 * m22 - m12 * m21
-    if is_zero(det):
+    # L M, for L the least common denominator of the entries' parts, is (Gaussian)
+    # integer: no decision takes a wide gcd, and each value is rounded once, exactly
+    n11, n12, n21, n22 = entries = matrix.exact
+    scale = 1
+    if not type(n11) is type(n12) is type(n21) is type(n22) is int:
+        parts = (q for m in entries for q in ((m.a, m.b) if isinstance(m, QuadExt) else (m,)))
+        scale = math.lcm(*(q.denominator for q in parts))
+        n11, n12, n21, n22 = (m * scale if isinstance(m, QuadExt) else int(m * scale) for m in entries)
+    tr, det = n11 + n22, n11 * n22 - n12 * n21
+    if det == 0:
         raise DegenerateMatrix("determinant is zero")
-    prec = matrix.prec
+    disc, prec = tr * tr - 4 * det, matrix.prec
     if not prec:
-        return _split_integer(exact)
-    disc = tr * tr - 4 * det
-    rounded, relation = partial(as_complexfloat, prec=prec), _modulus_relation(tr, disc)
+        return _split_integer(scale, tr, disc, n21, n22)
+    rounded, relation = partial(_rounded_ratio, den=scale, prec=prec), _modulus_relation(tr, disc)
     t = rounded(tr)
     if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
-        s = t * rounded(scalar_div(disc, tr * tr)).sqrt()
+        s = t * rounded(disc * (tr * tr).conjugate(), den=((tr * tr.conjugate()) ** 2).numerator).sqrt()
     else:
-        s = rounded(disc).sqrt()
+        s = rounded(disc, den=scale * scale).sqrt()
     lam1 = (t + s) / 2  # Re(s conj(t)) >= 0 (0 at equal moduli): t + s does not cancel
     x1 = x2 = None
-    if not is_zero(m21):
+    if n21 != 0:
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
-        d, two_m12, two_m21 = rounded(m11 - m22), rounded(2 * m12), rounded(2 * m21)
+        d, two_m12, two_m21 = rounded(n11 - n22), rounded(2 * n12), rounded(2 * n21)
         u, v = d + s, s - d
         if u.modulus() < v.modulus():
             x1, x2 = two_m12 / v, -v / two_m21
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
-            x1, x2 = u / two_m21, (u if u.is_zero else -two_m12 / u)
-    return EigenSplit(lam1, rounded(det) / lam1, relation, x1, x2)
+            x1, x2 = u / two_m21, (u if u == 0 else -two_m12 / u)
+    return EigenSplit(lam1, rounded(det, den=scale * scale) / lam1, relation, x1, x2)
 
 
-def _split_integer(entries: tuple) -> EigenSplit:
-    """Exact split of a rational matrix from L*M, its least integer multiple."""
-    scale = math.lcm(*(m.denominator for m in entries))
-    n11, n12, n21, n22 = (m.numerator * (scale // m.denominator) for m in entries)
-    tr, disc = n11 + n22, (n11 - n22) ** 2 + 4 * n12 * n21
+def _split_integer(scale: int, tr: int, disc: int, n21: int, n22: int) -> EigenSplit:
+    """Exact split of M from L*M, its least integer multiple (trace tr, discriminant disc)."""
     sign = -1 if disc > 0 and tr < 0 else 1  # (tr + sign*sqrt(disc))/2 dominates
     root = math.isqrt(disc) if disc > 0 else 0
     if root * root == disc:  # lambda = (tr +- s)/(2 scale), x = (tr +- s - 2 n22)/(2 n21)
@@ -232,12 +236,12 @@ def _split_integer(entries: tuple) -> EigenSplit:
             values += [Fraction(tr + s - 2 * n22, 2 * n21), Fraction(tr - s - 2 * n22, 2 * n21)]
     else:
         # sqrt(disc)/scale = sqrt(num*den)/den for disc/scale^2 = num/den in lowest terms
-        ratio = Fraction(disc, scale * scale)
-        radicand, den = ratio.numerator * ratio.denominator, ratio.denominator
+        g = math.gcd(disc, scale * scale)
+        num, den = disc // g, scale * scale // g
         parts = [(Fraction(tr, 2 * scale), Fraction(sign, 2 * den))]
         if n21:
             parts.append((Fraction(tr - 2 * n22, 2 * n21), Fraction(sign * scale, 2 * n21 * den)))
-        values = [_quadext_trusted(a, b, radicand) for a, c in parts for b in (c, -c)]
+        values = [_quadext_trusted(a, b, num * den) for a, c in parts for b in (c, -c)]
     return EigenSplit(values[0], values[1], _modulus_relation(tr, disc), *values[2:])
 
 
@@ -254,7 +258,7 @@ def classify(pcf: PeriodicCF) -> StolzReport:
 
 
 def _verdict(matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
-    if is_zero(matrix.m21):
+    if matrix.m21 == 0:
         return Verdict(kind=DIVERGENT_ZERO_DENOMINATOR)
     if eigen.modulus_relation == EQUAL_REPEATED:
         return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C1")
@@ -285,9 +289,9 @@ def power_iterate(
     limiting behaviour of the ratios.
     """
     _check_index(n_steps, 0, "n_steps")
-    if is_zero(u0) and is_zero(v0):
+    if u0 == 0 and v0 == 0:
         raise ZeroStart("power iteration needs a nonzero start vector")
-    if is_zero(matrix.m21):
+    if matrix.m21 == 0:
         raise DegenerateMatrix("matrix must have a nonzero lower-left entry")
     eigen = eigen_split(matrix)
     x1, x2 = eigen.x1, eigen.x2
@@ -300,13 +304,13 @@ def power_iterate(
         mu1 = scalar_div(u0 - v0 * x2, denom)
         mu2 = scalar_div(v0 * x1 - u0, denom)
         if eigen.modulus_relation == STRICTLY_DOMINANT:
-            case = DOMINANT_DEGENERATE if is_zero(mu1) else DOMINANT_GENERIC
+            case = DOMINANT_DEGENERATE if mu1 == 0 else DOMINANT_GENERIC
         else:
             case = EQUAL_MODULUS
     steps = []
     u, v = u0, v0
     for n in range(n_steps + 1):
-        ratio = None if is_zero(v) else scalar_div(u, v)
+        ratio = None if v == 0 else scalar_div(u, v)
         steps.append(TrajectoryStep(n, u, v, ratio))
         if n < n_steps:
             u, v = matrix.apply(u, v)
@@ -315,12 +319,8 @@ def power_iterate(
 
 def reverse_period(pcf: PeriodicCF) -> PeriodicCF:
     """Reverse the period: b'(0) = b(0), b'(k) = b(p-k), a'(k) = a(p+1-k)."""
-    a = pcf.a_block
-    b = pcf.b_block
-    return PeriodicCF(
-        a_block=tuple(reversed(a)),
-        b_block=(b[0],) + tuple(reversed(b[1:])),
-    )
+    a, b = pcf.a_block, pcf.b_block
+    return PeriodicCF(a_block=a[::-1], b_block=b[:1] + b[:0:-1])
 
 
 @record
@@ -355,7 +355,7 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
         and n21 == m21
         and n11 + n22 == m11 + m22
         and n11 * n22 - n12 * n21 == m11 * m22 - m12 * m21
-        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b(0), alpha.matrix.prec) * m21
+        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b_block[0], alpha.matrix.prec) * m21
     )
     return GaloisReport(alpha, alpha_prime, holds)
 

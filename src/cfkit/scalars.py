@@ -8,7 +8,8 @@ with mpmath's libmp kernels, bit for bit as mpmath's own mpc operators round.
 
 A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
 built and never factored: arithmetic trusts it, equality compares values,
-and only the printed form reduces d to its squarefree part.
+and only the printed form reduces d to its squarefree part.  Zero is `x == 0`
+in every tower: a QuadExt never equals 0, a ComplexFloat when both parts do.
 """
 
 from __future__ import annotations
@@ -351,16 +352,12 @@ class ComplexFloat:
         if isinstance(other, ComplexFloat):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.re == other and self.im == 0
         return NotImplemented
 
     def __hash__(self):
         # a real value hashes like the int or Fraction it may equal
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def modulus(self):
         value = _libmp().mpc_abs((self.re._mpf_, self.im._mpf_), self.prec, "n")
@@ -385,10 +382,9 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     if isinstance(x, int):
         return _complexfloat_trusted(libmp.from_int(x, prec, "n"), libmp.fzero, prec)
     if isinstance(x, Fraction):
-        re = libmp.from_rational(x.numerator, x.denominator, prec, "n")
-        return _complexfloat_trusted(re, libmp.fzero, prec)
+        return _rounded_ratio(x.numerator, x.denominator, prec)
     if isinstance(x, QuadExt):
-        a, b = (ctx.fdiv(q.numerator, q.denominator) for q in (x.a, x.b))
+        a, b = (_rounded_ratio(q.numerator, q.denominator, prec).re for q in (x.a, x.b))
         root = ctx.sqrt(ctx.mpf(abs(x.d)))
         if x.d < 0:
             return ComplexFloat(a, b * root, prec)
@@ -401,6 +397,19 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     except (TypeError, ValueError):
         raise TypeError(f"cannot promote {type(x).__name__} to ComplexFloat") from None
     return ComplexFloat(value.real, value.imag, prec)
+
+
+def _rounded_ratio(z, den: int, prec: int) -> ComplexFloat:
+    """z/den to nearest at prec bits for a Gaussian integer z and an int den > 0, as libmp's
+    from_rational rounds it, but in linear time (that strips trailing zero bits 8 at a time)."""
+    libmp, k = _libmp(), (den & -den).bit_length() - 1
+    parts = (z.a.numerator, z.b.numerator) if isinstance(z, QuadExt) else (z.numerator, 0)
+    if den >> k == 1:  # den = 2^k: round, then shift
+        re, im = [libmp.from_man_exp(n, -k, prec, "n") if n else libmp.fzero for n in parts]
+    else:  # exact odd mantissas, with the zero bits moved to the exponent at once
+        re, im = [libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
+                                libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in parts]
+    return _complexfloat_trusted(re, im, prec)
 
 
 def _dyadic(value) -> int | Fraction:
@@ -434,14 +443,6 @@ def is_exact(x) -> bool:
 
 def is_rational(x) -> bool:
     return isinstance(x, RATIONAL_TYPES)
-
-
-def is_zero(x) -> bool:
-    if isinstance(x, ComplexFloat):
-        return x.is_zero
-    if isinstance(x, QuadExt):
-        return False  # irrational radical part
-    return x == 0
 
 
 def scalar_div(num, den):

@@ -343,12 +343,23 @@ def spreads(points):
     return max(values) - min(values) > TOL_SPLIT
 
 
+def reach(points):
+    """Largest squared distance of a point's value from the last one's."""
+    values = [ratio(a, b) for _, a, b in points]
+    if isinstance(values[0], Gaussian):
+        return max((v - values[-1]).norm() for v in values)
+    return max((v - values[-1]) ** 2 for v in values)
+
+
 def decided(sim):
     """Whether 200 periods show the last residue class's fate at all: it is
     undefined, constant, settled within TOL_CONV/2, an exact Moebius tail,
-    or spread past TOL_SPLIT.  A dominant root only slightly larger in
-    modulus than the other leaves none of these within reach, and a
-    property test skips such a case rather than judge it."""
+    or spread past TOL_SPLIT at least 0.9 times as widely as 150 periods
+    before.  A dominant root only slightly larger in modulus than the other
+    leaves none of these within reach: its tail still spreads, but narrows
+    geometrically, by |lambda2/lambda1|^150 < 0.9 over 150 periods once that
+    ratio is below 0.9993.  A property test skips such a case rather than
+    judge it."""
     q = sim.p - 1
     points = sim.class_points(q)
     if sim.undefined_count(q) >= 2 or len(points) < 30 or class_is_constant(points):
@@ -357,7 +368,9 @@ def decided(sim):
     last = ratio(a, b)
     if all(within(a, b, last, TOL_CONV / 2) for _, a, b in points[-20:]):
         return True
-    return spreads(points[-30:]) or moebius_tail_limit(points) is not None
+    if spreads(points[-30:]) and 100 * reach(points[-30:]) > 81 * reach(points[-180:-150]):
+        return True
+    return moebius_tail_limit(points) is not None
 
 
 def matches_zero_denominator(sim):

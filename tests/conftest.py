@@ -46,6 +46,16 @@ def random_periodic(rng, p, lo=-3, hi=3):
     )
 
 
+def random_fraction_periodic(rng, p, lo=-7, hi=7):
+    """Periodic CF whose coefficients are Fractions n/d with d in 2..7, so
+    that its period matrix has Fraction entries."""
+    draw = lambda: Fraction(nonzero_int(rng, lo, hi), rng.randint(2, 7))
+    return PeriodicCF(
+        a_block=tuple(draw() for _ in range(p)),
+        b_block=tuple(draw() for _ in range(p)),
+    )
+
+
 def random_semiregular(rng, length, b_hi=4):
     """Random semi-regular coefficients: a(n) in {-1, 1}, rational b(n) in [lo, b_hi].
 

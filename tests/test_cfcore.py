@@ -6,6 +6,7 @@ import pytest
 
 from cfkit import (
     CFSpec,
+    ComplexFloat,
     FiniteCF,
     PeriodicCF,
     RuleCF,
@@ -13,6 +14,7 @@ from cfkit import (
     evaluate_convergent,
     make_generator,
     pair_at,
+    quadext,
     shifted_table,
 )
 from cfkit import cfcore
@@ -234,6 +236,28 @@ class TestSpecs:
             PeriodicCF(a_block=(0,), b_block=(1,))
         with pytest.raises(InvalidSpec, match=r"^b\[1\] = 0 "):
             PeriodicCF(a_block=(1, 1), b_block=(1, 0))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ComplexFloat(0, 0)], ids=["int", "fraction", "complex"])
+    def test_periodic_refuses_every_form_of_zero(self, zero):
+        # a's indices start at 1 and b's at 0; the first zero of a block is named
+        cases = [
+            ((zero, 1, 1), (1, 1, 1), "a[1] = 0"),
+            ((1, 1, zero), (1, 1, 1), "a[3] = 0"),
+            ((1, 1, 1), (zero, 1, 1), "b[0] = 0"),
+            ((1, 1, 1), (1, 1, zero), "b[2] = 0"),
+            ((1, zero, zero), (1, zero, 1), "a[2] = 0"),
+        ]
+        for a, b, named in cases:
+            with pytest.raises(InvalidSpec) as refused:
+                PeriodicCF(a_block=a, b_block=b)
+            assert str(refused.value) == f"{named} is not allowed in a periodic CF"
+
+    def test_periodic_accepts_nonzero_complex_and_surd_coefficients(self):
+        spec = PeriodicCF(
+            a_block=(ComplexFloat(0, 1), quadext(0, 1, 2)),
+            b_block=(quadext(1, -1, 3), ComplexFloat(0, -1)),
+        )
+        assert spec.period == 2 and spec.a(2) == quadext(0, 1, 2)
 
     def test_periodic_wraparound(self):
         spec = PeriodicCF(a_block=(7, 8), b_block=(5, 6))

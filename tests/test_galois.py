@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,20 @@ def F(n, d=1):
 
 
 PHI = quadext(F(1, 2), F(1, 2), 5)
+
+#: SHA-256 of the reports of the sweep below, one repr a line
+SWEEP_DIGEST = "d26f94f7e5ea7ba4e9ff3e30cb00bf3745a5d89953e6939c5acb85ac4374c12e"
+
+
+def test_sweep_reports_are_pinned():
+    # every period-1..3 block over {-2, -1, 1, 2}, in product order: a change
+    # that only makes galois_analysis faster leaves each report byte for byte
+    values = (-2, -1, 1, 2)
+    cases = [PeriodicCF(a, b) for p in (1, 2, 3)
+             for a in product(values, repeat=p) for b in product(values, repeat=p)]
+    assert len(cases) == 4368
+    text = "\n".join(repr(galois_analysis(pcf)) for pcf in cases)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
 
 
 class TestGaloisAnalysis:

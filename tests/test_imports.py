@@ -219,12 +219,32 @@ def test_guard_sees_a_producer():
     assert _producers(sources) == ["m", "m.make", "m.read"]  # once each, __post_init__ left out
 
 
+def _written_fields(source: str, function: str) -> list[str]:
+    """The field names that a module-level function writes with
+    `object.__setattr__(target, "name", value)`, in `ast.walk` order."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [
+        node.args[1].value for node in ast.walk(body)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and isinstance(node.args[1], ast.Constant)
+    ]
+
+
+def test_guard_sees_a_written_field():
+    source = ("def make(m, p):\n    object.__setattr__(m, 'exact', 1)\n    if p:\n"
+              "        object.__setattr__(m, 'prec', p)\n    setattr(m, 'x', 2)\n    return m\n")
+    assert _written_fields(source, "make") == ["exact", "prec"]
+
+
 def test_one_producer_for_derived_state():
     # a record's derived state is set only where it is proved, never by a caller:
-    # the pair's coprime mark and the period matrix's exact entries and pairs;
-    # the decorator's __init__ sets the fields, scalars builds values unchecked
+    # the pair's coprime mark and the period matrix's exact entries, precision
+    # and pairs; the decorator's __init__ sets the fields, scalars builds values
+    # unchecked
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _producers(sources) == ["cfcore.pair_at", "errors.record", "periodic.build_period_matrix", "scalars"]
+    assert _written_fields(sources["periodic"], "build_period_matrix") == ["exact", "prec", "pairs"]
 
 
 def test_guard_sees_an_mpmath_slot():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 from mpmath.libmp import to_rational
 
 import cfkit.periodic
@@ -47,6 +49,7 @@ from conftest import (
     equal_modulus_cf,
     footnote_cf,
     golden_cf,
+    random_fraction_periodic,
     random_periodic,
     thiele_cf,
 )
@@ -201,36 +204,39 @@ class TestEigenSplit:
 
     def test_trace_and_det_identities(self, rng):
         for _ in range(150):
-            pcf = random_periodic(rng, rng.randint(1, 4))
-            m = build_period_matrix(pcf)
-            split = eigen_split(m)
-            assert split.lambda1 + split.lambda2 == m.trace
-            assert split.lambda1 * split.lambda2 == m.det
+            p = rng.randint(1, 4)
+            for pcf in (random_periodic(rng, p), random_fraction_periodic(rng, p)):
+                m = build_period_matrix(pcf)
+                split = eigen_split(m)
+                assert split.lambda1 + split.lambda2 == m.trace
+                assert split.lambda1 * split.lambda2 == m.det
 
     def test_fixed_point_relations(self, rng):
         # lambda_i = x_i B(p-1) + a(p) B(p-2)
         for _ in range(150):
-            pcf = random_periodic(rng, rng.randint(1, 4))
-            m = build_period_matrix(pcf)
-            split = eigen_split(m)
-            if split.x1 is None:
-                assert m.m21 == 0
-                continue
-            assert split.x1 * m.m21 + m.m22 == split.lambda1
-            assert split.x2 * m.m21 + m.m22 == split.lambda2
+            p = rng.randint(1, 4)
+            for pcf in (random_periodic(rng, p), random_fraction_periodic(rng, p)):
+                m = build_period_matrix(pcf)
+                split = eigen_split(m)
+                if split.x1 is None:
+                    assert m.m21 == 0
+                    continue
+                assert split.x1 * m.m21 + m.m22 == split.lambda1
+                assert split.x2 * m.m21 + m.m22 == split.lambda2
 
     def test_eigen_equation_on_matrix(self, rng):
         # (x_i, 1) are genuine eigenvectors
         for _ in range(80):
-            pcf = random_periodic(rng, rng.randint(1, 3))
-            m = build_period_matrix(pcf)
-            split = eigen_split(m)
-            if split.x1 is None:
-                continue
-            for x, lam in ((split.x1, split.lambda1), (split.x2, split.lambda2)):
-                u, v = m.apply(x, 1)
-                assert u == lam * x
-                assert v == lam
+            p = rng.randint(1, 3)
+            for pcf in (random_periodic(rng, p), random_fraction_periodic(rng, p)):
+                m = build_period_matrix(pcf)
+                split = eigen_split(m)
+                if split.x1 is None:
+                    continue
+                for x, lam in ((split.x1, split.lambda1), (split.x2, split.lambda2)):
+                    u, v = m.apply(x, 1)
+                    assert u == lam * x
+                    assert v == lam
 
     def test_init_identities(self, rng):
         # A(p-1) - x1 B(p-1) = lambda2 and A(p-1) - x2 B(p-1) = lambda1
@@ -342,6 +348,30 @@ class TestClassify:
 
 
 class TestClassifyComplexTower:
+    def test_wide_binary_exponents_keep_their_reports(self):
+        # 10^-3000 and 10^-10000 are dyadics of some 10^4 and 3.3 * 10^4 bits
+        reports = []
+        for e in ("1e-3000", "1e-10000"):
+            tiny = mpf(e)
+            for a, b in (((1,), (ComplexFloat(tiny, 1),)), ((ComplexFloat(-1, tiny),), (ComplexFloat(2 * tiny, 3),))):
+                reports.append(repr(classify(PeriodicCF(a_block=a, b_block=b))))
+        digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+        assert digest == "a6d6557e4c6a3fd0cba65820d5b9e14e70cf9e0adab1e0fc1a77568ff117890b"
+
+    def test_wide_binary_exponent_takes_no_quadratic_time(self):
+        # b = 10^-50000 + i: its exact real part has a 166,000-bit denominator,
+        # whose gcds took seconds when the decision ran on Fractions; on
+        # Gaussian integers scaled by a power of two it takes milliseconds
+        script = (
+            "from mpmath import mpf\n"
+            "from cfkit import ComplexFloat, PeriodicCF, classify\n"
+            "b = ComplexFloat(mpf('1e-50000'), 1)\n"
+            "print(classify(PeriodicCF(a_block=(1,), b_block=(b,))).verdict.kind)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == CONVERGENT
+
     def test_golden_float(self):
         report = classify(complex_pcf((1,), (1,)))
         assert report.verdict.kind == CONVERGENT
@@ -625,3 +655,19 @@ class TestClassifierAgainstSimulation:
             if not matched_verdict(Simulation(pcf, periods=200), rep):
                 failures.append((a, b, rep.verdict.kind))
         assert failures == []
+
+    def test_fraction_and_gaussian_sweep_reports_are_pinned(self):
+        # the two sweeps above, report by report: Fraction entries take the
+        # least-common-denominator scaling, Gaussian ones the rounded ratios
+        values = (F(-3, 2), F(-1, 2), F(1, 2), 1, F(3, 2), -1)
+        cases = [PeriodicCF(a, b) for p in (1, 2) for a in itertools.product(values, repeat=p)
+                 for b in itertools.product(values, repeat=p)]
+        small = (1, -1, 2, 1j, -1j, 2j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)
+        units = (1, -1, 1j, -1j)
+        gaussian = [((a,), (b,)) for a in small for b in small]
+        gaussian += [(a, b) for a in itertools.product(units, repeat=2) for b in itertools.product(units, repeat=2)]
+        cases += [complex_pcf(a, b) for a, b in gaussian]
+        text = "\n".join(repr(classify(pcf)) for pcf in cases)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5e887512c1cc0c4733f1b10759c2811b935453a62fcafa60c46351870205034d"
+        )

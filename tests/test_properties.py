@@ -244,7 +244,7 @@ def complex_cases(draw):
     coefficient = st.builds(lambda re, im: ComplexFloat(re, im, prec), part, part)
     if draw(st.booleans()):
         p = draw(st.integers(1, 3))
-        blocks = st.lists(coefficient.filter(lambda z: not z.is_zero), min_size=p, max_size=p)
+        blocks = st.lists(coefficient.filter(lambda z: z != 0), min_size=p, max_size=p)
         spec = PeriodicCF(a_block=draw(blocks), b_block=draw(blocks))
         return spec, draw(st.integers(0, 4)), draw(st.integers(0, 12), label="n_max"), prec
     n = draw(st.integers(1, 10))

@@ -7,7 +7,7 @@ import pytest
 from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, coprime_fraction, is_zero, scalar_div
+from cfkit.scalars import _ctx, coprime_fraction, scalar_div
 
 
 def F(n, d=1):
@@ -387,10 +387,18 @@ def test_complex_kernels_match_mpmath_bit_for_bit(rng, prec):
 
 
 class TestHelpers:
-    def test_is_zero(self):
-        assert is_zero(F(0)) and is_zero(0)
-        assert not is_zero(quadext(0, 1, 2))
-        assert is_zero(ComplexFloat(0, 0))
+    def test_zero_compares_equal_in_every_tower(self):
+        # `x == 0` is the zero test: ComplexFloat compares both parts, and a
+        # QuadExt has an irrational part, so it never equals 0
+        assert F(0) == 0 and 0 == F(0) and 0 == 0
+        assert F(1, 3) != 0 and F(-2) != 0
+        assert not quadext(0, 1, 2) == 0 and quadext(0, 1, 2) != 0
+        assert quadext(0, 1, -1) != 0 and 0 != quadext(F(1, 2), F(-1, 3), 12)
+        for prec in (64, 128, 256):
+            assert ComplexFloat(0, 0, prec) == 0 and 0 == ComplexFloat(0, 0, prec)
+            assert ComplexFloat(0, 1, prec) != 0 and ComplexFloat(1, 0, prec) != 0
+            assert ComplexFloat(_ctx(prec).mpf(2) ** -10000, 0, prec) != 0
+            assert ComplexFloat(1, 1, prec) - ComplexFloat(1, 1, prec) == 0
 
     def test_fraction_canonical_form_after_ops(self, rng):
         for _ in range(200):
