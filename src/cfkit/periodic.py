@@ -38,9 +38,11 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     Scalar,
+    _complexfloat_trusted,
     _exact,
+    _libmp,
     _quadext_trusted,
-    _rounded_ratio,
+    _rounded_parts,
     as_complexfloat,
     is_rational,
     scalar_div,
@@ -187,42 +189,47 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     exact matrix is scaled to integers, which give its eigenvalues and fixed
     points exactly.  A floating matrix is decided and ordered on its exact
     entries, scaled by a power of two to Gaussian integers, and its values
-    come from them without cancellation, at the largest entry precision.
+    come from them without cancellation, at the largest entry precision, by
+    the ComplexFloat operators' libmp kernels on raw tuples, rounding alike.
     """
     if QuadExt in map(type, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
                             "need nested radicals; use the complex tower instead")
-    # L M, for L the least common denominator of the entries' parts, is (Gaussian)
-    # integer: no decision takes a wide gcd, and each value is rounded once, exactly
+    # L M, for L the least common denominator of the entries' parts (for dyadic ones, the largest),
+    # is (Gaussian) integer: no decision takes a wide gcd, and each value is rounded once, exactly
     n11, n12, n21, n22 = entries = matrix.exact
-    scale = 1
+    scale, prec = 1, matrix.prec
     if not type(n11) is type(n12) is type(n21) is type(n22) is int:
-        parts = (q for m in entries for q in ((m.a, m.b) if isinstance(m, QuadExt) else (m,)))
-        scale = math.lcm(*(q.denominator for q in parts))
-        n11, n12, n21, n22 = (m * scale if isinstance(m, QuadExt) else int(m * scale) for m in entries)
+        parts = [(m.a, m.b) if isinstance(m, QuadExt) else (m, 0) for m in entries]
+        scale = (max if prec else math.lcm)(*(q.denominator for part in parts for q in part))
+        up = lambda q: q.numerator * (scale // q.denominator)
+        n11, n12, n21, n22 = (_quadext_trusted(up(re), up(im), -1) for re, im in parts)  # int if im = 0
     tr, det = n11 + n22, n11 * n22 - n12 * n21
     if det == 0:
         raise DegenerateMatrix("determinant is zero")
-    disc, prec = tr * tr - 4 * det, matrix.prec
+    disc = tr * tr - 4 * det
     if not prec:
         return _split_integer(scale, tr, disc, n21, n22)
-    rounded, relation = partial(_rounded_ratio, den=scale, prec=prec), _modulus_relation(tr, disc)
-    t = rounded(tr)
+    lib, rounded = _libmp(), partial(_rounded_parts, den=scale, prec=prec)
+    add, sub, mul, div, sqrt, modulus = (partial(kernel, prec=prec, rnd="n") for kernel in (
+        lib.mpc_add, lib.mpc_sub, lib.mpc_mul, lib.mpc_div, lib.mpc_sqrt, lib.mpc_abs))
+    t, relation = rounded(tr), _modulus_relation(tr, disc)
     if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
-        s = t * rounded(disc * (tr * tr).conjugate(), den=((tr * tr.conjugate()) ** 2).numerator).sqrt()
+        s = mul(t, sqrt(rounded(disc * (tr * tr).conjugate(), den=((tr * tr.conjugate()) ** 2).numerator)))
     else:
-        s = rounded(disc, den=scale * scale).sqrt()
-    lam1 = (t + s) / 2  # Re(s conj(t)) >= 0 (0 at equal moduli): t + s does not cancel
-    x1 = x2 = None
+        s = sqrt(rounded(disc, den=scale * scale))
+    lam1 = [lib.mpf_shift(z, -1) for z in add(t, s)]  # Re(s conj(t)) >= 0: no cancellation, exact /2
+    values = [lam1, div(rounded(det, den=scale * scale), lam1)]
     if n21 != 0:
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
         d, two_m12, two_m21 = rounded(n11 - n22), rounded(2 * n12), rounded(2 * n21)
-        u, v = d + s, s - d
-        if u.modulus() < v.modulus():
-            x1, x2 = two_m12 / v, -v / two_m21
+        u, v = add(d, s), sub(s, d)
+        if lib.mpf_lt(modulus(u), modulus(v)):
+            values += [div(two_m12, v), div(lib.mpc_neg(v), two_m21)]
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
-            x1, x2 = u / two_m21, (u if u == 0 else -two_m12 / u)
-    return EigenSplit(lam1, rounded(det, den=scale * scale) / lam1, relation, x1, x2)
+            values += [div(u, two_m21), u if u == lib.mpc_zero else div(lib.mpc_neg(two_m12), u)]
+    lam1, lam2, *xs = (_complexfloat_trusted(*z, prec) for z in values)
+    return EigenSplit(lam1, lam2, relation, *xs)
 
 
 def _split_integer(scale: int, tr: int, disc: int, n21: int, n22: int) -> EigenSplit:

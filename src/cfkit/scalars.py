@@ -3,8 +3,8 @@
 A computation normally stays inside one tower.  Promotion only goes up:
 ints and Fractions embed into QuadExt (same radicand) and into ComplexFloat;
 QuadExt embeds into ComplexFloat by evaluating its square root numerically
-at the target precision.  ComplexFloat arithmetic runs on the raw mpf tuples
-with mpmath's libmp kernels, bit for bit as mpmath's own mpc operators round.
+at the target precision.  ComplexFloat operators run mpmath's libmp kernels on
+raw mpf tuples, bit for bit as mpc; the periodic complex split calls them alike.
 
 A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
 built and never factored: arithmetic trusts it, equality compares values,
@@ -120,7 +120,7 @@ _new_object = object.__new__
 _set_field = object.__setattr__
 
 
-def _quadext_trusted(a: Fraction, b: Fraction, d: int) -> "Scalar":
+def _quadext_trusted(a: RationalLike, b: RationalLike, d: int) -> "Scalar":
     """a + b*sqrt(d) for a radicand already known to be a non-square integer.
 
     Arithmetic inside one radicand cannot make sqrt(d) rational, so the only
@@ -400,16 +400,19 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
 
 
 def _rounded_ratio(z, den: int, prec: int) -> ComplexFloat:
-    """z/den to nearest at prec bits for a Gaussian integer z and an int den > 0, as libmp's
-    from_rational rounds it, but in linear time (that strips trailing zero bits 8 at a time)."""
+    return _complexfloat_trusted(*_rounded_parts(z, den, prec), prec)
+
+
+def _rounded_parts(z, den: int, prec: int) -> list:
+    """Raw (re, im) of z/den to nearest at prec bits for a Gaussian integer z and an int den > 0,
+    as libmp's from_rational rounds it, but in linear time (that strips trailing zero bits 8 at a time)."""
     libmp, k = _libmp(), (den & -den).bit_length() - 1
     parts = (z.a.numerator, z.b.numerator) if isinstance(z, QuadExt) else (z.numerator, 0)
     if den >> k == 1:  # den = 2^k: round, then shift
-        re, im = [libmp.from_man_exp(n, -k, prec, "n") if n else libmp.fzero for n in parts]
-    else:  # exact odd mantissas, with the zero bits moved to the exponent at once
-        re, im = [libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
-                                libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in parts]
-    return _complexfloat_trusted(re, im, prec)
+        return [libmp.from_man_exp(n, -k, prec, "n") if n else libmp.fzero for n in parts]
+    # exact odd mantissas, with the zero bits moved to the exponent at once
+    return [libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
+                          libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in parts]
 
 
 def _dyadic(value) -> int | Fraction:

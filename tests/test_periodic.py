@@ -372,6 +372,49 @@ class TestClassifyComplexTower:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == CONVERGENT
 
+    def test_complex_split_reports_are_pinned(self):
+        # every value the complex split rounds, bit for bit: seeded Gaussian
+        # dyadic periods at three precisions, +-1 period-3 grids (a(2) = -b(1) b(2)
+        # makes m21 = B(2) = 0), 2^-3000 parts, and real 3-digit period-4 blocks
+        rng = random.Random(24)
+        tiny = mpf(2) ** -3000
+        part = lambda: mpf(rng.choice((0, 0, 1, -1, 2, -3, rng.randint(-99, 99)))) / 2 ** rng.randint(0, 4)
+        lift = lambda block, prec: tuple(as_complexfloat(x, prec) for x in block)
+        cases = []
+        for prec in (64, 128, 300):
+            for _ in range(150):
+                p = rng.randint(1, 4)
+                a = tuple(ComplexFloat(rng.choice((1, -1, 2)), part(), prec) for _ in range(p))
+                b = tuple(ComplexFloat(part(), part(), prec) for _ in range(p))
+                if 0 not in b:
+                    cases.append(PeriodicCF(a_block=a, b_block=b))
+            cases += [PeriodicCF(a_block=lift(a, prec), b_block=lift(b, prec))
+                      for a in itertools.product((1, -1), repeat=3) for b in itertools.product((1, 1j), repeat=3)]
+            cases += [PeriodicCF(a_block=(ComplexFloat(1, tiny, prec),) * p,
+                                 b_block=tuple(ComplexFloat(tiny * k, 1 - k, prec) for k in range(p))) for p in (1, 2)]
+        for _ in range(16):
+            a, b = ([rng.randint(100, 999) for _ in range(4)] for _ in "ab")
+            cases.append(PeriodicCF(a_block=lift(a, 128), b_block=lift(b, 128)))
+        reports = [classify(pcf) for pcf in cases]
+        # M = [[2, 0], [1, 2]]: s = m11 - m22 = 0, so u = 0 and 0 is a double fixed point
+        double = eigen_split(PeriodMatrix(*lift((2, 0, 1, 2), 128)))
+        assert double.x1 == double.x2 == 0 and double.modulus_relation == EQUAL_REPEATED
+        text = "\n".join(map(repr, [*reports, double]))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "afa093aeef853c8b77062c61b357059410dc8ee2d26074c489c97785a6a42675"
+        )
+        relations = {r.eigen.modulus_relation for r in reports}
+        assert relations == {STRICTLY_DOMINANT, EQUAL_DISTINCT, EQUAL_REPEATED}
+        assert any(r.matrix.m21 == 0 for r in reports)
+        # the fixed points divide by the larger of u = d + s and v = s - d, s = 2 lambda1 - tr
+        branches = set()
+        for r in reports:
+            m = r.matrix
+            if m.m21 != 0:
+                d, s = m.m11 - m.m22, 2 * r.eigen.lambda1 - m.trace
+                branches.add((d + s).modulus() < (s - d).modulus())
+        assert branches == {True, False}
+
     def test_golden_float(self):
         report = classify(complex_pcf((1,), (1,)))
         assert report.verdict.kind == CONVERGENT

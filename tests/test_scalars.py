@@ -7,7 +7,7 @@ import pytest
 from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, coprime_fraction, scalar_div
+from cfkit.scalars import _ctx, _libmp, coprime_fraction, scalar_div
 
 
 def F(n, d=1):
@@ -384,6 +384,22 @@ def test_complex_kernels_match_mpmath_bit_for_bit(rng, prec):
         F(1, 3) / ComplexFloat(0, 0, prec)
     with pytest.raises(TypeError):
         ComplexFloat(1, 0, prec) + "x"
+
+
+@pytest.mark.parametrize("prec", [64, 128, 300])
+def test_halving_by_shift_is_complex_division_by_two(rng, prec):
+    # eigen_split halves t + s by shifting each part's exponent.  libmp's mpc_div
+    # by (2, 0) forms 2a + 0b and 2b - 0a exactly at prec + 10 bits and divides
+    # them by the exact 4, so for parts of at most prec bits it rounds nothing
+    libmp = _libmp()
+    for _ in range(100):
+        z, w = (_gaussian_dyadic(rng, prec) for _ in range(2))
+        raw = (z.re._mpf_, z.im._mpf_)
+        for value in (raw, libmp.mpc_add(raw, (w.re._mpf_, w.im._mpf_), prec, "n")):
+            halved = tuple(libmp.mpf_shift(part, -1) for part in value)
+            assert halved == libmp.mpc_div(value, libmp.mpc_two, prec, "n")
+            quotient = ComplexFloat(*value, prec) / 2
+            assert halved == (quotient.re._mpf_, quotient.im._mpf_)
 
 
 class TestHelpers:
