@@ -7,8 +7,8 @@ n >= 0.  Convergent numerators and denominators follow
     A(n) = b(n) A(n-1) + a(n) A(n-2),      A(-1) = 1, A(0) = b(0),
     B(n) = b(n) B(n-1) + a(n) B(n-2),      B(-1) = 0, B(0) = 1,
 
-`recurrence` is the one loop that evaluates them, streaming the pairs for
-the tables and the scans that need every index.  A single pair is a product
+`recurrence` streams them for the tables and the scans that need every
+index; `evaluate_tietze` steps them inline.  A single pair is a product
 of 2x2 step matrices instead: `pair_at` builds the product of each run of up
 to 64 steps with `recurrence` and multiplies the runs as a balanced tree, or
 by powers of the period matrix for a periodic CF, which costs

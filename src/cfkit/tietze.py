@@ -17,20 +17,21 @@ about the square of the window bound 1/B(n-1) on
 certified error bound.  The bound needs the conditions on every term of the
 tail, so `evaluate_tietze` checks all of a finite CF and p + 1 terms of a
 periodic CF of period p; an unbounded rule is checked on the terms read, and
-beyond them its semi-regularity is a premise.  `_semiregular_terms` is the one
-loop that applies the conditions.
+beyond them its semi-regularity is a premise.  The conditions are written
+twice: inline in `evaluate_tietze`'s loop, which tests each term as it steps
+the recurrence, and in `_check_terms`, which `validate_semiregular` and the
+reading-on past the stopping index share.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, islice, tee
+from itertools import accumulate, islice
 from math import isqrt
 from typing import Literal
 
-from .cfcore import CFSpec, PeriodicCF, _check_index, iter_pairs, recurrence
+from .cfcore import CFSpec, PeriodicCF, _check_index, iter_pairs
 from .errors import (
     CertificateFailure,
     InvalidSpec,
@@ -103,17 +104,15 @@ def _violation(n: int, b_prev, a_n, b_n) -> Violation | None:
         return Violation(n, "b_below_one")
 
 
-def _semiregular_terms(spec: CFSpec):
-    """(a(n), b(n)) for n = 1, 2, ..., refusing the first term that is not
-    rational or that breaks a semi-regular condition."""
-    b_prev = 2  # makes the sum condition vacuous at n = 1
-    for n, term in enumerate(spec.terms(1), 1):
-        a_n, b_n = term
+def _check_terms(terms, n: int = 1, b_prev=2) -> None:
+    """Refuse the first of `terms`, read as (a(n), b(n)), (a(n+1), b(n+1)), ...,
+    that is not rational or breaks a semi-regular condition; b_prev is
+    b(n-1), and the default 2 makes the sum condition vacuous at n = 1."""
+    for n, (a_n, b_n) in enumerate(terms, n):
         if not (isinstance(a_n, RATIONAL_TYPES) and isinstance(b_n, RATIONAL_TYPES)):
             raise _tower_mismatch(n, a_n, b_n)
         if not ((a_n == 1 or a_n == -1) and b_n >= 1 and b_prev + a_n >= 1):
             raise NotSemiRegular(_violation(n, b_prev, a_n, b_n))
-        yield term
         b_prev = b_n
 
 
@@ -126,7 +125,7 @@ def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     _check_index(n_max, 1, "n_max")
     spec.require(n_max)
     try:
-        deque(islice(_semiregular_terms(spec), n_max + 1), maxlen=0)
+        _check_terms(islice(spec.terms(1), n_max + 1))
     except NotSemiRegular as exc:
         if exc.violation.n <= n_max:
             return SemiRegularReport(False, exc.violation, n_max)
@@ -205,14 +204,15 @@ def evaluate_tietze(
     1/epsilon and returns A(n)/B(n) with the error bound
     1/(B(n) (B(n) + a(n+1) B(n-1))) < epsilon: the limit lies between
     A(n)/B(n) and (A(n) + a(n+1) A(n-1))/(B(n) + a(n+1) B(n-1)), the images
-    of the tails oo and 1.  The test needs a(n+1), so the terms are read one
-    ahead of the recurrence.  A finite spec that reaches its last index N
+    of the tails oo and 1.  The test needs a(n+1), so one loop reads and
+    checks (a(n+1), b(n+1)), tests the enclosure at n, and only then steps
+    (A, B) to n + 1.  A finite spec that reaches its last index N
     returns A(N)/B(N), its exact value, with error bound 0, and a(N+1) is
     never asked for.
 
     The bound needs the semi-regular conditions on the whole tail, so each
     term is checked as it is read, and after stopping the check reads on,
-    without recurrence steps, through every coefficient the value depends
+    without stepping (A, B), through every coefficient the value depends
     on: to the last index of a finite spec, and to index p + 1 of a periodic
     spec of period p, which covers every condition.  A rule is checked only
     on the terms read, n + 1 of them; beyond them its semi-regularity is a
@@ -224,27 +224,31 @@ def evaluate_tietze(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    _check_index(max_terms, 0, "max_terms")
     # certified once B(n) (B(n) + a(n+1) B(n-1)) eps > 1, in integers; the
     # B are positive, so the product is at most 2 max(B(n-1), B(n))^2 and
     # cannot pass while both are <= floor
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
     floor = isqrt(eps_den // (2 * eps_num))
-    terms = _semiregular_terms(spec)
-    feed, ahead = tee(islice(terms, max_terms))
-    pairs = recurrence(spec.b(0), feed)
-    n, b_prev = -1, 0
-    # `ahead` runs one term in front of `pairs`: (a(n+1), b(n+1)) with (A(n), B(n))
-    for n, ((a_next, _), (a_cur, b_cur)) in enumerate(zip(ahead, pairs)):
-        if (b_cur > floor or b_prev > floor) and (
-            (inverse_width := b_cur * (b_cur + a_next * b_prev)) * eps_num > eps_den
+    # A(n), B(n), A(n-1), B(n-1) and b(n) at n = 0; b(0) is unconstrained,
+    # and 2 makes the sum condition vacuous at n = 1
+    num, den, num_prev, den_prev, b_n = spec.b(0), 1, 1, 0, 2
+    terms, n = spec.terms(1), -1
+    for n, (a_next, b_next) in enumerate(islice(terms, max_terms)):
+        if not (isinstance(a_next, RATIONAL_TYPES) and isinstance(b_next, RATIONAL_TYPES)):
+            raise _tower_mismatch(n + 1, a_next, b_next)
+        if not ((a_next == 1 or a_next == -1) and b_next >= 1 and b_n + a_next >= 1):
+            raise NotSemiRegular(_violation(n + 1, b_n, a_next, b_next))
+        if (den > floor or den_prev > floor) and (
+            (inverse_width := den * (den + a_next * den_prev)) * eps_num > eps_den
         ):
             last = spec.period + 1 if isinstance(spec, PeriodicCF) else spec.max_index
             checked_up_to = max(n + 1, last or 0)
-            deque(islice(terms, checked_up_to - n - 1), maxlen=0)
+            _check_terms(islice(terms, checked_up_to - n - 1), n + 2, b_next)
             bound = Fraction(1, 1) / inverse_width
-            return BoundedValue(scalar_div(a_cur, b_cur), n, bound, checked_up_to)
-        b_prev = b_cur
+            return BoundedValue(scalar_div(num, den), n, bound, checked_up_to)
+        num, num_prev = b_next * num + a_next * num_prev, num
+        den, den_prev, b_n = b_next * den + a_next * den_prev, den, b_next
     if n + 1 == spec.max_index:  # every term read: A(N)/B(N) is the value
-        a_cur, b_cur = next(pairs)
-        return BoundedValue(scalar_div(a_cur, b_cur), n + 1, Fraction(0), n + 1)
+        return BoundedValue(scalar_div(num, den), n + 1, Fraction(0), n + 1)
     raise IterationCap(max_terms)

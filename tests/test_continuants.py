@@ -10,6 +10,7 @@ from cfkit import (
     continuant_oracle,
     convergent_table,
     denominator_bounds_certificate,
+    evaluate_tietze,
     first_column_expansion,
     pair_at,
     power_iterate,
@@ -279,8 +280,10 @@ def test_footnote_matrix_values_via_continuants():
     (lambda: denominator_bounds_certificate(golden_cf(), 1), "n_max must be >= 2, got 1"),
     (lambda: power_iterate(build_period_matrix(golden_cf()), 1, 0, -1),
      "n_steps must be >= 0, got -1"),
+    (lambda: evaluate_tietze(golden_cf(), Fraction(1, 10), max_terms=-1),
+     "max_terms must be >= 0, got -1"),
 ], ids=["reverse_relations", "validate_semiregular", "denominator_bounds_certificate",
-        "power_iterate"])
+        "power_iterate", "evaluate_tietze"])
 def test_index_range_checks_keep_their_messages(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

@@ -252,6 +252,22 @@ class TestEvaluate:
         bounded = evaluate_tietze(make_generator("sqrt2"), Fraction(1, 10))
         assert bounded.checked_up_to == bounded.n_used + 1 == 3
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rule_read_one_past_the_stopping_index(self, k):
+        # 1 + 1/(2 + 1/(2 + ...)) stops at n = 2 (B(2) (B(2) + B(1)) = 35 > 10)
+        # after reading term 3; b(k) = 1/2 is seen at k = 3 and never read at 4
+        spec = RuleCF(
+            a_rule=lambda n: 1,
+            b_rule=lambda n: 1 if n == 0 else Fraction(1, 2) if n == k else 2,
+        )
+        if k == 3:
+            with pytest.raises(InvalidSpec, match="b_below_one at n = 3"):
+                evaluate_tietze(spec, Fraction(1, 10))
+        else:
+            assert evaluate_tietze(spec, Fraction(1, 10)) == BoundedValue(
+                Fraction(7, 5), 2, Fraction(1, 35), 3
+            )
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -270,6 +286,58 @@ class TestEvaluate:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             evaluate_tietze(footnote_cf(), Fraction(0))
+
+
+def _plain_tietze(b0, terms, eps):
+    """(value, n_used, error_bound) by a plain loop over the (a(n), b(n))
+    list, and B(n - 1) at [n] for n = 0 .. n_used + 1."""
+    nums, dens = [1, b0], [0, 1]  # A(n) and B(n) at [n + 1]
+    for n, (a, b) in enumerate(terms):
+        width = Fraction(1) / (dens[-1] * (dens[-1] + a * dens[-2]))
+        if width < eps:
+            return (Fraction(nums[-1]) / dens[-1], n, width), dens
+        nums.append(b * nums[-1] + a * nums[-2])
+        dens.append(b * dens[-1] + a * dens[-2])
+    # a finite spec's last index: its exact value
+    return (Fraction(nums[-1]) / dens[-1], len(terms), Fraction(0)), dens
+
+
+def _random_block(rng, p):
+    """A semi-regular period, b(n) + a(n+1) > 1 for every n, so B grows fast."""
+    a = [rng.choice((-1, 1)) for _ in range(p)]  # a[i] = a(i+1), b[i] = b(i)
+    dens = [rng.randint(1, 4) for _ in range(p)]
+    b = [(2 if a_next == -1 else 1) + Fraction(rng.randint(1, 3 * den), den)
+         for a_next, den in zip(a, dens)]
+    return tuple(a), tuple(b)
+
+
+@pytest.mark.parametrize("digits", [6, 60, 600])
+def test_minimal_n_used_matches_a_plain_loop(rng, digits):
+    # every field equals the plain loop's, and the width at n_used - 1 does
+    # not pass eps; checked_up_to is N for a finite spec, n_used + 1 for a
+    # rule and max(n_used + 1, p + 1) for a periodic spec
+    eps = Fraction(1, 10**digits)
+
+    def check(spec, terms, checked_up_to):
+        (value, n_used, bound), dens = _plain_tietze(spec.b(0), terms, eps)
+        bounded = evaluate_tietze(spec, eps)
+        assert bounded == BoundedValue(value, n_used, bound, checked_up_to(n_used))
+        if (n := bounded.n_used) >= 1:
+            a = terms[n - 1][0]
+            assert Fraction(1) / (dens[n] * (dens[n] + a * dens[n - 1])) >= eps
+        return n
+
+    for _ in range(3):
+        for length in (3, 40, 1500):
+            finite = random_semiregular(rng, length)
+            terms = list(zip(finite.a_list, finite.b_list[1:]))
+            if check(finite, terms, lambda n: len(terms)) < len(terms):
+                # past a finite list a rule runs out
+                check(RuleCF(a_rule=finite.a, b_rule=finite.b), terms, lambda n: n + 1)
+        a_block, b_block = _random_block(rng, rng.randint(1, 12))
+        periodic = PeriodicCF(a_block=a_block, b_block=b_block)
+        terms = [(periodic.a(n), periodic.b(n)) for n in range(1, 4000)]
+        assert check(periodic, terms, lambda n: max(n + 1, len(a_block) + 1)) < len(terms)
 
 
 class TestCauchyEnvelope:
