@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +39,27 @@ def test_sweep_reports_are_pinned():
     assert len(cases) == 4368
     text = "\n".join(repr(galois_analysis(pcf)) for pcf in cases)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
+
+
+#: SHA-256 of the reports of the seeded Fraction sweep below, one repr a line
+FRACTION_SWEEP_DIGEST = "9f11c93fdec00022753552ff7f267b48b4a64d1fee61a7531aeefc6b004c75ff"
+
+
+def test_fraction_sweep_reports_are_pinned():
+    # 3,000 seeded period-1..3 blocks with parts +-1..3 over 1, 2, 3 and 5: the
+    # two period matrices of a case can take different integer multiples, which
+    # the relation check must bring to a common one
+    rng = random.Random(26)
+    part = lambda: F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((1, 2, 3, 5)))
+    cases = []
+    for _ in range(3000):
+        p = rng.randint(1, 3)
+        cases.append(PeriodicCF(tuple(part() for _ in range(p)), tuple(part() for _ in range(p))))
+    reports = [galois_analysis(pcf) for pcf in cases]
+    assert all(report.relation_holds for report in reports)
+    assert sum(report.alpha.verdict.is_convergent for report in reports) == 2130
+    text = "\n".join(map(repr, reports))
+    assert hashlib.sha256(text.encode()).hexdigest() == FRACTION_SWEEP_DIGEST
 
 
 class TestGaloisAnalysis:
