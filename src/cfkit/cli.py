@@ -32,7 +32,7 @@ from .periodic import (
     reverse_period,
 )
 from .render import format_exact, format_float, int_texts, parse_exact
-from .scalars import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
+from .scalars import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
 from .tietze import NotSemiRegular, evaluate_tietze
 
@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     # their defaults, as every parser shares these action objects
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--json", action="store_true", help="emit a JSON report")
-    flags.add_argument("--precision", type=int, metavar="BITS", help="working precision for the "
-                       f"complex tower (>= {MIN_PRECISION_BITS}, default {DEFAULT_PRECISION_BITS})")
+    flags.add_argument("--precision", type=int, metavar="BITS", help="working precision for the complex "
+                       f"tower ({MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, default {DEFAULT_PRECISION_BITS})")
     parser = argparse.ArgumentParser(
         prog="cfkit", parents=[flags],
         description="Exact continued-fraction analysis: convergents, continuants, "
@@ -374,8 +374,8 @@ def main(argv: list[str] | None = None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = build_parser().parse_args(argv, argparse.Namespace(json=False, precision=None))
-        if args.precision is not None and args.precision < MIN_PRECISION_BITS:
-            _diag(f"precision must be >= {MIN_PRECISION_BITS} bits")
+        if args.precision is not None and not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
+            _diag(f"precision must be {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} bits")
             return EXIT_PARSE
         return args.func(args)
     except _NotPeriodic as exc:

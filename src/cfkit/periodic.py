@@ -11,10 +11,10 @@ report carries the witness index.
 Every decision is an exact identity in the entries, tr = m11 + m22 and
 D = tr^2 - 4 det: equal moduli exactly when D = 0 or tr^2 conj(D) is a real
 <= 0, and A(q) on x2 exactly when w = 2 m21 A(q) - (tr - 2 m22) B(q) has
-w^2 = D B(q)^2 and Re(-tr conj(w) B(q)) > 0.  A ComplexFloat holds dyadic
-rationals, so complex input is decided over the Gaussian rationals (in
-`eigen_split`, on the entries scaled to Gaussian integers by a power of two);
-only its values are rounded, each once.  `classify` is the only fixed-point
+w^2 = D B(q)^2 and Re(-tr conj(w) B(q)) > 0.  Each is homogeneous, so every
+decision reads one integer form c M, c > 0 (`PeriodMatrix.scaled`): complex
+input, which is dyadic, is decided on Gaussian integers, and only its values
+are rounded, each once.  `classify` is the only fixed-point
 (Thiele) scan; the Galois and conjugate checks compare its results.
 """
 
@@ -39,11 +39,11 @@ from .scalars import (
     QuadExt,
     Scalar,
     _complexfloat_trusted,
-    _exact,
+    _integer_form,
     _libmp,
     _quadext_trusted,
     _rounded_parts,
-    as_complexfloat,
+    _rounded_ratio,
     is_rational,
     scalar_div,
 )
@@ -66,9 +66,9 @@ REPEATED = "repeated"
 @record
 class PeriodMatrix:
     """M = [[A(p-1), a(p)A(p-2)], [B(p-1), a(p)B(p-2)]] plus trace and det.
-    `build_period_matrix` sets `exact`, the entries unrounded, `prec`, the
-    largest ComplexFloat precision (0 when exact), and `pairs`, the exact
-    (A(q), B(q)) for q = 0 .. p-2."""
+    `build_period_matrix` sets `scaled`, (c, c m11, c m12, c m21, c m22) with
+    c > 0 and each c m integral; `prec`, the largest ComplexFloat precision
+    (0 when exact); and `pairs`, c(q) (A(q), B(q)) for q = 0 .. p-2, c(q) > 0."""
 
     m11: Scalar
     m12: Scalar
@@ -77,8 +77,8 @@ class PeriodMatrix:
     pairs = ()
 
     @cached_property
-    def exact(self) -> tuple:
-        return tuple(_exact(m, self.prec) for m in (self.m11, self.m12, self.m21, self.m22))
+    def scaled(self) -> tuple:
+        return _integer_form((self.m11, self.m12, self.m21, self.m22), self.prec)
 
     @property
     def trace(self) -> Scalar:
@@ -146,18 +146,21 @@ class PowerIterTrajectory:
 
 def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     """Period matrix from one exact pass over A(n), B(n) for n = 0 .. p,
-    checked by three identities.  Complex coefficients are streamed as exact
-    Gaussian dyadic rationals and the entries rounded once, to the largest
-    coefficient precision."""
+    checked by three identities.  A complex period is made Gaussian integer
+    here by the equivalence transformation b(n) -> L b(n), a(n) -> L^2 a(n),
+    L from `scalars._integer_form`, which keeps the convergents: the pairs
+    become L^(n+1) A(n), L^n B(n) and M becomes L^p [[m11, L m12], [m21/L, m22]].
+    The pass and its checks run on integers, and each entry is rounded once."""
     p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
     prec = max([x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)], default=0)
     if prec:
-        a_block, b_block = (tuple(_exact(x, prec) for x in block) for block in (a_block, b_block))
+        scale, *block = _integer_form(a_block + b_block, prec)
+        a_block, b_block = tuple([scale * a for a in block[:p]]), tuple(block[p:])
     a_p, b0 = a_block[-1], b_block[0]
     # pairs[n + 1] = (A(n), B(n)) for n = -1 .. p, from the terms (a(n), b(n)), n = 1 .. p
     pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + (b0,)))]
     (a_prev2, b_prev2), (a_prev, b_prev), (a_full, b_full) = pairs[p - 1:]
-    m11, m12, m21, m22 = exact = (a_prev, a_p * a_prev2, b_prev, a_p * b_prev2)
+    m11, m12, m21, m22 = entries = (a_prev, a_p * a_prev2, b_prev, a_p * b_prev2)
     checks = (
         ("m12 = A(p) - b(0) A(p-1)", m12 == a_full - b0 * a_prev),
         ("m22 = B(p) - b(0) B(p-1)", m22 == b_full - b0 * b_prev),
@@ -166,8 +169,15 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     for identity, holds in checks:
         if not holds:
             raise SelfCheckFailure(f"period matrix violates {identity}")
-    matrix = PeriodMatrix(*([as_complexfloat(m, prec) for m in exact] if prec else exact))
-    object.__setattr__(matrix, "exact", exact)
+    scaled = (1, *entries)  # an all-int period is its own integer form
+    if prec:  # c = L^p: c m12 = (L a(p)) (L^(p-1) A(p-2)) and c m21 = L (L^(p-1) B(p-1))
+        scaled = (scale ** p, m11, block[p - 1] * a_prev2, scale * m21, m22)
+        entries = [_rounded_ratio(m, scaled[0], prec) for m in scaled[1:]]
+        pairs = [(num, scale * den) for num, den in pairs[:p]]  # L^(q+1) (A(q), B(q))
+    elif not type(m11) is type(m12) is type(m21) is type(m22) is int:
+        scaled = _integer_form(entries)
+    matrix = PeriodMatrix(*entries)
+    object.__setattr__(matrix, "scaled", scaled)
     object.__setattr__(matrix, "prec", prec)
     object.__setattr__(matrix, "pairs", tuple(pairs[1:p]))
     return matrix
@@ -185,25 +195,17 @@ def _modulus_relation(tr, disc) -> str:
 def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     """Eigenvalues of the period matrix with |lambda1| >= |lambda2|.
 
-    The modulus relation is decided exactly by `_modulus_relation`.  An
-    exact matrix is scaled to integers, which give its eigenvalues and fixed
-    points exactly.  A floating matrix is decided and ordered on its exact
-    entries, scaled by a power of two to Gaussian integers, and its values
-    come from them without cancellation, at the largest entry precision, by
-    the ComplexFloat operators' libmp kernels on raw tuples, rounding alike.
+    The modulus relation is decided exactly by `_modulus_relation`, and all
+    else on the integer form c M (`PeriodMatrix.scaled`): an exact matrix's
+    eigenvalues and fixed points come from it exactly.  A floating matrix is
+    ordered on it, and its values come from it without cancellation, at the
+    largest entry precision, by the ComplexFloat operators' libmp kernels on
+    raw tuples, rounding alike, each value once.
     """
     if QuadExt in map(type, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
                             "need nested radicals; use the complex tower instead")
-    # L M, for L the least common denominator of the entries' parts (for dyadic ones, the largest),
-    # is (Gaussian) integer: no decision takes a wide gcd, and each value is rounded once, exactly
-    n11, n12, n21, n22 = entries = matrix.exact
-    scale, prec = 1, matrix.prec
-    if not type(n11) is type(n12) is type(n21) is type(n22) is int:
-        parts = [(m.a, m.b) if isinstance(m, QuadExt) else (m, 0) for m in entries]
-        scale = (max if prec else math.lcm)(*(q.denominator for part in parts for q in part))
-        up = lambda q: q.numerator * (scale // q.denominator)
-        n11, n12, n21, n22 = (_quadext_trusted(up(re), up(im), -1) for re, im in parts)  # int if im = 0
+    (scale, n11, n12, n21, n22), prec = matrix.scaled, matrix.prec
     tr, det = n11 + n22, n11 * n22 - n12 * n21
     if det == 0:
         raise DegenerateMatrix("determinant is zero")
@@ -274,7 +276,7 @@ def _verdict(matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
     # strict dominance: a rational convergent can sit on x2 only when D is a
     # square, which makes x2 a Fraction; complex input is always scanned
     if isinstance(eigen.x2, (ComplexFloat, Fraction)):
-        m11, m12, m21, m22 = matrix.exact
+        _, m11, m12, m21, m22 = matrix.scaled
         tr, d = m11 + m22, m11 - m22
         disc = d * d + 4 * m12 * m21
         for q, (num, den) in enumerate(matrix.pairs):
@@ -354,15 +356,16 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     alpha_prime = classify(reverse_period(pcf))
     if not alpha.verdict.is_convergent:
         return GaloisReport(alpha, alpha_prime, True)
-    m11, m12, m21, m22 = alpha.matrix.exact
-    n11, n12, n21, n22 = alpha_prime.matrix.exact
-    holds = (
+    c, m11, m12, m21, m22 = alpha.matrix.scaled
+    d, n11, n12, n21, n22 = alpha_prime.matrix.scaled
+    den, b0 = _integer_form(pcf.b_block[:1], alpha.matrix.prec)
+    holds = (  # each side at the common multiple c d of the integer forms c M and d N
         alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
         and alpha_prime.eigen.modulus_relation == alpha.eigen.modulus_relation
-        and n21 == m21
-        and n11 + n22 == m11 + m22
-        and n11 * n22 - n12 * n21 == m11 * m22 - m12 * m21
-        and n11 - n22 + m11 - m22 == 2 * _exact(pcf.b_block[0], alpha.matrix.prec) * m21
+        and c * n21 == d * m21
+        and c * (n11 + n22) == d * (m11 + m22)
+        and c * c * (n11 * n22 - n12 * n21) == d * d * (m11 * m22 - m12 * m21)
+        and den * (c * (n11 - n22) + d * (m11 - m22)) == 2 * b0 * d * m21
     )
     return GaloisReport(alpha, alpha_prime, holds)
 

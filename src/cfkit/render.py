@@ -26,25 +26,16 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     _ctx,
+    _integer_form,
     quadext,
     squarefree_split,
 )
 
 
-def _integer_parts(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """Integers (p, q, r) with a + b*s = (p + q*s)/r for every s, r > 0 and
-    gcd(p, q, r) = 1."""
-    r = math.lcm(a.denominator, b.denominator)
-    p = a.numerator * (r // a.denominator)
-    q = b.numerator * (r // b.denominator)
-    g = math.gcd(p, q, r)
-    return p // g, q // g, r // g
-
-
 def _surd_parts(x: QuadExt) -> tuple[int, int, int, int]:
     """Normalize a + b*sqrt(d) to integers (p, q, D, r): value = (p + q√D)/r."""
     s, f = squarefree_split(abs(x.d))
-    p, q, r = _integer_parts(x.a, x.b * s)
+    r, p, q = _integer_form((x.a, x.b * s))  # r = lcm of the denominators: gcd(p, q, r) = 1
     return p, q, f if x.d > 0 else -f, r
 
 
@@ -191,7 +182,7 @@ def format_float(x, prec_bits: int = 128) -> str:
     if isinstance(x, (int, Fraction)):
         return _real_text(x.numerator, 0, 0, x.denominator, n)
     if isinstance(x, QuadExt):
-        p, q, r = _integer_parts(x.a, x.b)
+        r, p, q = _integer_form((x.a, x.b))
         if x.d > 0:
             return _real_text(p, q, x.d, r, n)
         return _complex_text(_real_text(p, 0, 0, r, n), q < 0, _real_text(0, abs(q), -x.d, r, n))

@@ -22,6 +22,7 @@ from typing import Union
 from .errors import InvalidSpec, TowerMismatch, record
 
 MIN_PRECISION_BITS = 64
+MAX_PRECISION_BITS = 65_536  # the CLI's ceiling: a classify there takes some 0.2 s
 DEFAULT_PRECISION_BITS = 128
 
 RationalLike = Union[int, Fraction]
@@ -115,7 +116,6 @@ def quadext(a, b, d) -> "Scalar":
     return _quadext_trusted(a, b / d.denominator, d.numerator * d.denominator)
 
 
-_ZERO = Fraction(0)
 _new_object = object.__new__
 _set_field = object.__setattr__
 
@@ -180,7 +180,7 @@ class QuadExt:
                 )
             return other.a, other.b * ratio
         if isinstance(other, (int, Fraction)):
-            return _as_fraction(other), _ZERO
+            return other, 0
         return None
 
     def conjugate(self) -> "QuadExt":
@@ -226,7 +226,7 @@ class QuadExt:
     __rmul__ = __mul__
 
     def _inverse(self):
-        n = self.norm()
+        n = _as_fraction(self.norm())  # a Fraction, also for int parts
         # n = 0 would force sqrt(d) rational, excluded by the invariant
         return _quadext_trusted(self.a / n, -self.b / n, self.d)
 
@@ -234,7 +234,7 @@ class QuadExt:
         parts = self._lift(other)
         if parts is None:
             return NotImplemented
-        oa, ob = parts
+        oa, ob = map(_as_fraction, parts)
         if ob == 0:
             return _quadext_trusted(self.a / oa, self.b / oa, self.d)
         return self * _quadext_trusted(oa, ob, self.d)._inverse()
@@ -407,31 +407,36 @@ def _rounded_parts(z, den: int, prec: int) -> list:
     """Raw (re, im) of z/den to nearest at prec bits for a Gaussian integer z and an int den > 0,
     as libmp's from_rational rounds it, but in linear time (that strips trailing zero bits 8 at a time)."""
     libmp, k = _libmp(), (den & -den).bit_length() - 1
-    parts = (z.a.numerator, z.b.numerator) if isinstance(z, QuadExt) else (z.numerator, 0)
+    re, im = (z.a, z.b) if isinstance(z, QuadExt) else (z, 0)
     if den >> k == 1:  # den = 2^k: round, then shift
-        return [libmp.from_man_exp(n, -k, prec, "n") if n else libmp.fzero for n in parts]
+        return [libmp.from_man_exp(re, -k, prec, "n"),
+                libmp.from_man_exp(im, -k, prec, "n") if im else libmp.fzero]
     # exact odd mantissas, with the zero bits moved to the exponent at once
     return [libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
-                          libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in parts]
+                          libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in (re, im)]
 
 
-def _dyadic(value) -> int | Fraction:
-    sign, man, exp, _ = value._mpf_  # value = (-1)^sign man 2^exp
-    if not man and exp:  # mpmath's +-inf and nan
-        raise InvalidSpec(f"{value} is not a finite number")
-    man = -man if sign else man
-    return man << exp if exp >= 0 else Fraction(man, 1 << -exp)
+def _dyadic(z) -> tuple[int, int, int, int]:
+    (s, m, e, _), (t, n, f, _) = z.re._mpf_, z.im._mpf_  # z = (-1)^s m 2^e + (-1)^t n 2^f i
+    if not m and e or not n and f:  # mpmath's +-inf and nan
+        raise InvalidSpec(f"{z.im if m or not e else z.re} is not a finite number")
+    return -m if s else m, e, -n if t else n, f
 
 
-def _exact(x, prec: int = 0):
-    """x as an exact scalar, promoted into the complex tower first when prec is
-    set: a ComplexFloat's dyadic parts give re, or re + im*sqrt(-1) as a QuadExt."""
+def _integer_form(values, prec: int = 0) -> tuple:
+    """(L, L*x for each x), each an int or a QuadExt with int parts, from the
+    ComplexFloats at prec when it is set (Gaussian integers).  L is the parts'
+    least common denominator: for dyadic ones, the largest, applied by shifts."""
     if prec:
-        x = as_complexfloat(x, prec)
-    if not isinstance(x, ComplexFloat):
-        return x
-    re, im = _dyadic(x.re), _dyadic(x.im)
-    return _quadext_trusted(Fraction(re), Fraction(im), -1) if im else re
+        parts = [_dyadic(as_complexfloat(x, prec)) for x in values]
+        k = -min(0, *[p[1] for p in parts], *[p[3] for p in parts])
+        return (1 << k, *[_quadext_trusted(m << e + k, n << f + k, -1) for m, e, n, f in parts])
+    if {*map(type, values)} == {int}:
+        return (1, *values)
+    parts = [(x.a, x.b, x.d) if isinstance(x, QuadExt) else (x, 0, -1) for x in values]
+    scale = math.lcm(*(q.denominator for a, b, _ in parts for q in (a, b)))
+    up = lambda q: q.numerator * (scale // q.denominator)
+    return (scale, *(_quadext_trusted(up(a), up(b), d) for a, b, d in parts))
 
 
 Scalar = Union[int, Fraction, QuadExt, ComplexFloat]

@@ -8,7 +8,7 @@ Schema (UTF-8 JSON object).  Each mode takes these keys and no others:
                     literals}}, params holding only names the generator takes
     every mode      mode: "finite" | "periodic" | "generator"
                     tower: "rational" | "quadext" | "complex" (null: inferred)
-                    precision_bits: integer >= 64, complex tower (default 128)
+                    precision_bits: integer in 64..65536, complex tower (default 128)
 
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), JSON integers of any size, or {"re": ..., "im": ...}
@@ -28,6 +28,7 @@ from .errors import InvalidSpec, SpecFileError, record
 from .render import _text_int, format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     ComplexFloat,
     QuadExt,
@@ -156,8 +157,8 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
     prec = data.get("precision_bits", DEFAULT_PRECISION_BITS)
     if precision_override is not None:
         prec = precision_override
-    if not isinstance(prec, int) or prec < MIN_PRECISION_BITS:
-        raise SpecFileError(f"precision_bits must be an integer >= {MIN_PRECISION_BITS}, got {prec!r}")
+    if not isinstance(prec, int) or not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
+        raise SpecFileError(f"precision_bits must be {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, got {prec!r}")
 
     if mode == "generator":
         gen = data.get("generator")

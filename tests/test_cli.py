@@ -12,6 +12,7 @@ from cfkit import PeriodicCF, cli, load_specfile, parse_exact, render, reverse_p
 from cfkit.cfcore import convergent_pair
 from cfkit.cli import MAX_EXPONENT, MAX_STEPS, main
 from cfkit.continuants import continuant
+from cfkit.scalars import MAX_PRECISION_BITS
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -675,6 +676,18 @@ class TestReportHygiene:
 
     def test_precision_floor(self, capsys, golden_spec):
         assert main(["--precision", "16", "classify", golden_spec]) == 2
+
+    @pytest.mark.parametrize("command", [["classify"], ["power-iter", "--steps", "3"]])
+    def test_precision_ceiling(self, capsys, tmp_path, golden_spec, command):
+        # 2^16 bits is the most either way of setting it takes; at 10^6 bits a
+        # classify of this spec ran for 16 s
+        assert main(["--precision", str(MAX_PRECISION_BITS), *command, golden_spec]) == 0
+        capsys.readouterr()
+        assert main(["--precision", str(MAX_PRECISION_BITS + 1), *command, golden_spec]) == 2
+        assert "precision must be 64..65536 bits" in capsys.readouterr().err
+        spec = write_spec(tmp_path, {"mode": "periodic", "a": [1], "b": [1], "precision_bits": 10**6}, "wide.json")
+        assert main([*command, spec]) == 2
+        assert "precision_bits must be 64..65536, got 1000000" in capsys.readouterr().err
 
     def test_global_flags_accepted_after_subcommand(self, capsys, golden_spec):
         code = main(["classify", golden_spec, "--json", "--precision", "256"])

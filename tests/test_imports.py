@@ -239,12 +239,12 @@ def test_guard_sees_a_written_field():
 
 def test_one_producer_for_derived_state():
     # a record's derived state is set only where it is proved, never by a caller:
-    # the pair's coprime mark and the period matrix's exact entries, precision
+    # the pair's coprime mark and the period matrix's integer form, precision
     # and pairs; the decorator's __init__ sets the fields, scalars builds values
     # unchecked
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _producers(sources) == ["cfcore.pair_at", "errors.record", "periodic.build_period_matrix", "scalars"]
-    assert _written_fields(sources["periodic"], "build_period_matrix") == ["exact", "prec", "pairs"]
+    assert _written_fields(sources["periodic"], "build_period_matrix") == ["scaled", "prec", "pairs"]
 
 
 def test_guard_sees_an_mpmath_slot():

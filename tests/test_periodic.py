@@ -14,6 +14,7 @@ from cfkit import (
     ComplexFloat,
     PeriodMatrix,
     PeriodicCF,
+    QuadExt,
     as_complexfloat,
     build_period_matrix,
     classify,
@@ -121,7 +122,7 @@ class TestPeriodMatrix:
     def test_self_check_survives_optimized_mode(self):
         script = (
             "import cfkit.periodic as periodic\n"
-            "from cfkit import PeriodicCF\n"
+            "from cfkit import ComplexFloat, PeriodicCF\n"
             "from cfkit.cfcore import recurrence\n"
             "from cfkit.errors import SelfCheckFailure\n"
             "def corrupted(b0, terms):\n"
@@ -129,36 +130,44 @@ class TestPeriodMatrix:
             "    pairs[-1] = (pairs[-1][0], pairs[-1][1] + 1)\n"
             "    return iter(pairs)\n"
             "periodic.recurrence = corrupted\n"
-            "try:\n"
-            "    periodic.build_period_matrix(PeriodicCF(a_block=(1,), b_block=(1,)))\n"
-            "except SelfCheckFailure:\n"
-            "    print('refused')\n"
+            "for one in (1, ComplexFloat(1, 2**-70)):  # exact, and on Gaussian integers\n"
+            "    try:\n"
+            "        periodic.build_period_matrix(PeriodicCF(a_block=(1,), b_block=(one,)))\n"
+            "    except SelfCheckFailure:\n"
+            "        print('refused')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "refused"
+        assert proc.stdout.split() == ["refused", "refused"]
 
-    def test_exact_holds_the_unrounded_entries(self):
+    def test_scaled_holds_the_unrounded_entries(self):
         # at 64 bits the products in m11 = b0 b1 + a1 and m12 = a2 b0 are rounded;
-        # a matrix built from the spec keeps them exact, a hand-built one has only
-        # the exact values of the rounded entries it was given
+        # a matrix built from the spec keeps a Gaussian-integer multiple of them,
+        # a hand-built one only of the exact values of the rounded entries it was given
         def gaussian(z):  # a ComplexFloat's exact value, re + im sqrt(-1)
             re, im = (Fraction(*to_rational(part._mpf_)) for part in (z.re, z.im))
             return quadext(re, im, -1)
+
+        def integral(m):
+            return all(part.denominator == 1 for part in ((m.a, m.b) if isinstance(m, QuadExt) else (m,)))
 
         pcf = complex_pcf([complex(1 / 3, 1 / 7), complex(2 / 9, -1 / 5)],
                           [complex(3 / 11, 1 / 13), complex(5 / 17, 2 / 3)], prec=64)
         (a1, a2), (b0, b1) = ([gaussian(z) for z in block] for block in (pcf.a_block, pcf.b_block))
         unrounded = (b0 * b1 + a1, a2 * b0, b1, a2)
         built = build_period_matrix(pcf)
-        assert built.exact == unrounded
+        c, *entries = built.scaled
+        assert c > 0 and all(map(integral, entries))
+        assert tuple(entries) == tuple(c * m for m in unrounded)
         rounded = (built.m11, built.m12, built.m21, built.m22)
         assert rounded == tuple(as_complexfloat(m, 64) for m in unrounded)
         by_hand = PeriodMatrix(*rounded)
         assert by_hand == built and by_hand.pairs == ()
-        assert by_hand.exact == tuple(map(gaussian, rounded)) != unrounded
+        c, *entries = by_hand.scaled
+        assert c > 0 and all(map(integral, entries))
+        assert tuple(entries) == tuple(c * gaussian(m) for m in rounded) != tuple(c * m for m in unrounded)
 
     def test_determinant_formula_randomized(self, rng):
         for _ in range(200):
@@ -282,7 +291,8 @@ class TestEigenSplit:
             p = rng.randint(1, 4)
             pcf = PeriodicCF(a_block=tuple(rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(p)),
                              b_block=tuple(rng.choice((-1, 1)) * rng.randint(1, 999) for _ in range(p)))
-            cases.append(build_period_matrix(pcf).exact)
+            m = build_period_matrix(pcf)
+            cases.append((m.m11, m.m12, m.m21, m.m22))
         for entries in cases:
             exact = eigen_split(PeriodMatrix(*entries))
             split = eigen_split(PeriodMatrix(*(as_complexfloat(m, prec) for m in entries)))
@@ -358,17 +368,23 @@ class TestClassifyComplexTower:
         digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
         assert digest == "a6d6557e4c6a3fd0cba65820d5b9e14e70cf9e0adab1e0fc1a77568ff117890b"
 
-    def test_wide_binary_exponent_takes_no_quadratic_time(self):
-        # b = 10^-50000 + i: its exact real part has a 166,000-bit denominator,
-        # whose gcds took seconds when the decision ran on Fractions; on
-        # Gaussian integers scaled by a power of two it takes milliseconds
+    @pytest.mark.parametrize("call, exponent, b, timeout", [
+        ("classify({})", 50_000, "(ComplexFloat(tiny, 1),)", 2),
+        ("classify({})", 100_000, "(ComplexFloat(tiny, 1), ComplexFloat(1, tiny))", 2),
+        ("galois_analysis({}).alpha_prime", 100_000, "(ComplexFloat(tiny, 1), ComplexFloat(1, tiny))", 3),
+    ], ids=["classify-period-1", "classify-period-2", "galois-period-2"])
+    def test_wide_binary_exponent_takes_no_quadratic_time(self, call, exponent, b, timeout):
+        # b = (10^-e + i) or (10^-e + i, 1 + 10^-e i): the exact parts have
+        # denominators of 3.3 e bits, whose gcds took seconds when the matrix
+        # and the decisions ran on Fractions; on Gaussian integers they do not
         script = (
             "from mpmath import mpf\n"
-            "from cfkit import ComplexFloat, PeriodicCF, classify\n"
-            "b = ComplexFloat(mpf('1e-50000'), 1)\n"
-            "print(classify(PeriodicCF(a_block=(1,), b_block=(b,))).verdict.kind)\n"
+            "from cfkit import ComplexFloat, PeriodicCF, classify, galois_analysis\n"
+            f"tiny = mpf('1e-{exponent}')\n"
+            f"b = {b}\n"
+            f"print({call.format('PeriodicCF(a_block=(1,) * len(b), b_block=b)')}.verdict.kind)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=2)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=timeout)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == CONVERGENT
 

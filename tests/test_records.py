@@ -121,7 +121,7 @@ def test_record_contract(cls, fields, signature):
 #: class, field values, the derived name and a value a caller might forge
 DERIVED = [
     (ConvergentPair, (1, 4, 2), "coprime", True),
-    (PeriodMatrix, (1, 1, 1, 0), "exact", (2, 0, 1, 3)),
+    (PeriodMatrix, (1, 1, 1, 0), "scaled", (1, 2, 0, 1, 3)),
     (PeriodMatrix, (1, 1, 1, 0), "pairs", ((1, 1),)),
     (SpecFile, ("periodic", (1,), (1,), None, "rational", 128), "period", 5),
 ]

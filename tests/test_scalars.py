@@ -7,7 +7,7 @@ import pytest
 from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, _libmp, coprime_fraction, scalar_div
+from cfkit.scalars import _ctx, _integer_form, _libmp, coprime_fraction, scalar_div
 
 
 def F(n, d=1):
@@ -415,6 +415,18 @@ class TestHelpers:
             assert ComplexFloat(0, 1, prec) != 0 and ComplexFloat(1, 0, prec) != 0
             assert ComplexFloat(_ctx(prec).mpf(2) ** -10000, 0, prec) != 0
             assert ComplexFloat(1, 1, prec) - ComplexFloat(1, 1, prec) == 0
+
+    def test_integer_form_scales_by_the_least_denominator(self):
+        # (L, L x for each x); dyadic parts are shifted, and the Gaussian
+        # integers keep int parts, which divide back exactly
+        assert _integer_form((1, -2, 3)) == (1, 1, -2, 3)
+        assert _integer_form((F(1, 2), F(-1, 3), 4)) == (6, 3, -2, 24)
+        scale, z, w = _integer_form((ComplexFloat(0.5, 0.25), 3), 64)
+        assert (scale, z, w) == (4, quadext(2, 1, -1), 12) and type(z.a) is type(z.b) is int
+        assert z * z + 1 == quadext(4, 4, -1) and type((z * z + 1).b) is int
+        assert z / 2 == quadext(1, F(1, 2), -1) and 1 / z == quadext(F(2, 5), F(-1, 5), -1)
+        tiny = _ctx(64).mpf(2) ** -100_000
+        assert _integer_form((ComplexFloat(tiny, 1, 64),), 64) == (2**100_000, quadext(1, 2**100_000, -1))
 
     def test_fraction_canonical_form_after_ops(self, rng):
         for _ in range(200):
