@@ -183,12 +183,11 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     return matrix
 
 
-def _modulus_relation(tr, disc) -> str:
+def _modulus_relation(disc, z) -> str:
     """Roots (tr +- sqrt(disc))/2 differ in modulus by Re(tr conj(sqrt(disc))),
-    which vanishes exactly when tr^2 conj(disc) is a real <= 0."""
+    which vanishes exactly when z = tr^2 conj(disc) is a real <= 0."""
     if disc == 0:
         return EQUAL_REPEATED
-    z = tr * tr * disc.conjugate()
     return EQUAL_DISTINCT if not isinstance(z, QuadExt) and z <= 0 else STRICTLY_DOMINANT
 
 
@@ -209,18 +208,19 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     tr, det = n11 + n22, n11 * n22 - n12 * n21
     if det == 0:
         raise DegenerateMatrix("determinant is zero")
-    disc = tr * tr - 4 * det
+    disc = (tr2 := tr * tr) - 4 * det
     if not prec:
         return _split_integer(scale, tr, disc, n21, n22)
     lib, rounded = _libmp(), partial(_rounded_parts, den=scale, prec=prec)
     add, sub, mul, div, sqrt, modulus = (partial(kernel, prec=prec, rnd="n") for kernel in (
         lib.mpc_add, lib.mpc_sub, lib.mpc_mul, lib.mpc_div, lib.mpc_sqrt, lib.mpc_abs))
-    t, relation = rounded(tr), _modulus_relation(tr, disc)
+    z = tr2 * disc.conjugate()  # conj(z) / |tr|^4 = disc / tr^2
+    t, relation = rounded(tr), _modulus_relation(disc, z)
     if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
-        s = mul(t, sqrt(rounded(disc * (tr * tr).conjugate(), den=((tr * tr.conjugate()) ** 2).numerator)))
+        s = mul(t, sqrt(rounded(z.conjugate(), den=(tr * tr.conjugate()) ** 2)))
     else:
         s = sqrt(rounded(disc, den=scale * scale))
-    lam1 = [lib.mpf_shift(z, -1) for z in add(t, s)]  # Re(s conj(t)) >= 0: no cancellation, exact /2
+    lam1 = [lib.mpf_shift(part, -1) for part in add(t, s)]  # Re(s conj(t)) >= 0: no cancellation, exact /2
     values = [lam1, div(rounded(det, den=scale * scale), lam1)]
     if n21 != 0:
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
@@ -251,7 +251,7 @@ def _split_integer(scale: int, tr: int, disc: int, n21: int, n22: int) -> EigenS
         if n21:
             parts.append((Fraction(tr - 2 * n22, 2 * n21), Fraction(sign * scale, 2 * n21 * den)))
         values = [_quadext_trusted(a, b, num * den) for a, c in parts for b in (c, -c)]
-    return EigenSplit(values[0], values[1], _modulus_relation(tr, disc), *values[2:])
+    return EigenSplit(values[0], values[1], _modulus_relation(disc, tr * tr * disc), *values[2:])
 
 
 def classify(pcf: PeriodicCF) -> StolzReport:
