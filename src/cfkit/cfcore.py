@@ -2,7 +2,9 @@
 
 A continued fraction b0 + a1/b1 + a2/b2 + ... is described by a CFSpec that
 serves partial numerators a(n) for n >= 1 and partial denominators b(n) for
-n >= 0.  Convergent numerators and denominators follow
+n >= 0, and streams the terms (a(n), b(n)) from n = 1 on through `terms()`.
+Every reader starts at the head; only `shifted_table` skips k terms to read
+a tail b(k) + a(k+1)/b(k+1) + ....  Convergent numerators and denominators follow
 
     A(n) = b(n) A(n-1) + a(n) A(n-2),      A(-1) = 1, A(0) = b(0),
     B(n) = b(n) B(n-1) + a(n) B(n-2),      B(-1) = 0, B(0) = 1,
@@ -43,12 +45,10 @@ class CFSpec:
     def b(self, n: int) -> Scalar:
         raise NotImplementedError
 
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        """(a(n), b(n)) for n = first, first + 1, ..., through `max_index` when
-        it is set; first >= 1."""
-        _check_index(first, 1, "first")
+    def terms(self) -> Iterator[tuple[Scalar, Scalar]]:
+        """(a(n), b(n)) for n = 1, 2, ..., through `max_index` when it is set."""
         last = self.max_index
-        indices = count(first) if last is None else range(first, last + 1)
+        indices = count(1) if last is None else range(1, last + 1)
         return ((self.a(n), self.b(n)) for n in indices)
 
     def require(self, n: int) -> None:
@@ -94,9 +94,8 @@ class FiniteCF(CFSpec):
             raise CoefficientUnavailable(n, "partial denominator b")
         return self.b_list[n]
 
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        _check_index(first, 1, "first")
-        return zip(self.a_list[first - 1:], self.b_list[first:])
+    def terms(self) -> Iterator[tuple[Scalar, Scalar]]:
+        return zip(self.a_list, self.b_list[1:])
 
 
 @record
@@ -137,11 +136,8 @@ class PeriodicCF(CFSpec):
         _check_index(n, 0)
         return self.b_block[n % self.period]
 
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        _check_index(first, 1, "first")
-        a, b, p = self.a_block, self.b_block, self.period
-        i, j = (first - 1) % p, first % p  # a(first) = a[i], b(first) = b[j]
-        return zip(cycle(a[i:] + a[:i]), cycle(b[j:] + b[:j]))
+    def terms(self) -> Iterator[tuple[Scalar, Scalar]]:
+        return zip(cycle(self.a_block), cycle(self.b_block[1:] + self.b_block[:1]))
 
 
 @record
@@ -160,9 +156,8 @@ class RuleCF(CFSpec):
         _check_index(n, 0)
         return self.b_rule(n)
 
-    def terms(self, first: int = 1) -> Iterator[tuple[Scalar, Scalar]]:
-        _check_index(first, 1, "first")
-        return zip(map(self.a_rule, count(first)), map(self.b_rule, count(first)))
+    def terms(self) -> Iterator[tuple[Scalar, Scalar]]:
+        return zip(map(self.a_rule, count(1)), map(self.b_rule, count(1)))
 
 
 def _make_regular(*, b) -> CFSpec:
@@ -228,20 +223,6 @@ def recurrence(
         yield a_prev, b_prev
 
 
-def iter_pairs(spec: CFSpec, k: int, n_max: int) -> Iterator[tuple[Scalar, Scalar]]:
-    """(A(k,n), B(k,n)) of the tail b(k) + a(k+1)/b(k+1) + ... for n = 0 .. n_max;
-    k = 0 gives the convergent pairs (A(n), B(n))."""
-    spec.require(k + n_max)
-    return recurrence(spec.b(k), islice(spec.terms(k + 1), max(n_max, 0)))
-
-
-def coefficient_lists(spec: CFSpec, n: int) -> tuple[tuple, tuple]:
-    """(a(1), ..., a(n)) and (b(0), ..., b(n))."""
-    spec.require(n)
-    head = tuple(islice(spec.terms(1), n))
-    return tuple(a for a, _ in head), (spec.b(0), *(b for _, b in head))
-
-
 @record
 class ConvergentPair:
     """Pair (A(n), B(n)) at index n >= -1, or (A(k,n), B(k,n)) in a shifted table."""
@@ -258,8 +239,14 @@ class ConvergentPair:
 
 
 def _table(spec: CFSpec, k: int, n_max: int) -> list[ConvergentPair]:
-    pairs = enumerate(iter_pairs(spec, k, n_max)) if n_max >= 0 else ()
-    return [ConvergentPair(-1, 1, 0)] + [ConvergentPair(n, a, b) for n, (a, b) in pairs]
+    """Pairs of the tail b(k) + a(k+1)/b(k+1) + ... for n = -1 .. n_max: the one
+    reader of coefficients past index 1, it skips the first k terms."""
+    rows = [ConvergentPair(-1, 1, 0)]
+    if n_max >= 0:
+        spec.require(k + n_max)
+        pairs = recurrence(spec.b(k), islice(spec.terms(), k, k + n_max))
+        rows += [ConvergentPair(n, a, b) for n, (a, b) in enumerate(pairs)]
+    return rows
 
 
 def convergent_table(spec: CFSpec, n_max: int) -> list[ConvergentPair]:
@@ -315,11 +302,11 @@ def _power(m: Matrix, e: int) -> Matrix:
 _RUN = 64  # steps per leaf of `pair_at`'s product tree
 
 
-def _runs(spec: CFSpec, first: int, count: int, units: list[bool]) -> Iterator[Matrix]:
+def _runs(spec: CFSpec, count: int, units: list[bool]) -> Iterator[Matrix]:
     """S(j) ... S(j+L-1) = [[B(L), B(L-1)], [A(L), A(L-1)]] of `recurrence(0, run)`
-    for each run of L <= _RUN steps S(j) = [[b(j), 1], [a(j), 0]] from j = first
+    for each run of L <= _RUN steps S(j) = [[b(j), 1], [a(j), 0]] from j = 1
     on, count steps in all; notes in `units` if each is an int matrix of det ±1."""
-    terms = islice(spec.terms(first), count)
+    terms = islice(spec.terms(), count)
     for run in iter(lambda: tuple(islice(terms, _RUN)), ()):
         *_, (num_prev, den_prev), (num, den) = recurrence(0, run)
         det = den * num_prev - den_prev * num
@@ -327,26 +314,24 @@ def _runs(spec: CFSpec, first: int, count: int, units: list[bool]) -> Iterator[M
         yield den, den_prev, num, num_prev
 
 
-def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPair]:
-    """The pairs at n - 1 and n of the tail b(k) + a(k+1)/b(k+1) + ...;
-    k = 0 gives (A(n-1), B(n-1)) and (A(n), B(n)).
+def pair_at(spec: CFSpec, n: int) -> tuple[ConvergentPair, ConvergentPair]:
+    """The pairs (A(n-1), B(n-1)) and (A(n), B(n)).
 
-    [[b(k), 1], [1, 0]] S(k+1) ... S(k+n) = [[A(k,n), A(k,n-1)], [B(k,n), B(k,n-1)]].
+    [[b(0), 1], [1, 0]] S(1) ... S(n) = [[A(n), A(n-1)], [B(n), B(n-1)]].
     A periodic CF raises the product of one period to the q-th power and
-    multiplies it by the first r steps, n = q p + r: the steps from k + 1 on
-    repeat with period p whatever k is.  Both pairs are marked coprime when
-    b(k) is an int and every run's product an int matrix of determinant ±1.
+    multiplies it by the first r steps, n = q p + r: the steps repeat with
+    period p.  Both pairs are marked coprime when b(0) is an int and every
+    run's product an int matrix of determinant ±1.
     """
-    _check_index(k, 0, "k")
     _check_index(n, 0)
-    spec.require(k + n)
-    seed, units = (spec.b(k), 1, 1, 0), []
+    spec.require(n)
+    seed, units = (spec.b(0), 1, 1, 0), []
     if isinstance(spec, PeriodicCF) and n >= spec.period:
         q, r = divmod(n, spec.period)
-        period = _tree_product(_runs(spec, k + 1, spec.period, units))
-        factors = chain([seed, _power(period, q)], _runs(spec, k + 1, r, units))
+        period = _tree_product(_runs(spec, spec.period, units))
+        factors = chain([seed, _power(period, q)], _runs(spec, r, units))
     else:
-        factors = chain([seed], _runs(spec, k + 1, n, units))
+        factors = chain([seed], _runs(spec, n, units))
     num, num_prev, den, den_prev = _tree_product(factors)
     pairs = ConvergentPair(n - 1, num_prev, den_prev), ConvergentPair(n, num, den)
     if type(seed[0]) is int and all(units):
@@ -357,7 +342,7 @@ def pair_at(spec: CFSpec, k: int, n: int) -> tuple[ConvergentPair, ConvergentPai
 
 def convergent_pair(spec: CFSpec, n: int) -> ConvergentPair:
     """The pair (A(n), B(n)), n >= 0."""
-    return pair_at(spec, 0, n)[1]
+    return pair_at(spec, n)[1]
 
 
 def evaluate_convergent(spec: CFSpec, n: int) -> Scalar:

@@ -11,7 +11,9 @@ share no code.
 
 from __future__ import annotations
 
-from .cfcore import CFSpec, FiniteCF, _check_index, coefficient_lists, pair_at
+from itertools import islice
+
+from .cfcore import CFSpec, FiniteCF, _check_index, pair_at
 from .errors import InvalidSpec, SizeLimit, record
 from .scalars import Scalar
 
@@ -41,7 +43,7 @@ class ContinuantArgs:
 def continuant(args: ContinuantArgs) -> Scalar:
     """Continuant value via the last-row expansion K_m = b_m K_{m-1} + a_m K_{m-2},
     the numerator recurrence A(n) of b0 + a1/b1 + ... + an/bn."""
-    return pair_at(FiniteCF(a_list=args.a, b_list=args.b), 0, args.n)[1].num
+    return pair_at(FiniteCF(a_list=args.a, b_list=args.b), args.n)[1].num
 
 
 def _det_cofactor(matrix: list[list[Scalar]]) -> Scalar:
@@ -110,7 +112,8 @@ def reverse_relations(spec: CFSpec, n: int) -> ReversedConvergents:
     A'(n-1) = B(n), B'(n-1) = B(n-1).
     """
     _check_index(n, 1)
-    a, b = coefficient_lists(spec, n)
-    reversed_cf = FiniteCF(a_list=a[::-1], b_list=b[::-1])
-    prev, cur = pair_at(reversed_cf, 0, n)
+    spec.require(n)
+    a, b = zip(*islice(spec.terms(), n))  # a(1..n), b(1..n)
+    reversed_cf = FiniteCF(a_list=a[::-1], b_list=b[::-1] + (spec.b(0),))
+    prev, cur = pair_at(reversed_cf, n)
     return ReversedConvergents(cur.num, cur.den, prev.num, prev.den)

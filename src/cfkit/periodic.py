@@ -169,12 +169,11 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     for identity, holds in checks:
         if not holds:
             raise SelfCheckFailure(f"period matrix violates {identity}")
-    scaled = (1, *entries)  # an all-int period is its own integer form
     if prec:  # c = L^p: c m12 = (L a(p)) (L^(p-1) A(p-2)) and c m21 = L (L^(p-1) B(p-1))
         scaled = (scale ** p, m11, block[p - 1] * a_prev2, scale * m21, m22)
         entries = [_rounded_ratio(m, scaled[0], prec) for m in scaled[1:]]
         pairs = [(num, scale * den) for num, den in pairs[:p]]  # L^(q+1) (A(q), B(q))
-    elif not type(m11) is type(m12) is type(m21) is type(m22) is int:
+    else:
         scaled = _integer_form(entries)
     matrix = PeriodMatrix(*entries)
     object.__setattr__(matrix, "scaled", scaled)

@@ -31,7 +31,7 @@ from itertools import accumulate, islice
 from math import isqrt
 from typing import Literal
 
-from .cfcore import CFSpec, PeriodicCF, _check_index, iter_pairs
+from .cfcore import CFSpec, PeriodicCF, _check_index, shifted_table
 from .errors import (
     CertificateFailure,
     InvalidSpec,
@@ -125,35 +125,21 @@ def validate_semiregular(spec: CFSpec, n_max: int) -> SemiRegularReport:
     _check_index(n_max, 1, "n_max")
     spec.require(n_max)
     try:
-        _check_terms(islice(spec.terms(1), n_max + 1))
+        _check_terms(islice(spec.terms(), n_max + 1))
     except NotSemiRegular as exc:
         if exc.violation.n <= n_max:
             return SemiRegularReport(False, exc.violation, n_max)
     return SemiRegularReport(True, None, n_max)
 
 
-def _chain_sample(n_max: int) -> list[tuple[int, int]]:
-    """Deterministic spread of (k, n) pairs with k >= 1, n >= 0, k+n <= n_max."""
-    ks = sorted({1, 2, 3, n_max // 4 or 1, n_max // 2 or 1, max(n_max - 1, 1)})
-    pairs = []
-    for k in ks:
-        if k > n_max:
-            continue
-        span = n_max - k
-        ns = sorted({0, 1, span // 3, 2 * span // 3, span})
-        pairs.extend((k, n) for n in ns if n <= span)
-    return pairs
-
-
-def denominator_bounds_certificate(
-    spec: CFSpec, n_max: int
-) -> list[BoundRecord]:
+def denominator_bounds_certificate(spec: CFSpec, n_max: int) -> list[BoundRecord]:
     """Verify the linear lower bounds on B and the interleaving chain.
 
     For each k the applicable bound is checked against the exact table:
     a(k+1) = +1 forces B(k+n) >= k+1 for every n >= 1, and a(k+1) = -1
-    forces B(k) >= k+1.  On sampled (k, n) the chain
-    1 <= B(k,n) <= B(k-1,n+1) <= B(k+n) is also verified.  These are
+    forces B(k) >= k+1.  For sampled k the chain
+    1 <= B(k,n) <= B(k-1,n+1) <= B(k+n) is also verified at every
+    n = 0 .. n_max - k, on the tails of `shifted_table`.  These are
     theorems for semi-regular input, so any failure is raised as a bug.
     """
     _check_index(n_max, 2, "n_max")
@@ -163,7 +149,7 @@ def denominator_bounds_certificate(
 
     @cache
     def tail_dens(k: int) -> list:  # B(k, n) for n = 0 .. n_max - k
-        return [den for _, den in iter_pairs(spec, k, n_max - k)]
+        return [pair.den for pair in shifted_table(spec, k, n_max - k)[1:]]
 
     dens = tail_dens(0)
     # suffix minima of B over indices 0..n_max for the plus-case check
@@ -182,14 +168,10 @@ def denominator_bounds_certificate(
                 raise CertificateFailure(k, 0, f"B({k}) = {dens[k]} < {bound}")
             records.append(BoundRecord(k, "minus_case", bound))
 
-    for k, n in _chain_sample(n_max):
-        b_kn = tail_dens(k)[n]
-        b_up = tail_dens(k - 1)[n + 1]
-        b_full = dens[k + n]
-        if not (1 <= b_kn <= b_up <= b_full):
-            raise CertificateFailure(
-                k, n, f"chain broken: 1 <= {b_kn} <= {b_up} <= {b_full}"
-            )
+    for k in sorted({1, 2, min(3, n_max), n_max // 4 or 1, n_max // 2, n_max - 1}):
+        for n, (b_kn, b_up) in enumerate(zip(tail_dens(k), tail_dens(k - 1)[1:])):
+            if not 1 <= b_kn <= b_up <= dens[k + n]:
+                raise CertificateFailure(k, n, f"chain broken: 1 <= {b_kn} <= {b_up} <= {dens[k + n]}")
     return records
 
 
@@ -233,7 +215,7 @@ def evaluate_tietze(
     # A(n), B(n), A(n-1), B(n-1) and b(n) at n = 0; b(0) is unconstrained,
     # and 2 makes the sum condition vacuous at n = 1
     num, den, num_prev, den_prev, b_n = spec.b(0), 1, 1, 0, 2
-    terms, n = spec.terms(1), -1
+    terms, n = spec.terms(), -1
     for n, (a_next, b_next) in enumerate(islice(terms, max_terms)):
         if not (isinstance(a_next, RATIONAL_TYPES) and isinstance(b_next, RATIONAL_TYPES)):
             raise _tower_mismatch(n + 1, a_next, b_next)

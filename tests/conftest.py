@@ -4,7 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from cfkit import FiniteCF, PeriodicCF
+from cfkit import FiniteCF, PeriodicCF, RuleCF
+
+
+def tail_spec(spec, k):
+    """The tail b(k) + a(k+1)/b(k+1) + ... as a spec of its own kind: a finite
+    CF sliced, a periodic one with both blocks rotated by k mod p, a rule shifted."""
+    if isinstance(spec, FiniteCF):
+        return FiniteCF(a_list=spec.a_list[k:], b_list=spec.b_list[k:])
+    if isinstance(spec, PeriodicCF):
+        r = k % spec.period
+        return PeriodicCF(a_block=spec.a_block[r:] + spec.a_block[:r],
+                          b_block=spec.b_block[r:] + spec.b_block[:r])
+    return RuleCF(a_rule=lambda j: spec.a(k + j), b_rule=lambda j: spec.b(k + j))
 
 
 def golden_cf():

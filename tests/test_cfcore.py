@@ -24,7 +24,7 @@ from cfkit.errors import (
     ZeroDenominator,
 )
 from cfkit.cfcore import convergent_pair
-from conftest import footnote_cf, golden_cf, random_finite
+from conftest import footnote_cf, golden_cf, random_finite, tail_spec
 
 
 def fibonacci_pair(m):
@@ -100,13 +100,13 @@ class TestEvaluateConvergent:
 
 def cross(spec, n):
     """A(n)B(n-1) - A(n-1)B(n) from the two pairs that one `pair_at` call returns."""
-    prev, cur = pair_at(spec, 0, n)
+    prev, cur = pair_at(spec, n)
     return cur.num * prev.den - prev.num * cur.den
 
 
 def difference(spec, n):
     """A(n)/B(n) - A(n-1)/B(n-1); each `value` raises ZeroDenominator at its own index."""
-    prev, cur = pair_at(spec, 0, n)
+    prev, cur = pair_at(spec, n)
     before = prev.value()
     return cur.value() - before
 
@@ -301,9 +301,7 @@ def test_terms_stream_matches_indexed_coefficients(spec):
     for first in (1, 2, 3, 4, 5, 6, 7, 8, 11, 29, 10**6 + 2):
         end = spec.max_index if spec.max_index is not None else first + 39
         expected = [(spec.a(n), spec.b(n)) for n in range(first, end + 1)][:20]
-        assert list(islice(spec.terms(first), 20)) == expected
-    with pytest.raises(ValueError):
-        spec.terms(0)
+        assert list(islice(spec.terms(), first - 1, first + 19)) == expected
 
 
 class TestGenerators:
@@ -419,8 +417,8 @@ class TestConvergentValue:
             cls = FiniteCF if kind == "finite" else PeriodicCF
 
             class Counted(cls):
-                def terms(self, first=1):
-                    return (reads.append(term) or term for term in super().terms(first))
+                def terms(self):
+                    return (reads.append(term) or term for term in super().terms())
 
             if kind == "finite":
                 spec, n = Counted(a_list=units[1:], b_list=(3,) * (10**4 + 1)), 10**4
@@ -437,7 +435,7 @@ class TestConvergentValue:
         mat_mul = cfcore._mat_mul
         monkeypatch.setattr(cfcore, "_mat_mul", lambda x, y: products.append(1) or mat_mul(x, y))
         n = 10**4
-        prev, cur = pair_at(make_generator("sqrt2"), 0, n)
+        prev, cur = pair_at(make_generator("sqrt2"), n)
         assert len(products) <= -(-n // 64) + 1
         last = convergent_table(make_generator("sqrt2"), n)[-2:]
         assert [prev, cur] == last and prev.coprime and cur.coprime
@@ -453,7 +451,7 @@ class TestConvergentValue:
             spec = PeriodicCF(a_block=tuple(a[:period]), b_block=tuple(b[:period]))
         for k in (0, 5):
             for n in (63, 64, 65, 128, 129, 259, 260):
-                pairs = pair_at(spec, k, n)
+                pairs = pair_at(tail_spec(spec, k), n)
                 assert list(pairs) == shifted_table(spec, k, n)[-2:], (k, n)
                 assert all(pair.coprime for pair in pairs)
 
@@ -468,7 +466,7 @@ class TestConvergentValue:
     @pytest.mark.parametrize("k, n", [(0, 1), (0, 200), (3, 70)])
     def test_a_marked_pair_is_the_plain_record(self, k, n):
         # the mark is no field: == and hash read (n, num, den) alone
-        for pair in pair_at(make_generator("sqrt2"), k, n):
+        for pair in pair_at(tail_spec(make_generator("sqrt2"), k), n):
             plain = cfcore.ConvergentPair(pair.n, pair.num, pair.den)
             assert pair.coprime and not plain.coprime
             assert pair == plain and hash(pair) == hash(plain) and repr(pair) == repr(plain)

@@ -19,9 +19,8 @@ from cfkit import (
     shifted_table,
     validate_semiregular,
 )
-from cfkit.cfcore import coefficient_lists
 from cfkit.errors import CoefficientUnavailable, InvalidSpec, SizeLimit
-from conftest import footnote_cf, golden_cf, nonzero_int, random_finite
+from conftest import footnote_cf, golden_cf, nonzero_int, random_finite, tail_spec
 
 
 def random_args(rng, n, lo=-5, hi=5):
@@ -33,7 +32,8 @@ def random_args(rng, n, lo=-5, hi=5):
 
 def convergent_continuants(spec, n):
     """(A(n), B(n)) as the continuants K(a1..an; b0..bn) and K(a2..an; b1..bn)."""
-    a, b = coefficient_lists(spec, n)
+    spec.require(n)
+    a, b = tuple(map(spec.a, range(1, n + 1))), tuple(map(spec.b, range(n + 1)))
     den = continuant(ContinuantArgs(a=a[1:], b=b[1:])) if n >= 1 else 1
     return continuant(ContinuantArgs(a=a, b=b)), den
 
@@ -41,8 +41,8 @@ def convergent_continuants(spec, n):
 def tail_formula(spec, n, k):
     """(A(n+k), B(n+k)) from the tail pair and the pairs at n - 1 and n - 2:
     A(n+k) = A(n,k) A(n-1) + a(n) B(n,k) A(n-2), and B(n+k) likewise."""
-    prev2, prev = pair_at(spec, 0, n - 1)
-    tail = pair_at(spec, n, k)[1]
+    prev2, prev = pair_at(spec, n - 1)
+    tail = pair_at(tail_spec(spec, n), k)[1]
     return (
         tail.num * prev.num + spec.a(n) * tail.den * prev2.num,
         tail.num * prev.den + spec.a(n) * tail.den * prev2.den,
@@ -51,8 +51,8 @@ def tail_formula(spec, n, k):
 
 def far_cross(spec, n, k):
     """A(n+k)B(n-1) - A(n-1)B(n+k) from two `pair_at` calls."""
-    far = pair_at(spec, 0, n + k)[1]
-    prev = pair_at(spec, 0, n - 1)[1]
+    far = pair_at(spec, n + k)[1]
+    prev = pair_at(spec, n - 1)[1]
     return far.num * prev.den - prev.num * far.den
 
 
@@ -211,7 +211,7 @@ class TestGeneralizedCrossDeterminant:
         for _ in range(10):
             spec = random_finite(rng, 10)
             for n in range(1, 10):
-                prev, cur = pair_at(spec, 0, n)
+                prev, cur = pair_at(spec, n)
                 assert far_cross(spec, n, 0) == cur.num * prev.den - prev.num * cur.den
 
     def test_k_one_skip_formula(self, rng):

@@ -33,6 +33,7 @@ from cfkit import (
 )
 from cfkit.errors import ZeroDenominator
 from cfkit.scalars import scalar_div
+from conftest import tail_spec
 
 # plain Fraction arithmetic: no example is slow, but a loaded host can be
 no_deadline = settings(deadline=None)
@@ -152,7 +153,7 @@ def test_recurrence_core_agrees_with_brute_loop(spec, data):
         else:
             assert evaluate_convergent(spec, n) == nums[n] / dens[n]
         if n >= 1:
-            prev, cur = pair_at(spec, 0, n)
+            prev, cur = pair_at(spec, n)
             expected = nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
             assert cur.num * prev.den - prev.num * cur.den == expected
 
@@ -205,14 +206,15 @@ def test_single_pairs_agree_with_brute_loop(case):
     spec, k, n_max = case
     nums, dens = raw_table(shifted(spec, k), n_max)
     nums, dens = [*nums, 1], [*dens, 0]  # index -1 reads the seed (1, 0)
+    own = tail_spec(spec, k)
     for n in range(n_max + 1):
-        prev, cur = pair_at(spec, k, n)
+        prev, cur = pair_at(own, n)
         assert (prev.n, prev.num, prev.den) == (n - 1, nums[n - 1], dens[n - 1])
         assert (cur.n, cur.num, cur.den) == (n, nums[n], dens[n])
     n_total = k + n_max
     nums, dens = raw_table(spec, n_total)
     for n in range(1, n_total + 1):
-        prev, cur = pair_at(spec, 0, n)
+        prev, cur = pair_at(spec, n)
         assert cur.num * prev.den - prev.num * cur.den == (
             nums[n] * dens[n - 1] - nums[n - 1] * dens[n]
         )
@@ -225,12 +227,12 @@ def test_single_pairs_agree_with_brute_loop(case):
                 assert pair.value() == scalar_div(nums[pair.n], dens[pair.n])
         # A(n+j) = A(n,j) A(n-1) + a(n) B(n,j) A(n-2), and B likewise
         j = n_total - n
-        prev2, prev = pair_at(spec, 0, n - 1)
-        tail = pair_at(spec, n, j)[1]
+        prev2, prev = pair_at(spec, n - 1)
+        tail = pair_at(tail_spec(spec, n), j)[1]
         an = spec.a(n)
         assert tail.num * prev.num + an * tail.den * prev2.num == nums[n_total]
         assert tail.num * prev.den + an * tail.den * prev2.den == dens[n_total]
-        far = pair_at(spec, 0, n_total)[1]
+        far = pair_at(spec, n_total)[1]
         assert far.num * prev.den - prev.num * far.den == (
             nums[n_total] * dens[n - 1] - nums[n - 1] * dens[n_total]
         )
@@ -275,8 +277,9 @@ def test_complex_pairs_agree_with_stream_within_tolerance(case):
     def gap(x, y):
         return float(as_complexfloat(x - y, prec).modulus())
 
+    own = tail_spec(spec, k)
     for n in range(n_max + 1):
-        cur = pair_at(spec, k, n)[1]
+        cur = pair_at(own, n)[1]
         assert gap(cur.num, nums[n]) <= tolerance * num_scale[n]
         assert gap(cur.den, dens[n]) <= tolerance * den_scale[n]
 

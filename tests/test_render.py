@@ -9,6 +9,7 @@ import pytest
 from cfkit import ComplexFloat, format_exact, parse_exact, quadext, render
 from cfkit.errors import SpecFileError
 from cfkit.render import format_float, squarefree_split
+from cfkit.specfile import format_literal
 
 
 def F(n, d=1):
@@ -343,3 +344,15 @@ def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     s, f = squarefree_split(2**20 * 3)
     assert s == 2**10 and f == 3
+
+
+@pytest.mark.parametrize("convert", [
+    lambda x: quadext(x, 1, 2),
+    format_exact,
+    format_float,
+    format_literal,
+], ids=["quadext", "format_exact", "format_float", "format_literal"])
+def test_a_float_has_no_form(convert):
+    # each converter names the type it cannot take
+    with pytest.raises(TypeError, match=r"\bfloat$"):
+        convert(0.5)

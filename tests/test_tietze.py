@@ -6,6 +6,7 @@ from cfkit import (
     BoundedValue,
     CFSpec,
     ComplexFloat,
+    ConvergentPair,
     FiniteCF,
     PeriodicCF,
     RuleCF,
@@ -15,7 +16,8 @@ from cfkit import (
     quadext,
     validate_semiregular,
 )
-from cfkit.errors import CoefficientUnavailable, InvalidSpec, IterationCap, TowerMismatch
+from cfkit import tietze
+from cfkit.errors import CertificateFailure, CoefficientUnavailable, InvalidSpec, IterationCap, TowerMismatch
 from cfkit.tietze import SemiRegularReport, Violation
 from brute import sign_of
 from conftest import footnote_cf, golden_cf, random_semiregular
@@ -114,6 +116,26 @@ class TestCertificate:
         spec = PeriodicCF(a_block=(-1,), b_block=(Fraction(3, 2),))
         with pytest.raises(InvalidSpec):
             denominator_bounds_certificate(spec, 10)
+
+    @pytest.mark.parametrize("spec, k, n, expected", [
+        pytest.param(golden_cf(), 0, 5, (1, -1), id="plus_case"),  # min of B(2..10) < 2
+        pytest.param(footnote_cf(), 0, 3, (3, 0), id="minus_case"),  # B(3) < 4
+        pytest.param(golden_cf(), 2, 3, (2, 3), id="chain"),  # 1 <= B(2,3) breaks
+    ])
+    def test_a_corrupt_denominator_fails(self, monkeypatch, spec, k, n, expected):
+        # the bounds are theorems, so only a broken table can fail them: B(k,n) := 0
+        shifted_table = tietze.shifted_table
+
+        def corrupt(source, start, n_max):
+            rows = shifted_table(source, start, n_max)
+            if start == k:
+                rows[n + 1] = ConvergentPair(n, rows[n + 1].num, 0)
+            return rows
+
+        monkeypatch.setattr(tietze, "shifted_table", corrupt)
+        with pytest.raises(CertificateFailure) as err:
+            denominator_bounds_certificate(spec, 10)
+        assert (err.value.k, err.value.n) == expected
 
 
 class TestEvaluate:
