@@ -14,9 +14,12 @@ index; `evaluate_tietze` steps them inline.  A single pair is a product
 of 2x2 step matrices instead: `pair_at` builds the product of each run of up
 to 64 steps with `recurrence` and multiplies the runs as a balanced tree, or
 by powers of the period matrix for a periodic CF, which costs
-O(M(n) log n) bit operations where streaming costs O(n^2); a square takes
-five big products, a general product eight.  Every operation here is
-exact: values never leave the tower of the coefficients that produced them.
+O(M(n) log n) bit operations where streaming costs O(n^2).  A general
+product takes eight big products; a power of exact entries walks the Lucas
+sequence of the matrix's trace and determinant, one product and two squares
+per bit of the exponent, and ComplexFloat entries keep repeated squaring.
+Every operation here is exact: values never leave the tower of the
+coefficients that produced them.
 
 A(n)B(n-1) - A(n-1)B(n) = (-1)^(n-1) a(1)...a(n), so integer runs of
 determinant ±1 leave A(n) and B(n) coprime: `pair_at` marks such pairs, and
@@ -29,7 +32,7 @@ from itertools import chain, count, cycle, islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import CoefficientUnavailable, InvalidSpec, ZeroDenominator, record
-from .scalars import Scalar, coprime_fraction, scalar_div
+from .scalars import Scalar, coprime_fraction, is_exact, scalar_div
 
 
 class CFSpec:
@@ -286,17 +289,28 @@ def _tree_product(matrices: Iterable[Matrix]) -> Matrix:
 
 
 def _power(m: Matrix, e: int) -> Matrix:
-    """m**e for e >= 1 by repeated squaring.  A square takes five products,
-    [[a² + bc, b(a + d)], [c(a + d), d² + bc]], where `_mat_mul` takes
-    eight; each multiply-by-m step is a `_mat_mul`."""
-    result = m
+    """m**e for e >= 1.  Exact entries follow Cayley-Hamilton,
+    m**k = U(k) m - det U(k-1) I with U(0) = 0, U(1) = 1 and
+    U(k+1) = tr U(k) - det U(k-1): each bit of e doubles k on (U(k), U(k+1))
+    by U(2k) = U(k) (2 U(k+1) - tr U(k)) and U(2k+1) = U(k+1)² - det U(k)²,
+    one product and two squares, and a 1 bit then adds 1 to k; at the end
+    det U(e-1) = tr U(e) - U(e+1) needs no division.  ComplexFloat entries keep repeated squaring, five products to
+    a square: the identity is exact algebra, and it cancels in floating point."""
+    a, b, c, d = m
+    if not all(map(is_exact, m)):
+        for bit in bin(e)[3:]:
+            bc, trace = b * c, a + d
+            a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
+            if bit == "1":
+                a, b, c, d = _mat_mul((a, b, c, d), m)
+        return a, b, c, d
+    tr, det, u, u_next = a + d, a * d - b * c, 1, a + d
     for bit in bin(e)[3:]:
-        a, b, c, d = result
-        bc, trace = b * c, a + d
-        result = a * a + bc, b * trace, c * trace, d * d + bc
+        u, u_next = u * (2 * u_next - tr * u), u_next * u_next - det * (u * u)
         if bit == "1":
-            result = _mat_mul(result, m)
-    return result
+            u, u_next = u_next, tr * u_next - det * u
+    w = tr * u - u_next
+    return a * u - w, b * u, c * u, d * u - w
 
 
 _RUN = 64  # steps per leaf of `pair_at`'s product tree

@@ -358,7 +358,9 @@ def galois_analysis(pcf: PeriodicCF) -> GaloisReport:
     c, m11, m12, m21, m22 = alpha.matrix.scaled
     d, n11, n12, n21, n22 = alpha_prime.matrix.scaled
     den, b0 = _integer_form(pcf.b_block[:1], alpha.matrix.prec)
-    holds = (  # each side at the common multiple c d of the integer forms c M and d N
+    g = math.gcd(c, d)
+    c, d = c // g, d // g  # each side at lcm(c, d), where c M and d N are integral
+    holds = (
         alpha_prime.verdict.kind in (CONVERGENT, DIVERGENT_THIELE)
         and alpha_prime.eigen.modulus_relation == alpha.eigen.modulus_relation
         and c * n21 == d * m21

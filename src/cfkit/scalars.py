@@ -431,7 +431,10 @@ def _integer_form(values, prec: int = 0) -> tuple:
         parts = [_dyadic(as_complexfloat(x, prec)) for x in values]
         k = -min(0, *[p[1] for p in parts], *[p[3] for p in parts])
         return (1 << k, *[_quadext_trusted(m << e + k, n << f + k, -1) for m, e, n, f in parts])
-    if {*map(type, values)} == {int}:
+    for x in values:  # a plain loop: a set of the types, or all() over a generator, costs ~4x
+        if type(x) is not int:
+            break
+    else:
         return (1, *values)
     parts = [(x.a, x.b, x.d) if isinstance(x, QuadExt) else (x, 0, -1) for x in values]
     scale = math.lcm(*(q.denominator for a, b, _ in parts for q in (a, b)))

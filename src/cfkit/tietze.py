@@ -188,7 +188,9 @@ def evaluate_tietze(
     A(n)/B(n) and (A(n) + a(n+1) A(n-1))/(B(n) + a(n+1) B(n-1)), the images
     of the tails oo and 1.  The test needs a(n+1), so one loop reads and
     checks (a(n+1), b(n+1)), tests the enclosure at n, and only then steps
-    (A, B) to n + 1.  A finite spec that reaches its last index N
+    (A, B) to n + 1.  The check has made a(n+1) = ±1, so the step adds or
+    subtracts A(n-1) and B(n-1) instead of multiplying them by a(n+1).
+    A finite spec that reaches its last index N
     returns A(N)/B(N), its exact value, with error bound 0, and a(N+1) is
     never asked for.
 
@@ -229,8 +231,13 @@ def evaluate_tietze(
             _check_terms(islice(terms, checked_up_to - n - 1), n + 2, b_next)
             bound = Fraction(1, 1) / inverse_width
             return BoundedValue(scalar_div(num, den), n, bound, checked_up_to)
-        num, num_prev = b_next * num + a_next * num_prev, num
-        den, den_prev, b_n = b_next * den + a_next * den_prev, den, b_next
+        if a_next == 1:
+            num, num_prev = b_next * num + num_prev, num
+            den, den_prev = b_next * den + den_prev, den
+        else:
+            num, num_prev = b_next * num - num_prev, num
+            den, den_prev = b_next * den - den_prev, den
+        b_n = b_next
     if n + 1 == spec.max_index:  # every term read: A(N)/B(N) is the value
         return BoundedValue(scalar_div(num, den), n + 1, Fraction(0), n + 1)
     raise IterationCap(max_terms)

@@ -487,3 +487,20 @@ class TestConvergentValue:
         assert max(gcd_bits, default=0) <= 1000
         f_next, f_next2 = fibonacci_pair(10**4 + 1)
         assert (value.numerator, value.denominator) == (f_next2, f_next)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(-2, 3), quadext(1, 1, 5)], ids=["int", "fraction", "quadext"])
+def test_power_is_the_repeated_product(scale):
+    # the Lucas ladder against e - 1 `_mat_mul` steps, at det = 0, det < 0
+    # and on seeded matrices, scaled into each tower and then given entries
+    # of unlike denominators
+    rng = random.Random(5)
+    ints = [(1, 2, 2, 4), (1, 2, 3, 4), (0, 1, 1, 0)]
+    ints += [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(5)]
+    matrices = [tuple(scale * x for x in m) for m in ints]
+    matrices += [tuple(scale * x + Fraction(y, 6) for x, y in zip(m, m[::-1])) for m in ints[3:]]
+    for m in matrices:
+        product = m
+        for e in range(1, 41):
+            assert cfcore._power(m, e) == product, (m, e)
+            product = cfcore._mat_mul(product, m)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -357,9 +358,11 @@ def test_minimal_n_used_matches_a_plain_loop(rng, digits):
                 # past a finite list a rule runs out
                 check(RuleCF(a_rule=finite.a, b_rule=finite.b), terms, lambda n: n + 1)
         a_block, b_block = _random_block(rng, rng.randint(1, 12))
-        periodic = PeriodicCF(a_block=a_block, b_block=b_block)
-        terms = [(periodic.a(n), periodic.b(n)) for n in range(1, 4000)]
-        assert check(periodic, terms, lambda n: max(n + 1, len(a_block) + 1)) < len(terms)
+        # a(n) = Fraction(±1) over int b(n): the unit step may keep A and B ints
+        units = tuple(map(Fraction, a_block)), tuple(map(math.ceil, b_block))
+        for periodic in (PeriodicCF(a_block, b_block), PeriodicCF(*units)):
+            terms = [(periodic.a(n), periodic.b(n)) for n in range(1, 4000)]
+            assert check(periodic, terms, lambda n: max(n + 1, len(a_block) + 1)) < len(terms)
 
 
 class TestCauchyEnvelope:
