@@ -294,8 +294,10 @@ def _power(m: Matrix, e: int) -> Matrix:
     U(k+1) = tr U(k) - det U(k-1): each bit of e doubles k on (U(k), U(k+1))
     by U(2k) = U(k) (2 U(k+1) - tr U(k)) and U(2k+1) = U(k+1)² - det U(k)²,
     one product and two squares, and a 1 bit then adds 1 to k; at the end
-    det U(e-1) = tr U(e) - U(e+1) needs no division.  ComplexFloat entries keep repeated squaring, five products to
-    a square: the identity is exact algebra, and it cancels in floating point."""
+    det U(e-1) = tr U(e) - U(e+1) needs no division.
+
+    ComplexFloat entries keep repeated squaring, five products to a square:
+    the identity is exact algebra, and it cancels in floating point."""
     a, b, c, d = m
     if not all(map(is_exact, m)):
         for bit in bin(e)[3:]:

@@ -8,8 +8,13 @@ and for decimal rendering).
 Exit codes: 0 success, 2 parse/arity error, 3 undefined convergent
 (zero denominator), 4 continuant oracle disagreement, 5 semi-regular
 conditions violated, 6 subcommand needs a periodic spec, 7 any other module
-error (the error name is printed to stderr).  Reports go to stdout,
-diagnostics to stderr.
+error (the error name is printed to stderr).
+
+Subcommands return 0, or 4 on an oracle disagreement, and raise every
+failure: `main` looks the error up in one table, `FAILURES`, for its exit
+code and stderr line.  Errors argparse finds in the arguments, and a
+--precision out of range, exit 2 before a subcommand runs.  Reports go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .periodic import (
     reverse_period,
 )
 from .render import format_exact, format_float, int_texts, parse_exact
-from .scalars import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
+from .scalars import DEFAULT_PRECISION_BITS, MAX_EXPONENT, MAX_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
 from .tietze import NotSemiRegular, evaluate_tietze
 
@@ -48,7 +53,6 @@ MAX_INDEX = 1_000_000  # exact entries grow exponentially in bit size
 # power-iter keeps every exact step and the text of every row, so its memory
 # and output grow with the square of the step count
 MAX_STEPS = 10_000
-MAX_EXPONENT = 1_000_000  # Fraction("1e-k") computes 10**k before any check
 #: flags whose value may start with "-", as "-1/2" does, which argparse reads as an option
 _VALUE_FLAGS = {"--a", "--b", "--matrix", "--u0", "--v0", "--eps"}
 
@@ -118,6 +122,19 @@ class _NotPeriodic(Exception):
     """The subcommand needs a periodic spec; `main` maps this to exit 6."""
 
 
+#: (error type, exit code, stderr line) for each error a subcommand may raise;
+#: `main` reports an error by the first row whose type it is an instance of
+FAILURES = (
+    (_NotPeriodic, EXIT_NOT_PERIODIC, "{exc}"),
+    (SpecFileError, EXIT_PARSE, "SpecFileError: {exc}"),
+    (ZeroDenominator, EXIT_ZERO_DENOMINATOR, "ZeroDenominator: convergent undefined at index {exc.index}"),
+    (NotSemiRegular, EXIT_NOT_SEMIREGULAR, "{exc}"),  # before InvalidSpec, its base
+    (InvalidSpec, EXIT_PARSE, "arity error: {exc}"),
+    (ValueError, EXIT_PARSE, "invalid argument: {exc}"),
+    (CFKitError, EXIT_MODULE_ERROR, "{exc.__class__.__name__}: {exc}"),
+)
+
+
 def _load_periodic(args, needs: str = "a periodic spec") -> tuple[SpecFile, PeriodicCF, int]:
     spec_file, spec, prec = _load(args)
     if not isinstance(spec, PeriodicCF):
@@ -160,25 +177,16 @@ def _literal_list(text: str) -> list:
 def cmd_eval(args) -> int:
     spec_file, spec, prec = _load(args)
     pair = convergent_pair(spec, args.n)
-    try:
-        value = pair.value()
-    except ZeroDenominator as exc:
-        _diag(f"ZeroDenominator: convergent undefined at index {exc.index}")
-        return EXIT_ZERO_DENOMINATOR
     _emit(_report(
         "eval", {**_echo(args, spec_file), "n": args.n}, {"n": args.n},
-        {"A": pair.num, "B": pair.den, "value": value}, prec,
+        {"A": pair.num, "B": pair.den, "value": pair.value()}, prec,
     ), args.json)
     return EXIT_OK
 
 
 def cmd_continuant(args) -> int:
     prec = args.precision or DEFAULT_PRECISION_BITS
-    try:
-        cont_args = ContinuantArgs(a=tuple(args.a), b=tuple(args.b))
-    except InvalidSpec as exc:
-        _diag(f"arity error: {exc}")
-        return EXIT_PARSE
+    cont_args = ContinuantArgs(a=tuple(args.a), b=tuple(args.b))
     value = continuant(cont_args)
     oracle_value = continuant_oracle(cont_args) if args.oracle else None
     agreement = oracle_value == value if args.oracle else None
@@ -206,11 +214,7 @@ def cmd_continuant(args) -> int:
 
 def cmd_tietze(args) -> int:
     spec_file, spec, prec = _load(args)
-    try:
-        bounded = evaluate_tietze(spec, args.eps)
-    except NotSemiRegular as exc:
-        _diag(str(exc))
-        return EXIT_NOT_SEMIREGULAR
+    bounded = evaluate_tietze(spec, args.eps)
     _emit(_report(
         "tietze",
         {**_echo(args, spec_file), "eps": format_exact(args.eps)},
@@ -378,18 +382,12 @@ def main(argv: list[str] | None = None) -> int:
             _diag(f"precision must be {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS} bits")
             return EXIT_PARSE
         return args.func(args)
-    except _NotPeriodic as exc:
-        _diag(str(exc))
-        return EXIT_NOT_PERIODIC
-    except SpecFileError as exc:
-        _diag(f"SpecFileError: {exc}")
-        return EXIT_PARSE
-    except ValueError as exc:
-        _diag(f"invalid argument: {exc}")
-        return EXIT_PARSE
-    except CFKitError as exc:
-        _diag(f"{type(exc).__name__}: {exc}")
-        return EXIT_MODULE_ERROR
+    except Exception as exc:
+        for kind, code, line in FAILURES:
+            if isinstance(exc, kind):
+                _diag(line.format(exc=exc))
+                return code
+        raise
 
 
 if __name__ == "__main__":

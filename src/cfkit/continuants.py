@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .cfcore import CFSpec, FiniteCF, _check_index, pair_at
-from .errors import InvalidSpec, SizeLimit, record
+from .errors import SizeLimit, record
 from .scalars import Scalar
 
 ORACLE_MAX_TERMS = 12
@@ -30,10 +30,7 @@ class ContinuantArgs:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
-        if len(self.b) != len(self.a) + 1:
-            raise InvalidSpec(
-                f"need |b| = |a| + 1, got |a| = {len(self.a)}, |b| = {len(self.b)}"
-            )
+        FiniteCF(a_list=self.a, b_list=self.b)  # raises InvalidSpec unless |b| = |a| + 1
 
     @property
     def n(self) -> int:

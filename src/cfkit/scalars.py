@@ -24,6 +24,9 @@ from .errors import InvalidSpec, TowerMismatch, record
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 65_536  # the CLI's ceiling: a classify there takes some 0.2 s
 DEFAULT_PRECISION_BITS = 128
+# the largest |k| of a number 10^k that a reader takes: Fraction("1e-k") computes
+# 10**k at once, and a complex part of 10^-k grows the exact period matrix with k
+MAX_EXPONENT = 1_000_000
 
 RationalLike = Union[int, Fraction]
 

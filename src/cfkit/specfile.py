@@ -12,22 +12,26 @@ Schema (UTF-8 JSON object).  Each mode takes these keys and no others:
 
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), JSON integers of any size, or {"re": ..., "im": ...}
-objects for the complex tower.  Floats are accepted only in the complex
-tower so that rational parsing stays exact, and only finite ones.  The a and
-b lists, or a generator's params, are read in one tower: the declared one,
-or else the lowest tower that holds all of their literals.
+objects for the complex tower, whose parts are integers, floats, or decimal
+or "p/q" strings.  Floats are accepted only in the complex tower so that
+rational parsing stays exact.  A complex value must be finite, and each
+nonzero part between 10^-MAX_EXPONENT and 10^MAX_EXPONENT in magnitude.
+The a and b lists, or a generator's params, are read in one tower: the
+declared one, or else the lowest tower that holds all of their literals.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
 from .errors import InvalidSpec, SpecFileError, record
 from .render import _text_int, format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    MAX_EXPONENT,
     MAX_PRECISION_BITS,
     MIN_PRECISION_BITS,
     ComplexFloat,
@@ -52,6 +56,19 @@ def _literal_kind(token) -> str:
     raise SpecFileError(f"not a number literal: {token!r}")
 
 
+def _part(part, prec: int):
+    """The re or im of a complex literal: an int, a float, or a string mpmath reads."""
+    if isinstance(part, int) and not isinstance(part, bool):
+        # rounded at once: mpf(int) first strips trailing zero bits, 8 at a time
+        return as_complexfloat(part, prec).re
+    if isinstance(part, (float, str)):
+        try:
+            return _ctx(prec).mpf(part)
+        except (ValueError, ZeroDivisionError):  # as for "abc" and "1/0"
+            pass
+    raise SpecFileError(f"complex literal part {part!r} is not a number")
+
+
 def _parse_literal(token, tower: str, prec: int):
     if _TOWERS.index(_literal_kind(token)) > _TOWERS.index(tower):
         raise SpecFileError(f"literal {token!r} does not fit the {tower} tower")
@@ -66,14 +83,25 @@ def _parse_literal(token, tower: str, prec: int):
         extra = set(token) - {"re", "im"}
         if missing or extra:
             raise SpecFileError(f"complex literal needs exactly re and im: {token!r}")
-        value = ComplexFloat(token["re"], token["im"], prec)
-    if isinstance(value, ComplexFloat):
-        ctx = _ctx(prec)
-        if not (ctx.isfinite(value.re) and ctx.isfinite(value.im)):
-            raise SpecFileError(f"complex literal {token!r} is not finite")
+        value = ComplexFloat(_part(token["re"], prec), _part(token["im"], prec), prec)
     if tower == "complex" and not isinstance(value, ComplexFloat):
         value = as_complexfloat(value, prec)
+    if isinstance(value, ComplexFloat):
+        ctx, (low, high) = _ctx(prec), _magnitude_bounds(prec)
+        if not (ctx.isfinite(value.re) and ctx.isfinite(value.im)):
+            raise SpecFileError(f"complex literal {token!r} is not finite")
+        for part in (value.re, value.im):
+            if part and not low <= abs(part) <= high:
+                raise SpecFileError(f"complex part {ctx.nstr(part, 6)} lies outside "
+                                    f"10^-{MAX_EXPONENT}..10^{MAX_EXPONENT} in magnitude")
     return value
+
+
+@cache
+def _magnitude_bounds(prec: int) -> tuple:
+    """10^-MAX_EXPONENT and 10^MAX_EXPONENT, read as a literal part at `prec` bits is."""
+    ctx = _ctx(prec)
+    return ctx.mpf(f"1e-{MAX_EXPONENT}"), ctx.mpf(f"1e{MAX_EXPONENT}")
 
 
 def _infer_tower(tokens) -> str:
@@ -202,8 +230,10 @@ def load_specfile(path: str, precision_override: int | None = None) -> SpecFile:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, parse_int=_text_int)  # of any size
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read spec file: {exc}") from exc
+    except RecursionError:
+        raise SpecFileError("cannot read spec file: its JSON nests too deeply") from None
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"malformed JSON: {exc.msg}", line=exc.lineno, column=exc.colno

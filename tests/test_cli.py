@@ -1,10 +1,12 @@
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -590,15 +592,75 @@ def test_generator_params_are_read_as_literals(capsys, tmp_path, generator, same
     ({"mode": "finite", "a": 1, "b": [1, 1]}, "finite mode needs a and b lists"),
     ({"mode": "periodic", "a": [1], "b": [{"re": 1, "im": 0, "abs": 1}]},
      "complex literal needs exactly re and im"),
+    *(({"mode": "periodic", "a": [1, 1], "b": [{"re": part, "im": 1}, {"re": 1, "im": 0}]},
+       f"complex literal part {part!r} is not a number")
+      for part in (None, [1], {"re": 1, "im": 0}, True, "abc", "1/0")),
 ], ids=["finite-generator", "periodic-generator", "generator-period", "tower-false",
         "tower-0", "tower-list", "tower-dict", "tower-empty", "generator-label",
         "period-bool", "period-float", "golden-params", "regular-extra-param",
-        "json-array", "empty-period", "a-not-a-list", "complex-third-key"])
+        "json-array", "empty-period", "a-not-a-list", "complex-third-key",
+        "part-null", "part-list", "part-object", "part-true", "part-text", "part-zero-denominator"])
 def test_malformed_spec_exits_2(capsys, tmp_path, data, message):
     code = main(["eval", write_spec(tmp_path, data), "-n", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("SpecFileError: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"mode": "periodic", "a": [1], "b": ' + b"[" * 3000 + b"1" + b"]" * 3000 + b"}", "nests too deeply"),
+    ('{"mode": "generator", "generator": {"name": "golden"}} é'.encode("latin-1"), "'utf-8' codec"),
+], ids=["nested-3000", "latin-1"])
+def test_unreadable_spec_file_exits_2(capsys, tmp_path, content, message):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(content)
+    code = main(["classify", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("SpecFileError: cannot read spec file: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_complex_part_beyond_the_bound_exits_2_at_once(tmp_path):
+    # b = (10^-e + i, 1 + 10^-e i): classify took 1.6 s at e = 10^6 and 20 s at e = 10^7
+    spec = tmp_path / "spec.json"
+    tiny = f'"1e-{MAX_EXPONENT + 1}"'
+    spec.write_text('{"mode": "periodic", "a": [1, 1], "b": [{"re": %s, "im": 1}, {"re": 1, "im": %s}]}'
+                    % (tiny, tiny), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "cfkit", "classify", str(spec)],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"SpecFileError: complex part 1.0e-{MAX_EXPONENT + 1} lies outside "
+                           f"10^-{MAX_EXPONENT}..10^{MAX_EXPONENT} in magnitude\n")
+
+
+class TestExitContract:
+    """`cli.FAILURES` is the one statement of the failure exit codes, and
+    both the module docstring and README's "Exit codes" paragraph list them."""
+
+    @staticmethod
+    def documented(text: str, code_pattern: str) -> set[int]:
+        paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+        return {int(code) for code in re.findall(code_pattern, paragraph)}
+
+    @pytest.mark.parametrize("source", ["docstring", "readme"])
+    def test_documented_codes_are_the_table_codes(self, source):
+        if source == "docstring":
+            documented = self.documented(cli.__doc__, r"(?:: |, )(\d) ")
+        else:
+            readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+            documented = self.documented(readme, r"`(\d)`")
+        table = {code for _, code, _ in cli.FAILURES}
+        assert table <= documented  # every code the table returns is documented
+        # every documented failure has a row; 4 reports a result, 0 success
+        assert documented - {0, 4} == table
+
+    def test_every_row_can_match(self):
+        # the first matching row wins, so a row under one of its base types is dead
+        kinds = [kind for kind, _, _ in cli.FAILURES]
+        for i, kind in enumerate(kinds):
+            assert not any(issubclass(kind, earlier) for earlier in kinds[:i]), kind
 
 
 REPORT_KEYS = {

@@ -6,6 +6,7 @@ import pytest
 
 from cfkit import ComplexFloat, FiniteCF, PeriodicCF, quadext
 from cfkit.errors import SpecFileError
+from cfkit.scalars import MAX_EXPONENT, _ctx
 from cfkit.specfile import SpecFile, load_specfile, parse_spec_dict, specfile_from_periodic
 
 
@@ -64,16 +65,57 @@ class TestLiterals:
             load_specfile(path)
 
     def test_finite_complex_literal_with_huge_exponent_loads(self, tmp_path):
-        # finiteness is read off the mpf, without building its exact value
+        # finiteness is read off the mpf, without building its exact value;
+        # 10^-MAX_EXPONENT and 10^MAX_EXPONENT are the widest parts taken
         path = write_spec(tmp_path, {
             "mode": "periodic", "tower": "complex", "a": [1, 1],
-            "b": [{"re": "1e-10000000000", "im": 0}, {"re": 1, "im": "1e+10000000000"}],
+            "b": [{"re": f"1e-{MAX_EXPONENT}", "im": 0}, {"re": 1, "im": f"1e+{MAX_EXPONENT}"}],
             "period": 2,
         })
         start = time.perf_counter()
         spec = load_specfile(path)
         assert time.perf_counter() - start < 5.0
         assert 0 < spec.b[0].re < 1 and spec.b[1].im > 1
+
+    @pytest.mark.parametrize("part", [None, [1], {"re": 1, "im": 0}, True, "abc", "1/0", "√2"],
+                             ids=["null", "list", "object", "true", "text", "zero-denominator", "surd"])
+    def test_complex_part_that_is_not_a_number_is_refused(self, part):
+        for literal in ({"re": part, "im": 0}, {"re": 1, "im": part}):
+            with pytest.raises(SpecFileError, match="complex literal part .* is not a number"):
+                parse_spec_dict({"mode": "finite", "a": [], "b": [literal]})
+
+    @pytest.mark.parametrize("part", [0, -7, 10**40, 0.1, -2.5e-300, "1.25e-7", "-22/7", " 3 "],
+                             ids=["zero", "int", "big-int", "float", "tiny-float", "decimal", "ratio", "spaced"])
+    def test_complex_parts_read_as_mpmath_reads_them(self, part):
+        spec = parse_spec_dict({"mode": "finite", "a": [], "b": [{"re": part, "im": part}],
+                                "precision_bits": 200})
+        (value,) = spec.b
+        expected = _ctx(200).mpf(part)._mpf_
+        assert value.prec == 200 and value.re._mpf_ == value.im._mpf_ == expected
+
+    @pytest.mark.parametrize("part", [f"1e-{MAX_EXPONENT + 1}", f"-1e+{MAX_EXPONENT + 1}", "1e-10000000000",
+                                      f"100e{MAX_EXPONENT - 1}", f"0.001e-{MAX_EXPONENT - 2}", 10**(MAX_EXPONENT + 1)],
+                             ids=["tiny", "huge", "far-tiny", "huge-by-mantissa", "tiny-by-mantissa", "int"])
+    def test_complex_part_beyond_the_exponent_bound_is_refused(self, part):
+        # the bound is on the value read, not on the exponent written
+        start = time.perf_counter()
+        for literal in ({"re": part, "im": 1}, {"re": 1, "im": part}):
+            with pytest.raises(SpecFileError, match=f"outside 10\\^-{MAX_EXPONENT}..10\\^{MAX_EXPONENT}"):
+                parse_spec_dict({"mode": "finite", "a": [], "b": [literal]})
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("part, same_as", [
+        (f"1e-{MAX_EXPONENT}", f"1e-{MAX_EXPONENT}"), (f"-1e{MAX_EXPONENT}", f"-1e{MAX_EXPONENT}"),
+        (f"0.01e{MAX_EXPONENT + 2}", f"1e{MAX_EXPONENT}"), (f"100e-{MAX_EXPONENT + 2}", f"1e-{MAX_EXPONENT}"),
+        (10**MAX_EXPONENT, f"1e{MAX_EXPONENT}"),
+    ], ids=["tiny", "huge", "huge-by-mantissa", "tiny-by-mantissa", "int"])
+    def test_complex_part_at_the_exponent_bound_is_read(self, part, same_as):
+        start = time.perf_counter()
+        for prec in (64, 128, 1000):
+            spec = parse_spec_dict({"mode": "finite", "a": [], "b": [{"re": part, "im": 1}],
+                                    "precision_bits": prec})
+            assert spec.b[0].re == _ctx(prec).mpf(same_as)
+        assert time.perf_counter() - start < 5.0
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(SpecFileError):
@@ -199,6 +241,20 @@ class TestFiles:
     def test_missing_file(self):
         with pytest.raises(SpecFileError):
             load_specfile("/nonexistent/spec.json")
+
+    def test_deeply_nested_json_is_refused(self, tmp_path):
+        # json.load recurses once per level, and 3000 levels pass the recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text('{"mode": "periodic", "a": [1], "b": ' + "[" * 3000 + "1" + "]" * 3000 + "}",
+                        encoding="utf-8")
+        with pytest.raises(SpecFileError, match="nests too deeply"):
+            load_specfile(str(path))
+
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"mode": "generator", "generator": {"name": "golden"}} é'.encode("latin-1"))
+        with pytest.raises(SpecFileError, match="cannot read spec file: 'utf-8' codec can't decode"):
+            load_specfile(str(path))
 
 
 class TestRoundTrip:
