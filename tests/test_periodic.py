@@ -20,6 +20,7 @@ from cfkit import (
     classify,
     convergent_table,
     eigen_split,
+    galois_analysis,
     power_iterate,
     quadext,
     reverse_period,
@@ -357,6 +358,32 @@ class TestClassify:
         assert dens[6:12] == dens[:6]
 
 
+def complex_split_cases() -> list:
+    """Every value the complex split rounds, bit for bit: seeded Gaussian
+    dyadic periods at three precisions, +-1 period-3 grids (a(2) = -b(1) b(2)
+    makes m21 = B(2) = 0), 2^-3000 parts, and real 3-digit period-4 blocks."""
+    rng = random.Random(24)
+    tiny = mpf(2) ** -3000
+    part = lambda: mpf(rng.choice((0, 0, 1, -1, 2, -3, rng.randint(-99, 99)))) / 2 ** rng.randint(0, 4)
+    lift = lambda block, prec: tuple(as_complexfloat(x, prec) for x in block)
+    cases = []
+    for prec in (64, 128, 300):
+        for _ in range(150):
+            p = rng.randint(1, 4)
+            a = tuple(ComplexFloat(rng.choice((1, -1, 2)), part(), prec) for _ in range(p))
+            b = tuple(ComplexFloat(part(), part(), prec) for _ in range(p))
+            if 0 not in b:
+                cases.append(PeriodicCF(a_block=a, b_block=b))
+        cases += [PeriodicCF(a_block=lift(a, prec), b_block=lift(b, prec))
+                  for a in itertools.product((1, -1), repeat=3) for b in itertools.product((1, 1j), repeat=3)]
+        cases += [PeriodicCF(a_block=(ComplexFloat(1, tiny, prec),) * p,
+                             b_block=tuple(ComplexFloat(tiny * k, 1 - k, prec) for k in range(p))) for p in (1, 2)]
+    for _ in range(16):
+        a, b = ([rng.randint(100, 999) for _ in range(4)] for _ in "ab")
+        cases.append(PeriodicCF(a_block=lift(a, 128), b_block=lift(b, 128)))
+    return cases
+
+
 class TestClassifyComplexTower:
     def test_wide_binary_exponents_keep_their_reports(self):
         # 10^-3000 and 10^-10000 are dyadics of some 10^4 and 3.3 * 10^4 bits
@@ -389,31 +416,9 @@ class TestClassifyComplexTower:
         assert proc.stdout.strip() == CONVERGENT
 
     def test_complex_split_reports_are_pinned(self):
-        # every value the complex split rounds, bit for bit: seeded Gaussian
-        # dyadic periods at three precisions, +-1 period-3 grids (a(2) = -b(1) b(2)
-        # makes m21 = B(2) = 0), 2^-3000 parts, and real 3-digit period-4 blocks
-        rng = random.Random(24)
-        tiny = mpf(2) ** -3000
-        part = lambda: mpf(rng.choice((0, 0, 1, -1, 2, -3, rng.randint(-99, 99)))) / 2 ** rng.randint(0, 4)
-        lift = lambda block, prec: tuple(as_complexfloat(x, prec) for x in block)
-        cases = []
-        for prec in (64, 128, 300):
-            for _ in range(150):
-                p = rng.randint(1, 4)
-                a = tuple(ComplexFloat(rng.choice((1, -1, 2)), part(), prec) for _ in range(p))
-                b = tuple(ComplexFloat(part(), part(), prec) for _ in range(p))
-                if 0 not in b:
-                    cases.append(PeriodicCF(a_block=a, b_block=b))
-            cases += [PeriodicCF(a_block=lift(a, prec), b_block=lift(b, prec))
-                      for a in itertools.product((1, -1), repeat=3) for b in itertools.product((1, 1j), repeat=3)]
-            cases += [PeriodicCF(a_block=(ComplexFloat(1, tiny, prec),) * p,
-                                 b_block=tuple(ComplexFloat(tiny * k, 1 - k, prec) for k in range(p))) for p in (1, 2)]
-        for _ in range(16):
-            a, b = ([rng.randint(100, 999) for _ in range(4)] for _ in "ab")
-            cases.append(PeriodicCF(a_block=lift(a, 128), b_block=lift(b, 128)))
-        reports = [classify(pcf) for pcf in cases]
+        reports = [classify(pcf) for pcf in complex_split_cases()]
         # M = [[2, 0], [1, 2]]: s = m11 - m22 = 0, so u = 0 and 0 is a double fixed point
-        double = eigen_split(PeriodMatrix(*lift((2, 0, 1, 2), 128)))
+        double = eigen_split(PeriodMatrix(*(as_complexfloat(x, 128) for x in (2, 0, 1, 2))))
         assert double.x1 == double.x2 == 0 and double.modulus_relation == EQUAL_REPEATED
         text = "\n".join(map(repr, [*reports, double]))
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -430,6 +435,20 @@ class TestClassifyComplexTower:
                 d, s = m.m11 - m.m22, 2 * r.eigen.lambda1 - m.trace
                 branches.add((d + s).modulus() < (s - d).modulus())
         assert branches == {True, False}
+
+    def test_complex_galois_and_power_reports_are_pinned(self):
+        # galois_analysis and power_iterate also run the complex period matrix
+        # and split: their reports on the same cases, bit for bit
+        reports = []
+        for pcf in complex_split_cases():
+            reports.append(galois_analysis(pcf))
+            matrix = build_period_matrix(pcf)
+            if matrix.m21 != 0:
+                reports.append(power_iterate(matrix, 1, 0, 3))
+        text = "\n".join(map(repr, reports))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "537db4fcd69de7bd3d85e1488cd34b6c7e547678bd30315c56daaa712788ef18"
+        )
 
     def test_golden_float(self):
         report = classify(complex_pcf((1,), (1,)))
