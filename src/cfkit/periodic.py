@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 from .cfcore import PeriodicCF, _check_index, recurrence
 from .errors import (
@@ -43,7 +43,6 @@ from .scalars import (
     _libmp,
     _quadext_trusted,
     _rounded_parts,
-    _rounded_ratio,
     is_rational,
     scalar_div,
 )
@@ -93,8 +92,7 @@ class PeriodMatrix:
 
     @cached_property
     def prec(self) -> int:
-        entries = (self.m11, self.m12, self.m21, self.m22)
-        return max((m.prec for m in entries if isinstance(m, ComplexFloat)), default=0)
+        return max((m.prec for m in self._values(self) if isinstance(m, ComplexFloat)), default=0)
 
 
 @record
@@ -151,14 +149,14 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
     L from `scalars._integer_form`, which keeps the convergents: the pairs
     become L^(n+1) A(n), L^n B(n) and M becomes L^p [[m11, L m12], [m21/L, m22]].
     The pass and its checks run on integers, and each entry is rounded once."""
-    p, a_block, b_block = pcf.period, pcf.a_block, pcf.b_block
-    prec = max([x.prec for x in a_block + b_block if isinstance(x, ComplexFloat)], default=0)
-    if prec:
-        scale, *block = _integer_form(a_block + b_block, prec)
-        a_block, b_block = tuple([scale * a for a in block[:p]]), tuple(block[p:])
+    p, a_block, b_block, block = pcf.period, pcf.a_block, pcf.b_block, pcf.a_block + pcf.b_block
+    prec = max([x.prec for x in block if type(x) is ComplexFloat]) if ComplexFloat in map(type, block) else 0
+    if prec:  # L = 1 where every part is an integer, as in all of periodic_long's complex inputs
+        scale, *block = _integer_form(block, prec)
+        a_block, b_block = [scale * a for a in block[:p]] if scale > 1 else block[:p], block[p:]
     a_p, b0 = a_block[-1], b_block[0]
     # pairs[n + 1] = (A(n), B(n)) for n = -1 .. p, from the terms (a(n), b(n)), n = 1 .. p
-    pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + (b0,)))]
+    pairs = [(1, 0), *recurrence(b0, zip(a_block, b_block[1:] + b_block[:1]))]
     (a_prev2, b_prev2), (a_prev, b_prev), (a_full, b_full) = pairs[p - 1:]
     m11, m12, m21, m22 = entries = (a_prev, a_p * a_prev2, b_prev, a_p * b_prev2)
     checks = (
@@ -171,8 +169,8 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
             raise SelfCheckFailure(f"period matrix violates {identity}")
     if prec:  # c = L^p: c m12 = (L a(p)) (L^(p-1) A(p-2)) and c m21 = L (L^(p-1) B(p-1))
         scaled = (scale ** p, m11, block[p - 1] * a_prev2, scale * m21, m22)
-        entries = [_rounded_ratio(m, scaled[0], prec) for m in scaled[1:]]
-        pairs = [(num, scale * den) for num, den in pairs[:p]]  # L^(q+1) (A(q), B(q))
+        entries = [_complexfloat_trusted(*_rounded_parts(m, scaled[0], prec), prec) for m in scaled[1:]]
+        pairs = [(num, scale * den) for num, den in pairs[:p]] if scale > 1 else pairs  # L^(q+1) (A(q), B(q))
     else:
         scaled = _integer_form(entries)
     matrix = PeriodMatrix(*entries)
@@ -197,8 +195,9 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     else on the integer form c M (`PeriodMatrix.scaled`): an exact matrix's
     eigenvalues and fixed points come from it exactly.  A floating matrix is
     ordered on it, and its values come from it without cancellation, at the
-    largest entry precision, by the ComplexFloat operators' libmp kernels on
-    raw tuples, rounding alike, each value once.
+    largest entry precision: each operand rounded once (`_rounded_parts`), the
+    libmp kernels called on raw tuples as the ComplexFloat operators call them,
+    and each result wrapped once.
     """
     if QuadExt in map(type, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
@@ -210,26 +209,26 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     disc = (tr2 := tr * tr) - 4 * det
     if not prec:
         return _split_integer(scale, tr, disc, n21, n22)
-    lib, rounded = _libmp(), partial(_rounded_parts, den=scale, prec=prec)
-    add, sub, mul, div, sqrt, modulus = (partial(kernel, prec=prec, rnd="n") for kernel in (
-        lib.mpc_add, lib.mpc_sub, lib.mpc_mul, lib.mpc_div, lib.mpc_sqrt, lib.mpc_abs))
+    lib = _libmp()
     z = tr2 * disc.conjugate()  # conj(z) / |tr|^4 = disc / tr^2
-    t, relation = rounded(tr), _modulus_relation(disc, z)
+    t, relation = _rounded_parts(tr, scale, prec), _modulus_relation(disc, z)
     if relation == STRICTLY_DOMINANT:  # s conj(tr) = |tr|^2 sqrt(disc/tr^2) has Re > 0 exactly
-        s = mul(t, sqrt(rounded(z.conjugate(), den=(tr * tr.conjugate()) ** 2)))
+        root = lib.mpc_sqrt(_rounded_parts(z.conjugate(), (tr * tr.conjugate()) ** 2, prec), prec, "n")
+        s = lib.mpc_mul(t, root, prec, "n")
     else:
-        s = sqrt(rounded(disc, den=scale * scale))
-    lam1 = [lib.mpf_shift(part, -1) for part in add(t, s)]  # Re(s conj(t)) >= 0: no cancellation, exact /2
-    values = [lam1, div(rounded(det, den=scale * scale), lam1)]
+        s = lib.mpc_sqrt(_rounded_parts(disc, scale * scale, prec), prec, "n")
+    lam1 = [lib.mpf_shift(x, -1) for x in lib.mpc_add(t, s, prec, "n")]  # no cancellation, exact /2
+    values = [lam1, lib.mpc_div(_rounded_parts(det, scale * scale, prec), lam1, prec, "n")]
     if n21 != 0:
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
-        d, two_m12, two_m21 = rounded(n11 - n22), rounded(2 * n12), rounded(2 * n21)
-        u, v = add(d, s), sub(s, d)
-        if lib.mpf_lt(modulus(u), modulus(v)):
-            values += [div(two_m12, v), div(lib.mpc_neg(v), two_m21)]
+        d, two_m12, two_m21 = [_rounded_parts(n, scale, prec) for n in (n11 - n22, 2 * n12, 2 * n21)]
+        u, v = lib.mpc_add(d, s, prec, "n"), lib.mpc_sub(s, d, prec, "n")
+        if lib.mpf_lt(lib.mpc_abs(u, prec, "n"), lib.mpc_abs(v, prec, "n")):
+            values += [lib.mpc_div(two_m12, v, prec, "n"), lib.mpc_div(lib.mpc_neg(v), two_m21, prec, "n")]
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
-            values += [div(u, two_m21), u if u == lib.mpc_zero else div(lib.mpc_neg(two_m12), u)]
-    lam1, lam2, *xs = (_complexfloat_trusted(*z, prec) for z in values)
+            values += [lib.mpc_div(u, two_m21, prec, "n"),
+                       u if u == lib.mpc_zero else lib.mpc_div(lib.mpc_neg(two_m12), u, prec, "n")]
+    lam1, lam2, *xs = [_complexfloat_trusted(*z, prec) for z in values]
     return EigenSplit(lam1, lam2, relation, *xs)
 
 
@@ -266,7 +265,7 @@ def classify(pcf: PeriodicCF) -> StolzReport:
 
 
 def _verdict(matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
-    if matrix.m21 == 0:
+    if matrix.scaled[3] == 0:  # c m21
         return Verdict(kind=DIVERGENT_ZERO_DENOMINATOR)
     if eigen.modulus_relation == EQUAL_REPEATED:
         return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C1")
@@ -274,15 +273,14 @@ def _verdict(matrix: PeriodMatrix, eigen: EigenSplit) -> Verdict:
         return Verdict(kind=DIVERGENT_EQUAL_MODULUS)
     # strict dominance: a rational convergent can sit on x2 only when D is a
     # square, which makes x2 a Fraction; complex input is always scanned
-    if isinstance(eigen.x2, (ComplexFloat, Fraction)):
+    if type(eigen.x2) in (ComplexFloat, Fraction):
         _, m11, m12, m21, m22 = matrix.scaled
-        tr, d = m11 + m22, m11 - m22
+        tr, d, two_m21 = m11 + m22, m11 - m22, 2 * m21
         disc = d * d + 4 * m12 * m21
         for q, (num, den) in enumerate(matrix.pairs):
             # A(q) = x2 B(q) makes w = -sqrt(disc) B(q) with the dominant root's sign
-            w = 2 * m21 * num - (tr - 2 * m22) * den
-            r = -tr * w.conjugate() * den
-            if w * w == disc * den * den and r + r.conjugate() > 0:
+            w = two_m21 * num - d * den  # d = tr - 2 m22
+            if w * w == disc * den * den and (r := -tr * w.conjugate() * den) + r.conjugate() > 0:
                 return Verdict(kind=DIVERGENT_THIELE, q=q, sublimit=eigen.x2)
     return Verdict(kind=CONVERGENT, limit=eigen.x1, condition="C2")
 

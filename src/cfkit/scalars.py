@@ -4,7 +4,8 @@ A computation normally stays inside one tower.  Promotion only goes up:
 ints and Fractions embed into QuadExt (same radicand) and into ComplexFloat;
 QuadExt embeds into ComplexFloat by evaluating its square root numerically
 at the target precision.  ComplexFloat operators run mpmath's libmp kernels on
-raw mpf tuples, bit for bit as mpc; the periodic complex split calls them alike.
+raw mpf tuples, bit for bit as mpc; the periodic complex split calls them alike,
+on values `_rounded_parts` rounds once, and `_complexfloat_trusted` wraps each.
 
 A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
 built and never factored: arithmetic trusts it, equality compares values,
@@ -294,9 +295,11 @@ def _libmp():
 def _complexfloat_trusted(re: tuple, im: tuple, prec: int) -> "ComplexFloat":
     """re + im*i from raw mpf tuples already rounded to prec bits, without
     ComplexFloat's conversions, as `_quadext_trusted` skips QuadExt's checks."""
-    value, make_mpf = _new_object(ComplexFloat), _ctx(prec).make_mpf
-    _set_field(value, "re", make_mpf(re))
-    _set_field(value, "im", make_mpf(im))
+    value, mpf = _new_object(ComplexFloat), _ctx(prec).mpf
+    real, imag = _new_object(mpf), _new_object(mpf)
+    real._mpf_, imag._mpf_ = re, im  # as mpmath's own make_mpf builds a value
+    _set_field(value, "re", real)
+    _set_field(value, "im", imag)
     _set_field(value, "prec", prec)
     return value
 
@@ -381,13 +384,11 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     """Promote any scalar into the complex floating tower at `prec` bits."""
     if isinstance(x, ComplexFloat):
         return x
-    ctx, libmp = _ctx(prec), _libmp()
-    if isinstance(x, int):
-        return _complexfloat_trusted(libmp.from_int(x, prec, "n"), libmp.fzero, prec)
-    if isinstance(x, Fraction):
-        return _rounded_ratio(x.numerator, x.denominator, prec)
+    ctx = _ctx(prec)
+    if isinstance(x, (int, Fraction)):
+        return _complexfloat_trusted(*_rounded_parts(x.numerator, x.denominator, prec), prec)
     if isinstance(x, QuadExt):
-        a, b = (_rounded_ratio(q.numerator, q.denominator, prec).re for q in (x.a, x.b))
+        a, b = (ctx.make_mpf(_rounded_parts(q.numerator, q.denominator, prec)[0]) for q in (x.a, x.b))
         root = ctx.sqrt(ctx.mpf(abs(x.d)))
         if x.d < 0:
             return ComplexFloat(a, b * root, prec)
@@ -400,10 +401,6 @@ def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     except (TypeError, ValueError):
         raise TypeError(f"cannot promote {type(x).__name__} to ComplexFloat") from None
     return ComplexFloat(value.real, value.imag, prec)
-
-
-def _rounded_ratio(z, den: int, prec: int) -> ComplexFloat:
-    return _complexfloat_trusted(*_rounded_parts(z, den, prec), prec)
 
 
 def _rounded_parts(z, den: int, prec: int) -> list:
@@ -419,21 +416,25 @@ def _rounded_parts(z, den: int, prec: int) -> list:
                           libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in (re, im)]
 
 
-def _dyadic(z) -> tuple[int, int, int, int]:
-    (s, m, e, _), (t, n, f, _) = z.re._mpf_, z.im._mpf_  # z = (-1)^s m 2^e + (-1)^t n 2^f i
-    if not m and e or not n and f:  # mpmath's +-inf and nan
-        raise InvalidSpec(f"{z.im if m or not e else z.re} is not a finite number")
-    return -m if s else m, e, -n if t else n, f
+def _dyadic(values, prec: int) -> tuple:
+    """(L, L*x for each x) at prec: x = m 2^e + n 2^f i, L = 2^k, k >= 0 least with e + k, f + k >= 0."""
+    k, parts = 0, []
+    for z in values:
+        z = z if type(z) is ComplexFloat else as_complexfloat(z, prec)
+        (s, m, e, _), (t, n, f, _) = z.re._mpf_, z.im._mpf_
+        if not m and e or not n and f:  # mpmath's +-inf and nan
+            raise InvalidSpec(f"{z.im if m or not e else z.re} is not a finite number")
+        if e + k < 0 or f + k < 0:
+            k = -min(e, f)
+        parts.append((-m if s else m, e, -n if t else n, f))
+    return (1 << k, *[_quadext_trusted(m << e + k, n << f + k, -1) for m, e, n, f in parts])
 
 
 def _integer_form(values, prec: int = 0) -> tuple:
-    """(L, L*x for each x), each an int or a QuadExt with int parts, from the
-    ComplexFloats at prec when it is set (Gaussian integers).  L is the parts'
-    least common denominator: for dyadic ones, the largest, applied by shifts."""
+    """(L, L*x for each x), each an int or a QuadExt with int parts: Gaussian integers from
+    the ComplexFloats at prec when it is set (`_dyadic`).  L is the least common denominator."""
     if prec:
-        parts = [_dyadic(as_complexfloat(x, prec)) for x in values]
-        k = -min(0, *[p[1] for p in parts], *[p[3] for p in parts])
-        return (1 << k, *[_quadext_trusted(m << e + k, n << f + k, -1) for m, e, n, f in parts])
+        return _dyadic(values, prec)
     for x in values:  # a plain loop: a set of the types, or all() over a generator, costs ~4x
         if type(x) is not int:
             break

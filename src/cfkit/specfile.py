@@ -23,6 +23,7 @@ declared one, or else the lowest tower that holds all of their literals.
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from functools import cache
 
@@ -37,6 +38,7 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     _ctx,
+    _int_label,
     as_complexfloat,
     radicand_ratio,
 )
@@ -46,6 +48,16 @@ _MODE_KEYS = {"finite": {"a", "b"}, "periodic": {"a", "b", "period"}, "generator
 _TOWERS = ("rational", "quadext", "complex")
 
 
+def _shown(token) -> str:
+    """repr(token), abridged where it holds an int past the int/str limit, named by its size."""
+    try:
+        return repr(token)
+    except ValueError:
+        abridged = reprlib.Repr()
+        abridged.repr_int = lambda n, level: _int_label(n)
+        return abridged.repr(token)
+
+
 def _literal_kind(token) -> str:
     if isinstance(token, (float, dict)):
         return "complex"
@@ -53,7 +65,7 @@ def _literal_kind(token) -> str:
         return "quadext" if "√" in token else "rational"
     if isinstance(token, int) and not isinstance(token, bool):
         return "rational"
-    raise SpecFileError(f"not a number literal: {token!r}")
+    raise SpecFileError(f"not a number literal: {_shown(token)}")
 
 
 def _part(part, prec: int):
@@ -66,12 +78,12 @@ def _part(part, prec: int):
             return _ctx(prec).mpf(part)
         except (ValueError, ZeroDivisionError):  # as for "abc" and "1/0"
             pass
-    raise SpecFileError(f"complex literal part {part!r} is not a number")
+    raise SpecFileError(f"complex literal part {_shown(part)} is not a number")
 
 
 def _parse_literal(token, tower: str, prec: int):
     if _TOWERS.index(_literal_kind(token)) > _TOWERS.index(tower):
-        raise SpecFileError(f"literal {token!r} does not fit the {tower} tower")
+        raise SpecFileError(f"literal {_shown(token)} does not fit the {tower} tower")
     if isinstance(token, int):
         value = token
     elif isinstance(token, str):
@@ -79,17 +91,15 @@ def _parse_literal(token, tower: str, prec: int):
     elif isinstance(token, float):
         value = ComplexFloat(token, 0, prec)
     else:
-        missing = {"re", "im"} - set(token)
-        extra = set(token) - {"re", "im"}
-        if missing or extra:
-            raise SpecFileError(f"complex literal needs exactly re and im: {token!r}")
+        if set(token) != {"re", "im"}:
+            raise SpecFileError(f"complex literal needs exactly re and im: {_shown(token)}")
         value = ComplexFloat(_part(token["re"], prec), _part(token["im"], prec), prec)
     if tower == "complex" and not isinstance(value, ComplexFloat):
         value = as_complexfloat(value, prec)
     if isinstance(value, ComplexFloat):
         ctx, (low, high) = _ctx(prec), _magnitude_bounds(prec)
         if not (ctx.isfinite(value.re) and ctx.isfinite(value.im)):
-            raise SpecFileError(f"complex literal {token!r} is not finite")
+            raise SpecFileError(f"complex literal {_shown(token)} is not finite")
         for part in (value.re, value.im):
             if part and not low <= abs(part) <= high:
                 raise SpecFileError(f"complex part {ctx.nstr(part, 6)} lies outside "
@@ -179,14 +189,15 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
         raise SpecFileError("spec file must hold a JSON object")
     mode = data.get("mode")
     if not isinstance(mode, str) or mode not in _MODE_KEYS:
-        raise SpecFileError(f"mode must be finite, periodic or generator, got {mode!r}")
+        raise SpecFileError(f"mode must be finite, periodic or generator, got {_shown(mode)}")
     _check_keys(data, _COMMON_KEYS | _MODE_KEYS[mode], f"{mode} spec")
 
     prec = data.get("precision_bits", DEFAULT_PRECISION_BITS)
     if precision_override is not None:
         prec = precision_override
     if not isinstance(prec, int) or not MIN_PRECISION_BITS <= prec <= MAX_PRECISION_BITS:
-        raise SpecFileError(f"precision_bits must be {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, got {prec!r}")
+        raise SpecFileError(f"precision_bits must be {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}, "
+                            f"got {_shown(prec)}")
 
     if mode == "generator":
         gen = data.get("generator")
@@ -195,7 +206,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
         _check_keys(gen, {"name", "params"}, "generator")
         lists = gen.get("params", {})
         if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
-            raise SpecFileError(f"generator params must map names to lists, got {lists!r}")
+            raise SpecFileError(f"generator params must map names to lists, got {_shown(lists)}")
     else:
         lists = {"a": data.get("a"), "b": data.get("b")}
         if not all(isinstance(v, list) for v in lists.values()):
@@ -204,7 +215,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
     if tower is None:
         tower = _infer_tower(t for v in lists.values() for t in v)
     elif tower not in _TOWERS:
-        raise SpecFileError(f"unknown tower {tower!r}")
+        raise SpecFileError(f"unknown tower {_shown(tower)}")
     lists = {k: tuple(_parse_literal(t, tower, prec) for t in v) for k, v in lists.items()}
     if tower == "quadext":
         radicands = [x.d for v in lists.values() for x in v if isinstance(x, QuadExt)]
@@ -221,7 +232,7 @@ def parse_spec_dict(data: dict, precision_override: int | None = None) -> SpecFi
         if type(period) is not int or not period == len(a) == len(b):
             raise SpecFileError(
                 f"periodic mode needs |a| = |b| = period, got |a| = {len(a)}, "
-                f"|b| = {len(b)}, period = {period!r}"
+                f"|b| = {len(b)}, period = {_shown(period)}"
             )
     return SpecFile(mode=mode, a=a, b=b, generator=generator, tower=tower, precision_bits=prec)
 

@@ -17,9 +17,13 @@ from cfkit.continuants import continuant
 from cfkit.scalars import MAX_PRECISION_BITS
 
 
+#: stands in a spec's data for an int of 5000 digits, which json.dumps refuses
+HUGE = "<5000-digit int>"
+
+
 def write_spec(tmp_path, data, name="spec.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(data).replace(json.dumps(HUGE), "1" + "2" * 4999), encoding="utf-8")
     return str(path)
 
 
@@ -595,11 +599,28 @@ def test_generator_params_are_read_as_literals(capsys, tmp_path, generator, same
     *(({"mode": "periodic", "a": [1, 1], "b": [{"re": part, "im": 1}, {"re": 1, "im": 0}]},
        f"complex literal part {part!r} is not a number")
       for part in (None, [1], {"re": 1, "im": 0}, True, "abc", "1/0")),
+    # a refusal names an int past the int/str limit by its size, as repr cannot show it
+    # (reprlib's abridged form, which sorts a dict's keys)
+    ({"mode": "periodic", "a": [1], "b": [1], "precision_bits": HUGE},
+     "precision_bits must be 64..65536, got <16607-bit integer>"),
+    ({"mode": "periodic", "a": [1], "b": [1], "period": HUGE}, "period = <16607-bit integer>"),
+    ({"mode": HUGE, "a": [1], "b": [1]}, "mode must be finite, periodic or generator, got <16607-bit integer>"),
+    ({"mode": "periodic", "a": [1], "b": [{"re": HUGE, "im": 0, "abs": 1}]},
+     "complex literal needs exactly re and im: {'abs': 1, 'im': 0, 're': <16607-bit integer>}"),
+    ({"mode": "periodic", "a": [1], "b": [{"re": HUGE, "im": 1}], "tower": "rational"},
+     "literal {'im': 1, 're': <16607-bit integer>} does not fit the rational tower"),
+    ({"mode": "periodic", "a": [1], "b": [{"re": HUGE, "im": "inf"}]},
+     "complex literal {'im': 'inf', 're': <16607-bit integer>} is not finite"),
+    ({"mode": "generator", "generator": {"name": "golden", "params": {"b": HUGE}}},
+     "generator params must map names to lists, got {'b': <16607-bit integer>}"),
+    ({"mode": "periodic", "a": [1], "b": [1], "tower": [HUGE]}, "unknown tower [<16607-bit integer>]"),
 ], ids=["finite-generator", "periodic-generator", "generator-period", "tower-false",
         "tower-0", "tower-list", "tower-dict", "tower-empty", "generator-label",
         "period-bool", "period-float", "golden-params", "regular-extra-param",
         "json-array", "empty-period", "a-not-a-list", "complex-third-key",
-        "part-null", "part-list", "part-object", "part-true", "part-text", "part-zero-denominator"])
+        "part-null", "part-list", "part-object", "part-true", "part-text", "part-zero-denominator",
+        "huge-precision", "huge-period", "huge-mode", "huge-complex-third-key", "huge-complex-rational",
+        "huge-complex-infinite", "huge-params", "huge-tower"])
 def test_malformed_spec_exits_2(capsys, tmp_path, data, message):
     code = main(["eval", write_spec(tmp_path, data), "-n", "1"])
     captured = capsys.readouterr()

@@ -7,7 +7,15 @@ import pytest
 from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
-from cfkit.scalars import _ctx, _integer_form, _libmp, coprime_fraction, scalar_div
+from cfkit.scalars import (
+    _ctx,
+    _integer_form,
+    _libmp,
+    _quadext_trusted,
+    _rounded_parts,
+    coprime_fraction,
+    scalar_div,
+)
 
 
 def F(n, d=1):
@@ -400,6 +408,24 @@ def test_halving_by_shift_is_complex_division_by_two(rng, prec):
             assert halved == libmp.mpc_div(value, libmp.mpc_two, prec, "n")
             quotient = ComplexFloat(*value, prec) / 2
             assert halved == (quotient.re._mpf_, quotient.im._mpf_)
+
+
+@pytest.mark.parametrize("prec", [64, 128, 300])
+def test_rounded_parts_round_as_from_rational(rng, prec):
+    # the one rounding of every value the complex split and the period matrix
+    # report: each part of a Gaussian integer z over den, as libmp's from_rational
+    # rounds it, for den = 1, 2^k and odd * 2^k, zero parts included
+    libmp = _libmp()
+
+    def part():
+        return 0 if rng.random() < 0.2 else rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 3 * prec))
+
+    for _ in range(200):
+        re, im = part() << rng.randint(0, 20), part() << rng.randint(0, 20)
+        z = _quadext_trusted(re, im, -1)  # an int when im = 0
+        for den in (1, 1 << rng.randint(1, 3 * prec), (2 * rng.getrandbits(prec) + 1) << rng.randint(0, 40)):
+            expected = [libmp.from_rational(n, den, prec, "n") for n in (re, im)]
+            assert list(_rounded_parts(z, den, prec)) == expected, (re, im, den)
 
 
 class TestHelpers:
