@@ -233,6 +233,7 @@ class ConvergentPair:
     n: int
     num: Scalar
     den: Scalar
+    __slots__ = ("__dict__",)
     coprime = False  # set on a pair by `pair_at` alone, when it proves num, den coprime ints
 
     def value(self) -> Scalar:

@@ -2,7 +2,27 @@
 
 from __future__ import annotations
 
+import reprlib
 from operator import attrgetter
+
+
+def _int_label(n: int) -> str:
+    """str(n) for messages and repr; past ~3000 digits n is named by its size,
+    because str() refuses ints of more than 4300 digits (Python >= 3.11)."""
+    if n.bit_length() <= 10_000:
+        return str(n)
+    return f"<{n.bit_length()}-bit integer>"
+
+
+def _shown(value) -> str:
+    """repr(value), abridged where it holds an int past the int/str limit, named by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        abridged = reprlib.Repr()
+        abridged.repr_int = lambda n, level: _int_label(n)
+        abridged.repr_Fraction = lambda q, level: f"Fraction({', '.join(map(_int_label, q.as_integer_ratio()))})"
+        return abridged.repr(value)
 
 
 def _eq(self, other):
@@ -10,7 +30,7 @@ def _eq(self, other):
 
 
 def _repr(self):
-    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    shown = ", ".join([f"{name}={_shown(getattr(self, name))}" for name in self.__match_args__])
     return f"{self.__class__.__qualname__}({shown})"
 
 
@@ -18,30 +38,38 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen record")
 
 
+def _reduce(self):  # copy and pickle rebuild a record from its fields, then restore any derived state
+    fields = tuple([getattr(self, name) for name in self.__match_args__])
+    return self.__class__, fields, getattr(self, "__dict__", None) or None
+
+
 _SHARED = {"__eq__": _eq, "__hash__": lambda self: hash(self._values(self)), "__repr__": _repr,
-           "__setattr__": _frozen, "__delattr__": _frozen}
+           "__setattr__": _frozen, "__delattr__": _frozen, "__reduce__": _reduce}
 
 
 def record(cls):
-    """Make `cls` a frozen value record, as `dataclass(frozen=True)` would: the
-    names annotated in its body are the fields, in order, with class attributes
-    as defaults.  `__init__` takes them by position or keyword, then calls
-    `__post_init__`.  ==, hash and repr use the fields, unless the class
-    defines its own.  Derived state is no field but a class attribute or
-    property, which only the code that proves it sets, by `object.__setattr__`."""
+    """Make `cls` a frozen value record, as `dataclass(frozen=True, slots=True)`
+    would: the names annotated in its body are the fields, in order, with class
+    attributes as defaults, each in a slot.  `__init__` takes them by position or
+    keyword, writes each once through its slot, then calls `__post_init__`;
+    `cls._unchecked(*fields)` only writes them.  ==, hash, repr, copy and pickle
+    use the fields, unless the class defines its own.  Derived state is no field
+    but a class attribute or property, kept in the `__dict__` that a body asks for
+    by `__slots__ = ("__dict__",)`, and set, by `object.__setattr__`, only by the
+    code that proves it."""
     names = tuple(cls.__annotations__)
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-    if hasattr(cls, "__post_init__"):
-        body += "\n    self.__post_init__()"
-    namespace = {"_set": object.__setattr__}
-    exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
-    cls.__init__, cls.__match_args__ = namespace["__init__"], names
-    cls.__init__.__defaults__ = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
-    cls._values = attrgetter(*names)  # a tuple for two or more fields
-    for name, func in _SHARED.items():
-        if name not in cls.__dict__:
-            setattr(cls, name, func)
-    return cls
+    body = {k: v for k, v in vars(cls).items() if k not in (*names, "__dict__", "__weakref__")}
+    new = type(cls)(cls.__name__, cls.__bases__, {
+        **_SHARED, **body, "__slots__": (*names, *body.get("__slots__", ())), "__qualname__": cls.__qualname__,
+        "__match_args__": names, "_values": attrgetter(*names)})  # _values: a tuple for two or more fields
+    sets = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    glob = {"_new": object.__new__, "cls": new, **{f"_set_{name}": getattr(new, name).__set__ for name in names}}
+    exec(f"def __init__(self, {', '.join(names)}):{sets}{post}\n"
+         f"def _unchecked({', '.join(names)}):\n    self = _new(cls){sets}\n    return self", glob)
+    new.__init__, new._unchecked = glob["__init__"], staticmethod(glob["_unchecked"])
+    new.__init__.__defaults__ = tuple(vars(cls)[name] for name in names if name in vars(cls))
+    return new
 
 
 class CFKitError(Exception):

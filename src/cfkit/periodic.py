@@ -43,6 +43,7 @@ from .scalars import (
     _libmp,
     _quadext_trusted,
     _rounded_parts,
+    coprime_fraction,
     is_rational,
     scalar_div,
 )
@@ -73,6 +74,7 @@ class PeriodMatrix:
     m12: Scalar
     m21: Scalar
     m22: Scalar
+    __slots__ = ("__dict__",)  # scaled, prec and pairs
     pairs = ()
 
     @cached_property
@@ -232,23 +234,28 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     return EigenSplit(lam1, lam2, relation, *xs)
 
 
+def _lowest(num: int, den: int) -> Fraction:  # num/den for ints, den != 0, by one gcd
+    g = math.gcd(num, den)
+    return coprime_fraction(num // g, den // g)
+
+
 def _split_integer(scale: int, tr: int, disc: int, n21: int, n22: int) -> EigenSplit:
     """Exact split of M from L*M, its least integer multiple (trace tr, discriminant disc)."""
     sign = -1 if disc > 0 and tr < 0 else 1  # (tr + sign*sqrt(disc))/2 dominates
     root = math.isqrt(disc) if disc > 0 else 0
     if root * root == disc:  # lambda = (tr +- s)/(2 scale), x = (tr +- s - 2 n22)/(2 n21)
         s = sign * root
-        values = [Fraction(tr + s, 2 * scale), Fraction(tr - s, 2 * scale)]
+        values = [_lowest(tr + s, 2 * scale), _lowest(tr - s, 2 * scale)]
         if n21:
-            values += [Fraction(tr + s - 2 * n22, 2 * n21), Fraction(tr - s - 2 * n22, 2 * n21)]
+            values += [_lowest(tr + s - 2 * n22, 2 * n21), _lowest(tr - s - 2 * n22, 2 * n21)]
     else:
         # sqrt(disc)/scale = sqrt(num*den)/den for disc/scale^2 = num/den in lowest terms
         g = math.gcd(disc, scale * scale)
         num, den = disc // g, scale * scale // g
-        parts = [(Fraction(tr, 2 * scale), Fraction(sign, 2 * den))]
+        parts = [(_lowest(tr, 2 * scale), sign, 2 * den)]
         if n21:
-            parts.append((Fraction(tr - 2 * n22, 2 * n21), Fraction(sign * scale, 2 * n21 * den)))
-        values = [_quadext_trusted(a, b, num * den) for a, c in parts for b in (c, -c)]
+            parts.append((_lowest(tr - 2 * n22, 2 * n21), sign * scale, 2 * n21 * den))
+        values = [_quadext_trusted(a, _lowest(b, d), num * den) for a, c, d in parts for b in (c, -c)]
     return EigenSplit(values[0], values[1], _modulus_relation(disc, tr * tr * disc), *values[2:])
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .errors import InvalidSpec, TowerMismatch, record
+from .errors import InvalidSpec, TowerMismatch, _int_label, record
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 65_536  # the CLI's ceiling: a classify there takes some 0.2 s
@@ -93,14 +93,6 @@ def radicand_ratio(d_from: int, d_to: int) -> Fraction | None:
     return Fraction(root, abs(d_to))
 
 
-def _int_label(n: int) -> str:
-    """str(n) for messages and repr; past ~3000 digits n is named by its size,
-    because str() refuses ints of more than 4300 digits (Python >= 3.11)."""
-    if n.bit_length() <= 10_000:
-        return str(n)
-    return f"<{n.bit_length()}-bit integer>"
-
-
 def quadext(a, b, d) -> "Scalar":
     """Build a + b*sqrt(d), collapsing to a plain Fraction whenever possible.
 
@@ -120,23 +112,13 @@ def quadext(a, b, d) -> "Scalar":
     return _quadext_trusted(a, b / d.denominator, d.numerator * d.denominator)
 
 
-_new_object = object.__new__
-_set_field = object.__setattr__
-
-
 def _quadext_trusted(a: RationalLike, b: RationalLike, d: int) -> "Scalar":
     """a + b*sqrt(d) for a radicand already known to be a non-square integer.
 
     Arithmetic inside one radicand cannot make sqrt(d) rational, so the only
     collapse left is b == 0.
     """
-    if not b:
-        return a
-    value = _new_object(QuadExt)
-    _set_field(value, "a", a)
-    _set_field(value, "b", b)
-    _set_field(value, "d", d)
-    return value
+    return _new_quadext(a, b, d) if b else a
 
 
 @record
@@ -295,13 +277,10 @@ def _libmp():
 def _complexfloat_trusted(re: tuple, im: tuple, prec: int) -> "ComplexFloat":
     """re + im*i from raw mpf tuples already rounded to prec bits, without
     ComplexFloat's conversions, as `_quadext_trusted` skips QuadExt's checks."""
-    value, mpf = _new_object(ComplexFloat), _ctx(prec).mpf
-    real, imag = _new_object(mpf), _new_object(mpf)
+    mpf = _ctx(prec).mpf
+    real, imag = object.__new__(mpf), object.__new__(mpf)
     real._mpf_, imag._mpf_ = re, im  # as mpmath's own make_mpf builds a value
-    _set_field(value, "re", real)
-    _set_field(value, "im", imag)
-    _set_field(value, "prec", prec)
-    return value
+    return _new_complexfloat(real, imag, prec)
 
 
 @record
@@ -378,6 +357,12 @@ class ComplexFloat:
 
     def __repr__(self):
         return f"ComplexFloat({self.re!r}, {self.im!r}, prec={self.prec})"
+
+    def __reduce__(self):  # each part's class is made per precision, so it pickles as raw tuples
+        return _complexfloat_trusted, (self.re._mpf_, self.im._mpf_, self.prec)
+
+
+_new_quadext, _new_complexfloat = QuadExt._unchecked, ComplexFloat._unchecked
 
 
 def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:

@@ -23,12 +23,11 @@ declared one, or else the lowest tower that holds all of their literals.
 from __future__ import annotations
 
 import json
-import reprlib
 from fractions import Fraction
 from functools import cache
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
-from .errors import InvalidSpec, SpecFileError, record
+from .errors import InvalidSpec, SpecFileError, _shown, record
 from .render import _text_int, format_exact, parse_exact
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -38,7 +37,6 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     _ctx,
-    _int_label,
     as_complexfloat,
     radicand_ratio,
 )
@@ -46,16 +44,6 @@ from .scalars import (
 _COMMON_KEYS = {"mode", "tower", "precision_bits"}
 _MODE_KEYS = {"finite": {"a", "b"}, "periodic": {"a", "b", "period"}, "generator": {"generator"}}
 _TOWERS = ("rational", "quadext", "complex")
-
-
-def _shown(token) -> str:
-    """repr(token), abridged where it holds an int past the int/str limit, named by its size."""
-    try:
-        return repr(token)
-    except ValueError:
-        abridged = reprlib.Repr()
-        abridged.repr_int = lambda n, level: _int_label(n)
-        return abridged.repr(token)
 
 
 def _literal_kind(token) -> str:

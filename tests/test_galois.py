@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,6 +17,7 @@ from cfkit import (
     reverse_period,
 )
 from cfkit.errors import InvalidSpec, NotIrrational, TowerMismatch
+from cfkit.scalars import QuadExt
 from cfkit.periodic import CONVERGENT, DIVERGENT_THIELE
 from conftest import footnote_cf, golden_cf, random_periodic, thiele_cf
 
@@ -30,12 +32,16 @@ PHI = quadext(F(1, 2), F(1, 2), 5)
 SWEEP_DIGEST = "d26f94f7e5ea7ba4e9ff3e30cb00bf3745a5d89953e6939c5acb85ac4374c12e"
 
 
-def test_sweep_reports_are_pinned():
-    # every period-1..3 block over {-2, -1, 1, 2}, in product order: a change
-    # that only makes galois_analysis faster leaves each report byte for byte
+def _sweep_cases() -> list:
+    """Every period-1..3 block over {-2, -1, 1, 2}, in product order."""
     values = (-2, -1, 1, 2)
-    cases = [PeriodicCF(a, b) for p in (1, 2, 3)
-             for a in product(values, repeat=p) for b in product(values, repeat=p)]
+    return [PeriodicCF(a, b) for p in (1, 2, 3)
+            for a in product(values, repeat=p) for b in product(values, repeat=p)]
+
+
+def test_sweep_reports_are_pinned():
+    # a change that only makes galois_analysis faster leaves each report byte for byte
+    cases = _sweep_cases()
     assert len(cases) == 4368
     text = "\n".join(repr(galois_analysis(pcf)) for pcf in cases)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGEST
@@ -45,21 +51,39 @@ def test_sweep_reports_are_pinned():
 FRACTION_SWEEP_DIGEST = "9f11c93fdec00022753552ff7f267b48b4a64d1fee61a7531aeefc6b004c75ff"
 
 
-def test_fraction_sweep_reports_are_pinned():
-    # 3,000 seeded period-1..3 blocks with parts +-1..3 over 1, 2, 3 and 5: the
-    # two period matrices of a case can take different integer multiples, which
-    # the relation check must bring to a common one
+def _fraction_cases() -> list:
+    """3,000 seeded period-1..3 blocks with parts +-1..3 over 1, 2, 3 and 5."""
     rng = random.Random(26)
     part = lambda: F(rng.choice((-1, 1)) * rng.randint(1, 3), rng.choice((1, 2, 3, 5)))
     cases = []
     for _ in range(3000):
         p = rng.randint(1, 3)
         cases.append(PeriodicCF(tuple(part() for _ in range(p)), tuple(part() for _ in range(p))))
-    reports = [galois_analysis(pcf) for pcf in cases]
+    return cases
+
+
+def test_fraction_sweep_reports_are_pinned():
+    # the two period matrices of a case can take different integer multiples,
+    # which the relation check must bring to a common one
+    reports = [galois_analysis(pcf) for pcf in _fraction_cases()]
     assert all(report.relation_holds for report in reports)
     assert sum(report.alpha.verdict.is_convergent for report in reports) == 2130
     text = "\n".join(map(repr, reports))
     assert hashlib.sha256(text.encode()).hexdigest() == FRACTION_SWEEP_DIGEST
+
+
+def test_exact_splits_hold_fractions_in_lowest_terms():
+    # the exact eigen split builds each Fraction from one gcd of its own, not
+    # through Fraction(), so each must come out reduced with a positive denominator
+    seen = 0
+    for pcf in _sweep_cases() + _fraction_cases():
+        report = galois_analysis(pcf)
+        for split in (report.alpha.eigen, report.alpha_prime.eigen):
+            values = (split.lambda1, split.lambda2, split.x1, split.x2)
+            for q in [p for x in values if x is not None for p in ((x.a, x.b) if type(x) is QuadExt else (x,))]:
+                assert type(q) is Fraction and q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+                seen += 1
+    assert seen == 97_272
 
 
 class TestGaloisAnalysis:

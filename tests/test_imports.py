@@ -4,7 +4,8 @@ statement, and every module-level private name is referenced somewhere in
 the package; every name the package re-exports is used by the library, the
 benchmark or the acceptance suite; one function alone touches Fraction's
 private slots, and one method alone calls it; only the code that proves a
-record's derived state writes past its read-only __setattr__; the test oracle brute.py takes only type names from cfkit,
+record's derived state writes past its read-only __setattr__, by
+object.__setattr__, a slot's setter or the unchecked builder; the test oracle brute.py takes only type names from cfkit,
 and QuadExt has no order; neither importing the package nor a CLI run on
 exact input loads mpmath, dataclasses or inspect."""
 
@@ -198,15 +199,22 @@ def test_guard_sees_a_user():
 
 
 def test_one_caller_skips_the_gcd_of_a_convergent():
-    # only a pair that pair_at proved coprime builds its Fraction without a gcd
+    # only a pair that pair_at proved coprime builds its Fraction without a gcd;
+    # the exact eigen split reduces each of its values by one gcd of its own
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _users(sources, "coprime_fraction") == ["cfcore.ConvergentPair.value"]
+    assert _users(sources, "coprime_fraction") == ["cfcore.ConvergentPair.value", "periodic._lowest"]
+
+
+#: the writers past a frozen record's read-only `__setattr__`: object's own,
+#: a slot's member-descriptor setter, and the record's builder without checks
+WRITERS = ("__setattr__", "__set__", "_unchecked")
 
 
 def _producers(sources: dict[str, str]) -> list[str]:
-    """Each user of `__setattr__` that is not a record's `__post_init__`: the
-    code that writes past a frozen record's read-only `__setattr__`."""
-    return sorted({user for user in _users(sources, "__setattr__") if not user.endswith(".__post_init__")})
+    """Each user of a writer that is not a record's `__post_init__`: the code
+    that writes past a frozen record's read-only `__setattr__`."""
+    return sorted({user for name in WRITERS for user in _users(sources, name)
+                   if not user.endswith(".__post_init__")})
 
 
 def test_guard_sees_a_producer():
@@ -214,9 +222,12 @@ def test_guard_sees_a_producer():
         "m": "_put = object.__setattr__\nclass R:\n    def __post_init__(self):\n"
              "        object.__setattr__(self, 'x', 1)\ndef make():\n    r = R()\n"
              "    object.__setattr__(r, 'y', 2)\n    object.__setattr__(r, 'z', 3)\n    return r\n"
-             "def read(r):\n    return r.__setattr__\n",
+             "def read(r):\n    return r.__setattr__\n"
+             "def slot(r):\n    R.x.__set__(r, 4)\n_new_r = R._unchecked\n"
+             "class S:\n    def copy(self):\n        return R._unchecked(1)\n",
     }
-    assert _producers(sources) == ["m", "m.make", "m.read"]  # once each, __post_init__ left out
+    # once each, __post_init__ left out
+    assert _producers(sources) == ["m", "m.S.copy", "m.make", "m.read", "m.slot"]
 
 
 def _written_fields(source: str, function: str) -> list[str]:
@@ -240,8 +251,8 @@ def test_guard_sees_a_written_field():
 def test_one_producer_for_derived_state():
     # a record's derived state is set only where it is proved, never by a caller:
     # the pair's coprime mark and the period matrix's integer form, precision
-    # and pairs; the decorator's __init__ sets the fields, scalars builds values
-    # unchecked
+    # and pairs; the decorator's __init__ and builder set the fields through
+    # their slots, and scalars builds values with that builder, unchecked
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _producers(sources) == ["cfcore.pair_at", "errors.record", "periodic.build_period_matrix", "scalars"]
     assert _written_fields(sources["periodic"], "build_period_matrix") == ["scaled", "prec", "pairs"]

@@ -1,13 +1,17 @@
 """The value records callers see: every field frozen, equality and hashing
-by class and field values, `Name(field=value, ...)` reprs, and the
-constructor signatures."""
+by class and field values, `Name(field=value, ...)` reprs, the constructor
+signatures, copies and pickles, and the memory a kept record holds."""
 
+import copy
+import gc
 import inspect
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from cfkit.cfcore import ConvergentPair, FiniteCF, PeriodicCF, RuleCF
+from cfkit.cfcore import ConvergentPair, FiniteCF, PeriodicCF, RuleCF, convergent_pair, pair_at
 from cfkit.continuants import ContinuantArgs, ReversedConvergents
 from cfkit.periodic import (
     ConjugateReport,
@@ -18,6 +22,8 @@ from cfkit.periodic import (
     StolzReport,
     TrajectoryStep,
     Verdict,
+    build_period_matrix,
+    classify,
 )
 from cfkit.scalars import ComplexFloat, QuadExt
 from cfkit.specfile import SpecFile
@@ -140,3 +146,79 @@ def test_derived_state_is_no_constructor_argument(cls, fields, name, forged):
         delattr(value, name)
     assert getattr(value, name) != forged
     assert name not in cls.__match_args__ and f"{name}=" not in repr(value)
+
+
+def _copies(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+@pytest.mark.parametrize("cls, fields, signature", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_record_copies_and_pickles(cls, fields, signature):
+    value = cls(**fields)
+    for twin in _copies(value):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(fields)), None)
+    if cls is ComplexFloat:  # each part is an mpf of the class made for its precision
+        assert {type(twin.re) for twin in _copies(value)} == {type(value.re)}
+
+
+@pytest.mark.parametrize("pcf", [
+    PeriodicCF((1, 2, -1), (1, 2, 3)),
+    PeriodicCF((Fraction(1, 2), 3), (Fraction(-2, 5), 1)),
+    PeriodicCF((ComplexFloat(1, 0, 64), 2), (ComplexFloat(0.5, 0.25, 64), 1)),
+], ids=["int", "fraction", "complex"])
+def test_copies_keep_a_period_matrix_s_derived_state(pcf):
+    matrix = build_period_matrix(pcf)
+    for twin in _copies(matrix):
+        assert twin == matrix and vars(twin) == vars(matrix)
+        assert (twin.scaled, twin.prec, twin.pairs) == (matrix.scaled, matrix.prec, matrix.pairs)
+
+
+def test_copies_keep_a_pair_s_coprime_mark():
+    for pair in pair_at(PeriodicCF((1,), (1,)), 40):
+        assert pair.coprime
+        for twin in _copies(pair):
+            assert twin.coprime and twin.value() == pair.value()
+
+
+def test_record_repr_names_deep_ints_by_size():
+    # repr() refuses an int past 4300 digits; a record names it by size, as QuadExt does
+    big = 10**5000
+    assert repr(ConvergentPair(1, big, 3)) == "ConvergentPair(n=1, num=<16610-bit integer>, den=3)"
+    assert repr(Verdict("convergent", Fraction(big, 3))) == (
+        "Verdict(kind='convergent', limit=Fraction(<16610-bit integer>, 3), q=None, sublimit=None, condition=None)"
+    )
+    pair = convergent_pair(PeriodicCF((1,), (1,)), 30000)
+    assert repr(pair) == (
+        f"ConvergentPair(n=30000, num=<{pair.num.bit_length()}-bit integer>, "
+        f"den=<{pair.den.bit_length()}-bit integer>)"
+    )
+    # below the limit every digit is shown, as repr() shows it
+    shown = 10**4000 + 1
+    assert repr(ConvergentPair(1, shown, 3)) == f"ConvergentPair(n=1, num={shown!r}, den=3)"
+
+
+def test_kept_verdicts_and_limits_hold_little_memory():
+    # the verdict and limit of 10,000 classified CFs [1; b, b, ...], kept alive:
+    # each pair holds ~304 B with its parts (Python 3.11), against ~384 B where a
+    # record's fields live in a per-instance dict's inline values, and ~592 B where
+    # its __init__ writes them into a materialised __dict__
+    specs = [PeriodicCF((1,), (b,)) for b in range(1, 10_001)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verdicts, limits = [], []
+        for pcf in specs:
+            report = classify(pcf)
+            verdicts.append(report.verdict)
+            limits.append(report.eigen.x1)
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert all(type(x) is QuadExt and v.limit is x for v, x in zip(verdicts, limits))
+    assert held < 340 * len(specs), held
