@@ -62,11 +62,12 @@ def record(cls):
     new = type(cls)(cls.__name__, cls.__bases__, {
         **_SHARED, **body, "__slots__": (*names, *body.get("__slots__", ())), "__qualname__": cls.__qualname__,
         "__match_args__": names, "_values": attrgetter(*names)})  # _values: a tuple for two or more fields
-    sets = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    args, sets = ", ".join(names), "".join(f"\n    _set_{name}(self, {name})" for name in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     glob = {"_new": object.__new__, "cls": new, **{f"_set_{name}": getattr(new, name).__set__ for name in names}}
-    exec(f"def __init__(self, {', '.join(names)}):{sets}{post}\n"
-         f"def _unchecked({', '.join(names)}):\n    self = _new(cls){sets}\n    return self", glob)
+    # without a __post_init__ the constructor checks nothing, and is the builder too
+    exec(f"def __init__(self, {args}):{sets}{post}\n" + (
+        f"def _unchecked({args}):\n    self = _new(cls){sets}\n    return self" if post else "_unchecked = cls"), glob)
     new.__init__, new._unchecked = glob["__init__"], staticmethod(glob["_unchecked"])
     new.__init__.__defaults__ = tuple(vars(cls)[name] for name in names if name in vars(cls))
     return new
