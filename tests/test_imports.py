@@ -3,11 +3,12 @@ __init__ re-exports by importing, so it is left out), holds no assert
 statement, and every module-level private name is referenced somewhere in
 the package; every name the package re-exports is used by the library, the
 benchmark or the acceptance suite; one function alone touches Fraction's
-private slots, and one method alone calls it; only the code that proves a
-record's derived state writes past its read-only __setattr__, by
-object.__setattr__, a slot's setter or the unchecked builder; the test oracle brute.py takes only type names from cfkit,
-and QuadExt has no order; neither importing the package nor a CLI run on
-exact input loads mpmath, dataclasses or inspect."""
+private slots, and only a pair's value and the exact split's one-gcd
+reduction call it; only the code that proves a record's derived state
+writes past its read-only __setattr__, by object.__setattr__, a slot's
+setter or the unchecked builder; the test oracle brute.py takes only type
+names from cfkit, and QuadExt has no order; neither importing the package
+nor a CLI run on exact input loads mpmath, dataclasses or inspect."""
 
 import ast
 import json
