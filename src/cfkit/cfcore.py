@@ -171,12 +171,16 @@ def _make_negative(*, b) -> CFSpec:
     return FiniteCF(a_list=(-1,) * (len(b) - 1), b_list=tuple(b))
 
 
+def _one(n: int) -> int:
+    return 1
+
+
+def _sqrt2_b(n: int) -> int:  # rules at module level pickle, and compare, by name
+    return 1 if n == 0 else 2
+
+
 def _make_sqrt2() -> CFSpec:
-    return RuleCF(
-        a_rule=lambda n: 1,
-        b_rule=lambda n: 1 if n == 0 else 2,
-        label="sqrt2",
-    )
+    return RuleCF(a_rule=_one, b_rule=_sqrt2_b, label="sqrt2")
 
 
 def _make_golden() -> CFSpec:

@@ -36,7 +36,7 @@ from .periodic import (
     power_iterate,
     reverse_period,
 )
-from .render import format_exact, format_float, int_texts, parse_exact
+from .render import format_exact, format_float, int_texts, parse_exact, read_number, within_bounds
 from .scalars import DEFAULT_PRECISION_BITS, MAX_EXPONENT, MAX_PRECISION_BITS, MIN_PRECISION_BITS, is_exact
 from .specfile import SpecFile, load_specfile, specfile_from_periodic
 from .tietze import NotSemiRegular, evaluate_tietze
@@ -159,12 +159,14 @@ def _bounded_steps(text: str) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", text)
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise argparse.ArgumentTypeError(f"decimal exponent must be in -{MAX_EXPONENT}..{MAX_EXPONENT}")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = read_number(text)
+        if not isinstance(value, Fraction) and not value.is_finite():
+            raise ValueError(f"{value} is not finite")
+    except (ValueError, ArithmeticError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    if not within_bounds(value):
+        raise argparse.ArgumentTypeError(f"decimal exponent must be in -{MAX_EXPONENT}..{MAX_EXPONENT}")
+    return Fraction(value)
 
 
 def _literal_list(text: str) -> list:

@@ -6,7 +6,9 @@ extraction is by trial division, so a huge square factor hiding behind a
 large prime may survive; the printed value is still exact).  Degenerate
 pieces are dropped: "√5", "-2√3", "(1 + √5)/2", "1 - √5".
 
-Everything `format_exact` prints, `parse_exact` reads back.
+Everything `format_exact` prints, `parse_exact` reads back.  `read_number`
+reads a decimal or "p/q" string, and `within_bounds` is the one magnitude
+rule, for --eps and every complex spec part.
 
 `format_float` prints the decimal digits of an exact value, rounded half-up
 (ties away from zero), in mpmath's `nstr` layout, with integers only; a
@@ -23,6 +25,7 @@ from typing import Callable
 
 from .errors import SpecFileError
 from .scalars import (
+    MAX_EXPONENT,
     ComplexFloat,
     QuadExt,
     _ctx,
@@ -168,6 +171,47 @@ def parse_exact(text: str):
     q = match["q"]
     q = _text_int(q + "1" if q in ("", "+", "-") else q)
     return quadext(p * r, (-q if match["op"] == "-" else q) * r, _text_int(match["d"]))
+
+
+_LOWEST, _HIGHEST = Decimal(f"1e-{MAX_EXPONENT}"), Decimal(f"1e{MAX_EXPONENT}")
+_HIGHEST_BITS = MAX_EXPONENT * math.log2(10)
+# Python's int/str limit, which Fraction applies to "p/q": an exact Decimal of more
+# digits would take time quadratic in them
+_MAX_DIGITS = 4300
+
+
+def read_number(text: str) -> Decimal | Fraction:
+    """A decimal string of at most _MAX_DIGITS digits as a Decimal, infinite or NaN too,
+    its exponent k kept as written, or "p/q" as a Fraction, with an underscore only
+    between digits; raises ValueError or ArithmeticError for any other text."""
+    if re.search(r"(?<!\d)_|_(?!\d)", text):
+        raise ValueError(f"misplaced underscore in {text!r}")
+    if "/" in text:
+        return Fraction(text)
+    if len(re.sub(r"[eE].*|\D", "", text)) > _MAX_DIGITS:  # the digits before the exponent
+        raise ValueError(f"more than {_MAX_DIGITS} digits")
+    return Decimal(text)
+
+
+def within_bounds(x) -> bool:
+    """Whether an int, Fraction or finite Decimal is 0 or between 10^-MAX_EXPONENT and
+    10^MAX_EXPONENT in magnitude: a Decimal as written, a rational by its bit lengths,
+    and 10^k built only where x is near a bound."""
+    if isinstance(x, Decimal):
+        return not x or _LOWEST <= x.copy_abs() <= _HIGHEST
+    num, den = abs(x.numerator), x.denominator
+    bits = num.bit_length() - den.bit_length()  # bits - 1 < log2 |x| < bits + 1
+    if not num or abs(bits) < _HIGHEST_BITS - 2:
+        return True
+    high = 10**MAX_EXPONENT if abs(bits) <= _HIGHEST_BITS + 2 else 0  # 0: x is far past a bound
+    return num <= den * high if bits > 0 else den <= num * high
+
+
+def _six_digits(x) -> str:
+    """An int, Fraction or finite Decimal out of bounds to 6 digits, as `format_float` prints them."""
+    if not isinstance(x, Decimal):
+        return format_float(x, 0)
+    return re.sub(r"(\.\d+?)0*e", r"\1e", f"{x:.5e}")  # without trailing zeros
 
 
 def format_float(x, prec_bits: int = 128) -> str:

@@ -25,8 +25,8 @@ from .errors import InvalidSpec, TowerMismatch, _int_label, record
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 65_536  # the CLI's ceiling: a classify there takes some 0.2 s
 DEFAULT_PRECISION_BITS = 128
-# the largest |k| of a number 10^k that a reader takes: Fraction("1e-k") computes
-# 10**k at once, and a complex part of 10^-k grows the exact period matrix with k
+# the largest |k| of a number 10^k that a reader takes (render.within_bounds): an exact
+# 1e-k holds 10**k, and a complex part of 10^-k grows the exact period matrix with k
 MAX_EXPONENT = 1_000_000
 
 RationalLike = Union[int, Fraction]
@@ -350,10 +350,6 @@ class ComplexFloat:
 
     def conjugate(self) -> "ComplexFloat":
         return _complexfloat_trusted(self.re._mpf_, _libmp().mpf_neg(self.im._mpf_), self.prec)
-
-    def sqrt(self) -> "ComplexFloat":
-        value = _libmp().mpc_sqrt((self.re._mpf_, self.im._mpf_), self.prec, "n")
-        return _complexfloat_trusted(*value, self.prec)
 
     def __repr__(self):
         return f"ComplexFloat({self.re!r}, {self.im!r}, prec={self.prec})"

@@ -13,9 +13,12 @@ Schema (UTF-8 JSON object).  Each mode takes these keys and no others:
 Number literals are exact strings "p", "p/q", surds like "(1 + √5)/2"
 (quadext tower only), JSON integers of any size, or {"re": ..., "im": ...}
 objects for the complex tower, whose parts are integers, floats, or decimal
-or "p/q" strings.  Floats are accepted only in the complex tower so that
-rational parsing stays exact.  A complex value must be finite, and each
-nonzero part between 10^-MAX_EXPONENT and 10^MAX_EXPONENT in magnitude.
+or "p/q" strings (`render.read_number`).  Floats are accepted only in the
+complex tower so that rational parsing stays exact.  A complex value must be
+finite, and each part of its exact value 0 or between 10^-MAX_EXPONENT and
+10^MAX_EXPONENT in magnitude (`render.within_bounds`); each part is then
+rounded once, to nearest at precision_bits.  A surd has no exact complex
+parts, so it is bounded by the parts it rounds to.
 The a and b lists, or a generator's params, are read in one tower: the
 declared one, or else the lowest tower that holds all of their literals.
 """
@@ -23,12 +26,12 @@ declared one, or else the lowest tower that holds all of their literals.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
-from functools import cache
 
 from .cfcore import CFSpec, FiniteCF, PeriodicCF, make_generator
 from .errors import InvalidSpec, SpecFileError, _shown, record
-from .render import _text_int, format_exact, parse_exact
+from .render import _six_digits, _text_int, format_exact, parse_exact, read_number, within_bounds
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     MAX_EXPONENT,
@@ -36,8 +39,9 @@ from .scalars import (
     MIN_PRECISION_BITS,
     ComplexFloat,
     QuadExt,
-    _ctx,
+    _dyadic,
     as_complexfloat,
+    quadext,
     radicand_ratio,
 )
 
@@ -56,15 +60,17 @@ def _literal_kind(token) -> str:
     raise SpecFileError(f"not a number literal: {_shown(token)}")
 
 
-def _part(part, prec: int):
-    """The re or im of a complex literal: an int, a float, or a string mpmath reads."""
+def _part(part):
+    """The exact re or im of a complex literal: an int, a Fraction, or a Decimal
+    (a float is one exactly), which may be infinite or NaN."""
+    if isinstance(part, float):
+        return Decimal(part)
     if isinstance(part, int) and not isinstance(part, bool):
-        # rounded at once: mpf(int) first strips trailing zero bits, 8 at a time
-        return as_complexfloat(part, prec).re
-    if isinstance(part, (float, str)):
+        return part
+    if isinstance(part, str):
         try:
-            return _ctx(prec).mpf(part)
-        except (ValueError, ZeroDivisionError):  # as for "abc" and "1/0"
+            return read_number(part)
+        except (ValueError, ArithmeticError):  # as for "abc" and "1/0"
             pass
     raise SpecFileError(f"complex literal part {_shown(part)} is not a number")
 
@@ -72,34 +78,27 @@ def _part(part, prec: int):
 def _parse_literal(token, tower: str, prec: int):
     if _TOWERS.index(_literal_kind(token)) > _TOWERS.index(tower):
         raise SpecFileError(f"literal {_shown(token)} does not fit the {tower} tower")
-    if isinstance(token, int):
-        value = token
-    elif isinstance(token, str):
-        value = parse_exact(token)
-    elif isinstance(token, float):
-        value = ComplexFloat(token, 0, prec)
-    else:
+    if isinstance(token, dict):
         if set(token) != {"re", "im"}:
             raise SpecFileError(f"complex literal needs exactly re and im: {_shown(token)}")
-        value = ComplexFloat(_part(token["re"], prec), _part(token["im"], prec), prec)
-    if tower == "complex" and not isinstance(value, ComplexFloat):
-        value = as_complexfloat(value, prec)
-    if isinstance(value, ComplexFloat):
-        ctx, (low, high) = _ctx(prec), _magnitude_bounds(prec)
-        if not (ctx.isfinite(value.re) and ctx.isfinite(value.im)):
-            raise SpecFileError(f"complex literal {_shown(token)} is not finite")
-        for part in (value.re, value.im):
-            if part and not low <= abs(part) <= high:
-                raise SpecFileError(f"complex part {ctx.nstr(part, 6)} lies outside "
-                                    f"10^-{MAX_EXPONENT}..10^{MAX_EXPONENT} in magnitude")
-    return value
-
-
-@cache
-def _magnitude_bounds(prec: int) -> tuple:
-    """10^-MAX_EXPONENT and 10^MAX_EXPONENT, read as a literal part at `prec` bits is."""
-    ctx = _ctx(prec)
-    return ctx.mpf(f"1e-{MAX_EXPONENT}"), ctx.mpf(f"1e{MAX_EXPONENT}")
+        parts = _part(token["re"]), _part(token["im"])
+    elif isinstance(token, float):
+        parts = _part(token), 0
+    else:
+        value = token if isinstance(token, int) else parse_exact(token)
+        if tower != "complex":
+            return value
+        parts = value, 0
+        if isinstance(value, QuadExt):
+            scale, z = _dyadic((value,), prec)
+            parts = tuple(Fraction(x, scale) for x in ((z.a, z.b) if isinstance(z, QuadExt) else (z, 0)))
+    if not all(isinstance(x, (int, Fraction)) or x.is_finite() for x in parts):
+        raise SpecFileError(f"complex literal {_shown(token)} is not finite")
+    for part in parts:
+        if not within_bounds(part):
+            raise SpecFileError(f"complex part {_six_digits(part)} lies outside "
+                                f"10^-{MAX_EXPONENT}..10^{MAX_EXPONENT} in magnitude")
+    return as_complexfloat(quadext(*map(Fraction, parts), -1), prec)
 
 
 def _infer_tower(tokens) -> str:

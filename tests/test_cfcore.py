@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import islice
@@ -8,6 +10,7 @@ from cfkit import (
     CFSpec,
     ComplexFloat,
     FiniteCF,
+    GENERATORS,
     PeriodicCF,
     RuleCF,
     convergent_table,
@@ -322,6 +325,17 @@ class TestGenerators:
         neg = make_generator("negative", {"b": [2, 2, 2]})
         assert (neg.a(1), neg.a(2)) == (-1, -1)
         assert neg.b(2) == 2
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_generator_copies_pickles_and_builds_equal(self, name):
+        # a rule is a module-level function, so it pickles by reference
+        params = {"b": (1, 2, 3)} if name in ("regular", "negative") else {}
+        spec = make_generator(name, params)
+        twin = make_generator(name, params)
+        assert twin == spec and hash(twin) == hash(spec)
+        for copied in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert type(copied) is type(spec) and copied == spec and hash(copied) == hash(spec)
+            assert list(islice(copied.terms(), 5)) == list(islice(spec.terms(), 5))
 
     def test_unknown_name(self):
         with pytest.raises(InvalidSpec):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import re
@@ -263,6 +264,19 @@ class TestTietze:
 
     def test_eps_at_the_exponent_bound_is_read(self):
         assert cli._fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+
+    @pytest.mark.parametrize("eps", [f"100e{MAX_EXPONENT - 1}", f"0.001e-{MAX_EXPONENT - 2}"])
+    def test_eps_is_bounded_by_its_value(self, eps):
+        # the one magnitude rule of complex spec parts: 100e999999 is 10^1000001,
+        # though its written exponent is in range
+        with pytest.raises(argparse.ArgumentTypeError, match="decimal exponent must be in"):
+            cli._fraction(eps)
+        assert cli._fraction(f"0.01e{MAX_EXPONENT + 2}") == 10**MAX_EXPONENT
+
+    @pytest.mark.parametrize("eps", ["inf", "-Infinity", "NaN", "sNaN", "1_", "1__0"])
+    def test_eps_that_is_no_finite_rational_is_refused(self, eps):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"not a rational: {eps!r}"):
+            cli._fraction(eps)
 
     def test_footnote_closed_form(self, capsys, footnote_spec):
         code, report = run_json(capsys, ["tietze", footnote_spec, "--eps", "1/10"])

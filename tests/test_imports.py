@@ -6,9 +6,11 @@ benchmark or the acceptance suite; one function alone touches Fraction's
 private slots, and only a pair's value and the exact split's one-gcd
 reduction call it; only the code that proves a record's derived state
 writes past its read-only __setattr__, by object.__setattr__, a slot's
-setter or the unchecked builder; the test oracle brute.py takes only type
-names from cfkit, and QuadExt has no order; neither importing the package
-nor a CLI run on exact input loads mpmath, dataclasses or inspect."""
+setter or the unchecked builder; only scalars and render refer to mpmath's
+context `_ctx`, so no other module reads a literal or a bound through
+mpmath; the test oracle brute.py takes only type names from cfkit, and
+QuadExt has no order; neither importing the package nor a CLI run on exact
+input loads mpmath, dataclasses or inspect."""
 
 import ast
 import json
@@ -274,6 +276,26 @@ def test_only_scalars_and_the_literal_writer_read_mpmath_slots():
     users = _slot_users(sources, MPMATH_SLOTS)
     assert [u for u in users if not u.startswith("scalars.")] == ["specfile.format_literal"]
     assert "scalars._dyadic" in users
+
+
+def _referrers(sources: dict[str, str], name: str) -> list[str]:
+    """The modules that import `name` or read it (see `_users`)."""
+    importers = {module for module, source in sources.items()
+                 if any(isinstance(n, ast.alias) and n.name == name for n in ast.walk(ast.parse(source)))}
+    return sorted(importers | {user.split(".")[0] for user in _users(sources, name)})
+
+
+def test_guard_sees_a_referrer():
+    sources = {"m": "from s import _ctx\n", "n": "def f():\n    return s._ctx(64)\n", "o": "y = [_ctx]\n",
+               "p": "def _ctx(prec):\n    return prec\n", "q": "ctx = _ctx_of = 1\n"}
+    assert _referrers(sources, "_ctx") == ["m", "n", "o"]
+
+
+def test_only_scalars_and_render_refer_to_the_mpmath_context():
+    # a spec file reads each literal exactly and scalars rounds it once;
+    # render prints a ComplexFloat through mpmath's nstr
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _referrers(sources, "_ctx") == ["render", "scalars"]
 
 
 BRUTE = Path(__file__).resolve().parent / "brute.py"

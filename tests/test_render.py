@@ -356,3 +356,40 @@ def test_a_float_has_no_form(convert):
     # each converter names the type it cannot take
     with pytest.raises(TypeError, match=r"\bfloat$"):
         convert(0.5)
+
+
+class TestNumberReader:
+    @pytest.mark.parametrize("text, value", [
+        (" 1_0.5e-1_0 ", Decimal("10.5e-10")), ("-22/7", F(-22, 7)), ("+.5", Decimal("0.5")), ("1_0/3", F(10, 3)),
+    ])
+    def test_reads_decimals_and_ratios(self, text, value):
+        assert render.read_number(text) == value
+
+    @pytest.mark.parametrize("text", ["_1", "1_", "1__0", "1e_5", "1_.5", "abc", "1/0", "1.5/2"])
+    def test_refuses_malformed_text(self, text):
+        # an underscore only between two digits, as in Python's numeric literals
+        with pytest.raises((ValueError, ArithmeticError)):
+            render.read_number(text)
+
+    def test_refuses_more_digits_than_python_converts(self):
+        # as Fraction and mpmath did: an exact value of more digits costs quadratic time
+        assert Fraction(render.read_number("7" * 4300 + "e-4300")) == F(int("7" * 4300), 10**4300)
+        with pytest.raises(ValueError):
+            render.read_number("7" * 4301 + "e-4301")
+
+    def test_bounds_are_exact_for_every_type(self):
+        k = render.MAX_EXPONENT
+        high = 10**k
+        inside = [0, 1, -high, high, F(1, high), F(-3 * high, 3), F(high - 1, 7), Decimal(f"-1e{k}"),
+                  Decimal(f"0.0001e-{k - 4}"), Decimal(f"0e{10 * k}"), 2**(3 * k)]
+        outside = [high + 1, F(1, high + 1), F(3 * high + 1, 3), Decimal(f"1.000000000000000000001e{k}"),
+                   Decimal(f"9.99e-{k + 1}"), Decimal("1e-10000000000"), 2**(4 * k), F(1, 2**(4 * k))]
+        assert [render.within_bounds(x) for x in inside] == [True] * len(inside)
+        assert [render.within_bounds(x) for x in outside] == [False] * len(outside)
+
+    @pytest.mark.parametrize("x, text", [
+        (Decimal("1e-1000001"), "1.0e-1000001"), (Decimal("-123456789e999999"), "-1.23457e+1000007"),
+        (10**1000001, "1.0e+1000001"), (F(-1, 3 * 10**1000000), "-3.33333e-1000001"),
+    ], ids=["decimal", "long-decimal", "int", "fraction"])
+    def test_six_digits_of_a_number_out_of_bounds(self, x, text):
+        assert render._six_digits(x) == text

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -116,6 +117,43 @@ class TestLiterals:
                                     "precision_bits": prec})
             assert spec.b[0].re == _ctx(prec).mpf(same_as)
         assert time.perf_counter() - start < 5.0
+
+    def test_decimal_parts_read_as_their_rational_literals(self):
+        # each part is rounded once from its exact value, as a rational literal is:
+        # mpmath read the first part, and some others here, one ulp off
+        rng = random.Random(32)
+        decimals = ["-7918226226359883881061891949361942479801e-2540"]
+        for _ in range(300):
+            digits = rng.randrange(10**16, 10**rng.randint(17, 45))
+            decimals.append(f"{rng.choice('+-')}{digits}e{rng.randint(-3000, 3000)}")
+        for text in decimals:
+            mantissa, k = text.split("e")
+            rational = mantissa + "0" * int(k) if int(k) >= 0 else f"{mantissa}/1{'0' * -int(k)}"
+            for prec in (64, 128, 256):
+                spec = parse_spec_dict({"mode": "finite", "a": [1], "b": [{"re": text, "im": text}, rational],
+                                        "precision_bits": prec})
+                part, literal = spec.b
+                assert part == ComplexFloat(literal.re, literal.re, prec) and literal.im == 0, (text, prec)
+
+    @pytest.mark.parametrize("part", ["5L", "1e-5L", " 1 / 3 ", "1/-3", "1/+3"])
+    def test_mpmath_only_forms_are_not_numbers(self, part):
+        # mpmath read these; the grammars of Decimal and Fraction take neither
+        # its long suffix nor a sign or spaces around the slash
+        with pytest.raises(SpecFileError, match="complex literal part .* is not a number"):
+            parse_spec_dict({"mode": "finite", "a": [], "b": [{"re": part, "im": 0}]})
+
+    @pytest.mark.parametrize("part", ["-Infinity", "Infinity", "sNaN", "NaN12"])
+    def test_decimal_infinities_and_nans_are_not_finite(self, part):
+        # Decimal reads these, where mpmath refused them as no number; both exit 2
+        with pytest.raises(SpecFileError, match="is not finite"):
+            parse_spec_dict({"mode": "finite", "a": [], "b": [{"re": 1, "im": part}]})
+
+    def test_surd_in_the_complex_tower_is_bounded_as_rounded(self):
+        tiny = f"√2/1{'0' * (MAX_EXPONENT + 1)}"
+        with pytest.raises(SpecFileError, match=f"complex part 1.41421e-{MAX_EXPONENT + 1} lies outside"):
+            parse_spec_dict({"mode": "finite", "a": [], "b": [tiny], "tower": "complex"})
+        spec = parse_spec_dict({"mode": "finite", "a": [1], "b": ["1 - √-2", {"re": 1, "im": 0}]})
+        assert spec.b[0] == ComplexFloat(1, -_ctx(128).sqrt(2), 128)
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(SpecFileError):
