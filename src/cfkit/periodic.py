@@ -171,7 +171,7 @@ def build_period_matrix(pcf: PeriodicCF) -> PeriodMatrix:
             raise SelfCheckFailure(f"period matrix violates {identity}")
     if prec:  # c = L^p: c m12 = (L a(p)) (L^(p-1) A(p-2)) and c m21 = L (L^(p-1) B(p-1))
         scaled = (scale ** p, m11, block[p - 1] * a_prev2, scale * m21, m22)
-        entries = [_complexfloat_trusted(*_rounded_parts(m, scaled[0], prec), prec) for m in scaled[1:]]
+        entries = [_complexfloat_trusted(_rounded_parts(m, scaled[0], prec), prec) for m in scaled[1:]]
         pairs = [(num, scale * den) for num, den in pairs[:p]] if scale > 1 else pairs  # L^(q+1) (A(q), B(q))
     else:
         scaled = _integer_form(entries)
@@ -199,7 +199,7 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
     ordered on it, and its values come from it without cancellation, at the
     largest entry precision: each operand rounded once (`_rounded_parts`), the
     libmp kernels called on raw tuples as the ComplexFloat operators call them,
-    and each result wrapped once.
+    and each result kept as the raw pair of its ComplexFloat.
     """
     if QuadExt in map(type, (matrix.m11, matrix.m12, matrix.m21, matrix.m22)):
         raise TowerMismatch("eigenvalue split over quadratic-extension entries would "
@@ -219,7 +219,7 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
         s = lib.mpc_mul(t, root, prec, "n")
     else:
         s = lib.mpc_sqrt(_rounded_parts(disc, scale * scale, prec), prec, "n")
-    lam1 = [lib.mpf_shift(x, -1) for x in lib.mpc_add(t, s, prec, "n")]  # no cancellation, exact /2
+    lam1 = tuple(lib.mpf_shift(x, -1) for x in lib.mpc_add(t, s, prec, "n"))  # no cancellation, exact /2
     values = [lam1, lib.mpc_div(_rounded_parts(det, scale * scale, prec), lam1, prec, "n")]
     if n21 != 0:
         # x = (m11 - m22 +- s)/(2 m21), and u v = 4 m12 m21: divide by the larger of u, v
@@ -230,7 +230,7 @@ def eigen_split(matrix: PeriodMatrix) -> EigenSplit:
         else:  # u = 0 only when s = m11 - m22 = 0: a double fixed point at 0
             values += [lib.mpc_div(u, two_m21, prec, "n"),
                        u if u == lib.mpc_zero else lib.mpc_div(lib.mpc_neg(two_m12), u, prec, "n")]
-    lam1, lam2, *xs = [_complexfloat_trusted(*z, prec) for z in values]
+    lam1, lam2, *xs = [_complexfloat_trusted(z, prec) for z in values]
     return EigenSplit(lam1, lam2, relation, *xs)
 
 

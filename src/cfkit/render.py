@@ -12,7 +12,7 @@ rule, for --eps and every complex spec part.
 
 `format_float` prints the decimal digits of an exact value, rounded half-up
 (ties away from zero), in mpmath's `nstr` layout, with integers only; a
-ComplexFloat, whose input already loaded mpmath, prints through `nstr`.
+ComplexFloat, whose input already loaded mpmath, prints its raw parts as `nstr` does.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .scalars import (
     MAX_EXPONENT,
     ComplexFloat,
     QuadExt,
-    _ctx,
     _integer_form,
+    _libmp,
     quadext,
     squarefree_split,
 )
@@ -220,8 +220,8 @@ def format_float(x, prec_bits: int = 128) -> str:
     correctly rounded half-up, in mpmath's `nstr` layout: fixed point when
     the decimal exponent e has min(-(n//3), -5) < e < n, else d.ddde±E;
     trailing zeros dropped; complex values as "(re ± imj)".  A ComplexFloat
-    prints through `nstr` itself, as its exact dyadic parts may hold far more
-    bits than the digits need."""
+    prints its raw parts through libmp's `to_str` and `mpc_to_str`, as `nstr`
+    does, since its exact dyadic parts may hold far more bits than the digits need."""
     n = max(6, int(prec_bits * 0.30103))
     if isinstance(x, (int, Fraction)):
         return _real_text(x.numerator, 0, 0, x.denominator, n)
@@ -231,8 +231,8 @@ def format_float(x, prec_bits: int = 128) -> str:
             return _real_text(p, q, x.d, r, n)
         return _complex_text(_real_text(p, 0, 0, r, n), q < 0, _real_text(0, abs(q), -x.d, r, n))
     if isinstance(x, ComplexFloat):
-        ctx = _ctx(max(prec_bits, x.prec))
-        return ctx.nstr(x.re if x.im == 0 else ctx.mpc(x.re, x.im), n)
+        lib = _libmp()
+        return lib.to_str(x.raw[0], n) if x.raw[1] == lib.fzero else f"({lib.mpc_to_str(x.raw, n)})"
     raise TypeError(f"no decimal form for {type(x).__name__}")
 
 

@@ -2,10 +2,10 @@
 
 A computation normally stays inside one tower.  Promotion only goes up:
 ints and Fractions embed into QuadExt (same radicand) and into ComplexFloat;
-QuadExt embeds into ComplexFloat by evaluating its square root numerically
-at the target precision.  ComplexFloat operators run mpmath's libmp kernels on
-raw mpf tuples, bit for bit as mpc; the periodic complex split calls them alike,
-on values `_rounded_parts` rounds once, and `_complexfloat_trusted` wraps each.
+QuadExt embeds into ComplexFloat with b*sqrt(|d|) rounded once, as the root of
+b^2 |d|.  A ComplexFloat holds the raw (re, im) libmp pair that its operators and
+the periodic complex split pass to mpmath's kernels, bit for bit as mpc; only
+this module imports mpmath, reads its slots or refers to its context.
 
 A QuadExt a + b*sqrt(d) holds an integer radicand d, fixed when the value is
 built and never factored: arithmetic trusts it, equality compares values,
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .errors import InvalidSpec, TowerMismatch, _int_label, record
+from .errors import InvalidSpec, TowerMismatch, _frozen, _int_label, record
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 65_536  # the CLI's ceiling: a classify there takes some 0.2 s
@@ -274,28 +274,29 @@ def _libmp():
     return libmp
 
 
-def _complexfloat_trusted(re: tuple, im: tuple, prec: int) -> "ComplexFloat":
-    """re + im*i from raw mpf tuples already rounded to prec bits, without
-    ComplexFloat's conversions, as `_quadext_trusted` skips QuadExt's checks."""
-    mpf = _ctx(prec).mpf
-    real, imag = object.__new__(mpf), object.__new__(mpf)
-    real._mpf_, imag._mpf_ = re, im  # as mpmath's own make_mpf builds a value
-    return _new_complexfloat(real, imag, prec)
+def _complexfloat_trusted(raw: tuple, prec: int) -> "ComplexFloat":
+    """The ComplexFloat of `raw`, a (re, im) pair of libmp tuples already rounded to
+    prec bits, without the constructor's conversions, as `_quadext_trusted` skips QuadExt's checks."""
+    _set_raw(z := _new(ComplexFloat), raw)
+    _set_prec(z, prec)
+    return z
 
 
-@record
 class ComplexFloat:
-    """Complex value at an explicit binary precision (>= 64 bits); each
-    operation rounds to nearest at the larger operand precision."""
+    """Complex value at an explicit binary precision (>= 64 bits); each operation rounds to
+    nearest at the larger operand precision.  It holds `raw`, the (re, im) pair of libmp tuples
+    its kernels take and return; `re` and `im` build the mpf of its precision when read."""
 
-    re: object
-    im: object
-    prec: int = DEFAULT_PRECISION_BITS
+    __slots__ = ("raw", "prec")
+    __match_args__ = ("re", "im", "prec")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        ctx = _ctx(self.prec)
-        object.__setattr__(self, "re", ctx.mpf(self.re))
-        object.__setattr__(self, "im", ctx.mpf(self.im))
+    def __init__(self, re, im, prec: int = DEFAULT_PRECISION_BITS):
+        _set_raw(self, (_ctx(prec).mpf(re)._mpf_, _ctx(prec).mpf(im)._mpf_))
+        _set_prec(self, prec)
+
+    re = property(lambda self: _ctx(self.prec).make_mpf(self.raw[0]))
+    im = property(lambda self: _ctx(self.prec).make_mpf(self.raw[1]))
 
     def _binary(self, other, kernel: str, reverse=False):
         try:
@@ -304,8 +305,7 @@ class ComplexFloat:
             return NotImplemented
         prec = max(self.prec, other.prec)
         x, y = (other, self) if reverse else (self, other)
-        z = getattr(_libmp(), kernel)((x.re._mpf_, x.im._mpf_), (y.re._mpf_, y.im._mpf_), prec, "n")
-        return _complexfloat_trusted(*z, prec)
+        return _complexfloat_trusted(getattr(_libmp(), kernel)(x.raw, y.raw, prec, "n"), prec)
 
     def __add__(self, other):
         return self._binary(other, "mpc_add")
@@ -330,8 +330,7 @@ class ComplexFloat:
         return self._binary(other, "mpc_div", reverse=True)
 
     def __neg__(self):
-        neg = _libmp().mpf_neg
-        return _complexfloat_trusted(neg(self.re._mpf_), neg(self.im._mpf_), self.prec)
+        return _complexfloat_trusted(_libmp().mpc_neg(self.raw), self.prec)
 
     def __eq__(self, other):
         if isinstance(other, ComplexFloat):
@@ -345,56 +344,61 @@ class ComplexFloat:
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def modulus(self):
-        value = _libmp().mpc_abs((self.re._mpf_, self.im._mpf_), self.prec, "n")
-        return _ctx(self.prec).make_mpf(value)
+        return _ctx(self.prec).make_mpf(_libmp().mpc_abs(self.raw, self.prec, "n"))
 
     def conjugate(self) -> "ComplexFloat":
-        return _complexfloat_trusted(self.re._mpf_, _libmp().mpf_neg(self.im._mpf_), self.prec)
+        return _complexfloat_trusted(_libmp().mpc_conjugate(self.raw, None), self.prec)
 
     def __repr__(self):
         return f"ComplexFloat({self.re!r}, {self.im!r}, prec={self.prec})"
 
     def __reduce__(self):  # each part's class is made per precision, so it pickles as raw tuples
-        return _complexfloat_trusted, (self.re._mpf_, self.im._mpf_, self.prec)
+        return _complexfloat_trusted, (self.raw, self.prec)
 
 
-_new_quadext, _new_complexfloat = QuadExt._unchecked, ComplexFloat._unchecked
+_new, _new_quadext = object.__new__, QuadExt._unchecked
+_set_raw, _set_prec = ComplexFloat.raw.__set__, ComplexFloat.prec.__set__
 
 
 def as_complexfloat(x, prec: int = DEFAULT_PRECISION_BITS) -> ComplexFloat:
     """Promote any scalar into the complex floating tower at `prec` bits."""
     if isinstance(x, ComplexFloat):
         return x
-    ctx = _ctx(prec)
     if isinstance(x, (int, Fraction)):
-        return _complexfloat_trusted(*_rounded_parts(x.numerator, x.denominator, prec), prec)
-    if isinstance(x, QuadExt):
-        a, b = (ctx.make_mpf(_rounded_parts(q.numerator, q.denominator, prec)[0]) for q in (x.a, x.b))
-        root = ctx.sqrt(ctx.mpf(abs(x.d)))
+        return _complexfloat_trusted(_rounded_parts(*x.as_integer_ratio(), prec), prec)
+    if isinstance(x, QuadExt):  # b sqrt(|d|) = +-sqrt(b^2 |d|) = +-sqrt(n/den), rounded once
+        lib, (a, _), r = _libmp(), _rounded_parts(*x.a.as_integer_ratio(), prec), math.isqrt(abs(x.d))
+        if r * r == -x.d:  # b sqrt(|d|) = b r is rational
+            return _complexfloat_trusted((a, _rounded_parts(*(x.b * r).as_integer_ratio(), prec)[0]), prec)
+        n, den = x.b.numerator ** 2 * abs(x.d), x.b.denominator ** 2
+        k = prec + 1 + (den.bit_length() - n.bit_length()) // 2  # m = floor(2^k sqrt(n/den)) >= 2^prec
+        m = math.isqrt((n << 2 * k) // den if k >= 0 else (n >> -2 * k) // den)
+        # 2m + 1 over 2^(k+1) rounds as the root does: the + 1 is a sticky bit, the root being irrational
+        root = lib.from_man_exp(2 * m + 1 if x.b > 0 else -2 * m - 1, -k - 1, prec, "n")
         if x.d < 0:
-            return ComplexFloat(a, b * root, prec)
-        if x.a * x.b < 0:  # a + b sqrt(d) = norm/(a - b sqrt(d)), which does not cancel
-            n = x.norm()
-            return ComplexFloat(ctx.fdiv(n.numerator, n.denominator) / (a - b * root), 0, prec)
-        return ComplexFloat(a + b * root, 0, prec)
+            return _complexfloat_trusted((a, root), prec)
+        if x.a * x.b >= 0:  # else a + b sqrt(d) = norm/(a - b sqrt(d)), which does not cancel
+            return _complexfloat_trusted((lib.mpf_add(a, root, prec, "n"), lib.fzero), prec)
+        norm = _rounded_parts(*x.norm().as_integer_ratio(), prec)[0]
+        return _complexfloat_trusted((lib.mpf_div(norm, lib.mpf_sub(a, root, prec, "n"), prec, "n"), lib.fzero), prec)
     try:
-        value = ctx.mpc(x)
+        value = _ctx(prec).mpc(x)
     except (TypeError, ValueError):
         raise TypeError(f"cannot promote {type(x).__name__} to ComplexFloat") from None
-    return ComplexFloat(value.real, value.imag, prec)
+    return _complexfloat_trusted(value._mpc_, prec)
 
 
-def _rounded_parts(z, den: int, prec: int) -> list:
+def _rounded_parts(z, den: int, prec: int) -> tuple:
     """Raw (re, im) of z/den to nearest at prec bits for a Gaussian integer z and an int den > 0,
     as libmp's from_rational rounds it, but in linear time (that strips trailing zero bits 8 at a time)."""
     libmp, k = _libmp(), (den & -den).bit_length() - 1
     re, im = (z.a, z.b) if isinstance(z, QuadExt) else (z, 0)
     if den >> k == 1:  # den = 2^k: round, then shift
-        return [libmp.from_man_exp(re, -k, prec, "n"),
-                libmp.from_man_exp(im, -k, prec, "n") if im else libmp.fzero]
+        return (libmp.from_man_exp(re, -k, prec, "n"),
+                libmp.from_man_exp(im, -k, prec, "n") if im else libmp.fzero)
     # exact odd mantissas, with the zero bits moved to the exponent at once
-    return [libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
-                          libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in (re, im)]
+    return tuple(libmp.mpf_div(libmp.from_man_exp(n >> (j := (n & -n).bit_length() - 1), j - k),
+                               libmp.from_int(den >> k), prec, "n") if n else libmp.fzero for n in (re, im))
 
 
 def _dyadic(values, prec: int) -> tuple:
@@ -402,7 +406,7 @@ def _dyadic(values, prec: int) -> tuple:
     k, parts = 0, []
     for z in values:
         z = z if type(z) is ComplexFloat else as_complexfloat(z, prec)
-        (s, m, e, _), (t, n, f, _) = z.re._mpf_, z.im._mpf_
+        (s, m, e, _), (t, n, f, _) = z.raw
         if not m and e or not n and f:  # mpmath's +-inf and nan
             raise InvalidSpec(f"{z.im if m or not e else z.re} is not a finite number")
         if e + k < 0 or f + k < 0:

@@ -40,6 +40,7 @@ from .scalars import (
     ComplexFloat,
     QuadExt,
     _dyadic,
+    _libmp,
     as_complexfloat,
     quadext,
     radicand_ratio,
@@ -117,8 +118,8 @@ def format_literal(value):
     if isinstance(value, (Fraction, QuadExt)):
         return format_exact(value)
     if isinstance(value, ComplexFloat):  # with enough digits to read back the same parts
-        from mpmath.libmp import repr_dps, to_str
-        return {k: to_str(getattr(value, k)._mpf_, repr_dps(value.prec)) for k in ("re", "im")}
+        lib = _libmp()
+        return {k: lib.to_str(part, lib.repr_dps(value.prec)) for k, part in zip(("re", "im"), value.raw)}
     raise TypeError(f"no literal form for {type(value).__name__}")
 
 

@@ -6,9 +6,10 @@ benchmark or the acceptance suite; one function alone touches Fraction's
 private slots, and only a pair's value and the exact split's one-gcd
 reduction call it; only the code that proves a record's derived state
 writes past its read-only __setattr__, by object.__setattr__, a slot's
-setter or the unchecked builder; only scalars and render refer to mpmath's
-context `_ctx`, so no other module reads a literal or a bound through
-mpmath; the test oracle brute.py takes only type names from cfkit, and
+setter or the unchecked builder; only scalars imports mpmath, refers to its
+context `_ctx` or reads the `_mpf_` and `_mpc_` slots of its values, so every
+other module reads a ComplexFloat's raw pair, and no literal or bound,
+through mpmath; the test oracle brute.py takes only type names from cfkit, and
 QuadExt has no order; neither importing the package nor a CLI run on exact
 input loads mpmath, dataclasses or inspect."""
 
@@ -255,7 +256,8 @@ def test_one_producer_for_derived_state():
     # a record's derived state is set only where it is proved, never by a caller:
     # the pair's coprime mark and the period matrix's integer form, precision
     # and pairs; the decorator's __init__ and builder set the fields through
-    # their slots, and scalars builds values with that builder, unchecked
+    # their slots, and scalars builds QuadExt values with that builder, unchecked,
+    # and ComplexFloat values through the setters of its two slots
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert _producers(sources) == ["cfcore.pair_at", "errors.record", "periodic.build_period_matrix", "scalars"]
     assert _written_fields(sources["periodic"], "build_period_matrix") == ["scaled", "prec", "pairs"]
@@ -269,13 +271,13 @@ def test_guard_sees_an_mpmath_slot():
     assert _slot_users(sources, MPMATH_SLOTS) == ["m.f", "m.g", "m.C"]
 
 
-def test_only_scalars_and_the_literal_writer_read_mpmath_slots():
-    # the complex tower's libmp arithmetic and its exact view live in scalars;
-    # specfile.format_literal writes each part's digits from its raw tuple
+def test_only_scalars_reads_mpmath_slots():
+    # a ComplexFloat holds its raw tuples, which every other module reads as
+    # `raw`; only its constructor and promotion unbox an mpmath value
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     users = _slot_users(sources, MPMATH_SLOTS)
-    assert [u for u in users if not u.startswith("scalars.")] == ["specfile.format_literal"]
-    assert "scalars._dyadic" in users
+    assert [u for u in users if not u.startswith("scalars.")] == []
+    assert sorted(set(users)) == ["scalars.ComplexFloat", "scalars.as_complexfloat"]
 
 
 def _referrers(sources: dict[str, str], name: str) -> list[str]:
@@ -291,11 +293,28 @@ def test_guard_sees_a_referrer():
     assert _referrers(sources, "_ctx") == ["m", "n", "o"]
 
 
-def test_only_scalars_and_render_refer_to_the_mpmath_context():
+def _mpmath_importers(sources: dict[str, str]) -> list[str]:
+    """The modules that import mpmath or one of its modules, at any depth."""
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mpmath"
+
+    return sorted(module for module, source in sources.items() if any(map(imports, ast.walk(ast.parse(source)))))
+
+
+def test_guard_sees_an_mpmath_import():
+    sources = {"m": "import mpmath\n", "n": "def f():\n    from mpmath.libmp import to_str\n",
+               "o": "from mpmath import mpf as m\n", "p": "from .scalars import _libmp\nimport mpmathx\n"}
+    assert _mpmath_importers(sources) == ["m", "n", "o"]
+
+
+def test_only_scalars_refers_to_the_mpmath_context():
     # a spec file reads each literal exactly and scalars rounds it once;
-    # render prints a ComplexFloat through mpmath's nstr
+    # render and specfile print a ComplexFloat's raw tuples through scalars._libmp
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _referrers(sources, "_ctx") == ["render", "scalars"]
+    assert _referrers(sources, "_ctx") == ["scalars"]
+    assert _mpmath_importers(sources) == ["scalars"]
 
 
 BRUTE = Path(__file__).resolve().parent / "brute.py"

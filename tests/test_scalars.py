@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from brute import abs_lt, sign_of, within
 from cfkit import ComplexFloat, QuadExt, as_complexfloat, quadext
 from cfkit.errors import TowerMismatch
 from cfkit.scalars import (
+    _complexfloat_trusted,
     _ctx,
     _integer_form,
     _libmp,
@@ -425,6 +428,81 @@ def test_rounded_parts_round_as_from_rational(rng, prec):
         for den in (1, 1 << rng.randint(1, 3 * prec), (2 * rng.getrandbits(prec) + 1) << rng.randint(0, 40)):
             expected = [libmp.from_rational(n, den, prec, "n") for n in (re, im)]
             assert list(_rounded_parts(z, den, prec)) == expected, (re, im, den)
+
+
+def test_a_surd_rounds_once_whatever_its_form():
+    # a + s sqrt(+-d) and a + sqrt(+-d s^2) are one value, so they round alike;
+    # rounding s and sqrt(d) apart and multiplying would leave a fifth of these pairs unequal
+    pairs = 0
+    for prec in (64, 128):
+        for d in range(2, 200):
+            for s in (2, 3, 5, 7, F(3, 2)):
+                for a in (1, -1, F(1, 3)):
+                    for sign, dd in ((1, d), (-1, d), (1, -d), (-1, -d)):
+                        x = as_complexfloat(quadext(a, sign * s, dd), prec)
+                        assert x == as_complexfloat(quadext(a, sign, dd * s * s), prec), (a, sign * s, dd, prec)
+                        pairs += 1
+    assert pairs == 23_760
+
+
+@pytest.mark.parametrize("prec", [64, 128, 300])
+def test_a_surd_s_imaginary_part_is_correctly_rounded(rng, prec):
+    # b sqrt(|d|) rounded to v of prec bits is nearest when b^2 |d| lies strictly between
+    # the squares of v -+ half an ulp; the root is irrational, so never on one
+    for _ in range(300):
+        b = F(rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 2 * prec)) or 1,
+              rng.getrandbits(rng.randint(1, 2 * prec)) or 1)
+        d = -rng.randint(2, 10**rng.randint(1, 40))
+        if math.isqrt(-d) ** 2 == -d:
+            continue
+        sign, man, exp, bc = as_complexfloat(quadext(F(1, 3), b, d), prec).raw[1]
+        assert bc <= prec and (-1) ** sign == (1 if b > 0 else -1)
+        value, half_ulp = man * F(2) ** exp, F(2) ** (exp + bc - prec - 1)
+        assert (value - half_ulp) ** 2 < b * b * -d < (value + half_ulp) ** 2, (b, d)
+
+
+def _reached(value) -> list:
+    """Every object that value holds, through its slots and tuples."""
+    held, todo = [], [value]
+    while todo:
+        for obj in gc.get_referents(todo.pop()):
+            if not isinstance(obj, type):
+                held.append(obj)
+                todo += [obj] if isinstance(obj, tuple) else []
+    return held
+
+
+class TestStoredForm:
+    def test_a_value_holds_its_raw_pair_and_no_mpf(self):
+        values = [ComplexFloat(0.5, 3, 64), as_complexfloat(quadext(1, 2, -3), 128),
+                  ComplexFloat(1, 1, 200) * ComplexFloat(2, -1, 200), -ComplexFloat(1, 0), as_complexfloat(F(1, 3))]
+        for z in values:
+            assert type(z.raw) is tuple and len(z.raw) == 2
+            assert all(type(part) is tuple and len(part) == 4 for part in z.raw)
+            assert not hasattr(z, "__dict__") and type(z).__slots__ == ("raw", "prec")
+            held = _reached(z)
+            assert z.raw in held and all(isinstance(obj, (tuple, int)) for obj in held), held
+            assert (z.re._mpf_, z.im._mpf_) == z.raw
+
+    @pytest.mark.parametrize("prec", [64, 128, 200])
+    def test_a_kernel_output_builds_as_the_constructor_does(self, rng, prec):
+        libmp, make = _libmp(), _ctx(prec).make_mpf
+        for _ in range(50):
+            z, w = (_gaussian_dyadic(rng, prec).raw for _ in range(2))
+            for raw in (libmp.mpc_mul(z, w, prec, "n"), libmp.mpc_add(z, w, prec, "n"), libmp.mpc_sqrt(z, prec, "n"),
+                        libmp.mpc_div(z, w, prec, "n") if w != libmp.mpc_zero else z):
+                value = _complexfloat_trusted(raw, prec)
+                built = ComplexFloat(make(raw[0]), make(raw[1]), prec)
+                assert value == built and hash(value) == hash(built) and repr(value) == repr(built)
+                assert value.raw == built.raw and value.prec == built.prec == prec
+                assert type(value.re) is type(built.re) is _ctx(prec).mpf
+
+    def test_a_pickle_keeps_each_value_s_precision(self):
+        values = [as_complexfloat(quadext(F(1, 3), -2, -1), prec) for prec in (64, 200)] + [ComplexFloat(0.5, 3, 200)]
+        for twin, value in zip(pickle.loads(pickle.dumps(values)), values):
+            assert twin == value and twin.raw == value.raw and twin.prec == value.prec
+            assert type(twin.re) is type(twin.im) is _ctx(value.prec).mpf
+        assert values[0] != values[1] and type(values[0].re) is not type(values[1].re)
 
 
 class TestHelpers:

@@ -66,8 +66,8 @@ class TestLiterals:
             load_specfile(path)
 
     def test_finite_complex_literal_with_huge_exponent_loads(self, tmp_path):
-        # finiteness is read off the mpf, without building its exact value;
-        # 10^-MAX_EXPONENT and 10^MAX_EXPONENT are the widest parts taken
+        # finiteness and the bound are read off the exact parts, which are then rounded
+        # once; 10^-MAX_EXPONENT and 10^MAX_EXPONENT are the widest parts taken
         path = write_spec(tmp_path, {
             "mode": "periodic", "tower": "complex", "a": [1, 1],
             "b": [{"re": f"1e-{MAX_EXPONENT}", "im": 0}, {"re": 1, "im": f"1e+{MAX_EXPONENT}"}],
@@ -154,6 +154,17 @@ class TestLiterals:
             parse_spec_dict({"mode": "finite", "a": [], "b": [tiny], "tower": "complex"})
         spec = parse_spec_dict({"mode": "finite", "a": [1], "b": ["1 - √-2", {"re": 1, "im": 0}]})
         assert spec.b[0] == ComplexFloat(1, -_ctx(128).sqrt(2), 128)
+
+    @pytest.mark.parametrize("prec", [64, 128, 200])
+    def test_one_surd_in_two_forms_loads_as_one_value(self, prec):
+        # b sqrt(|d|) is rounded once, as sqrt(b^2 |d|): rounding 3 and √3 apart reads
+        # 3√-3 one ulp off √-27 at 128 bits; √-4 = 2i is rational and rounds as the Gaussian literal
+        spec = parse_spec_dict({"mode": "finite", "a": [1, 1, 1, 1], "tower": "complex", "precision_bits": prec,
+                                "b": ["1 + 3√-3", "1 + √-27", "2√-1", "√-4", {"re": 0, "im": 2}]})
+        three_root3, root27, two_i, root_minus4, gaussian = spec.b
+        assert three_root3 == root27 and three_root3.raw == root27.raw
+        assert two_i == root_minus4 == gaussian and two_i.raw == root_minus4.raw == gaussian.raw
+        assert three_root3.im == _ctx(prec).sqrt(27) and three_root3.re == 1
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(SpecFileError):
